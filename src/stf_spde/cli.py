@@ -14,7 +14,8 @@ per-path seeds and no timestamps, so re-running a command replays its output
 byte for byte. `STF_SPDE_THREADS` caps how many path solves run concurrently.
 
 Exit codes (stable contract): 0 success, 1 verification check failed,
-2 usage/config error, 3 solver failure, 4 fixed-point non-convergence.
+2 usage/config error, 3 solver failure, 4 fixed-point non-convergence,
+5 internal error (an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import os
 import re
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -75,6 +77,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_INTERNAL = 5
 
 _SINE_RE = re.compile(r"^sine\((\d+)\)$")
 _CONST_RE = re.compile(r"^constant\(([^()]+)\)$")
@@ -711,7 +714,16 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
+    try:
+        return _dispatch(args)
+    except Exception:
+        # keep exit code 1 for "a check failed": anything unexpected gets
+        # its own code, with the traceback for the report
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         os.makedirs(args.out, exist_ok=True)
         return cmd_verify(args.suite, args.out)

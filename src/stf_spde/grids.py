@@ -152,7 +152,10 @@ def _neg_lap_cholesky(n_interior: int) -> np.ndarray:
     ab[0] = -1.0 / h2  # superdiagonal
     ab[0, 0] = 0.0
     ab[1] = 2.0 / h2  # diagonal
-    return cholesky_banded(ab)
+    factor = cholesky_banded(ab)
+    # every caller shares the cached array
+    factor.flags.writeable = False
+    return factor
 
 
 def inv_neg_laplacian_values(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:

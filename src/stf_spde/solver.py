@@ -189,6 +189,10 @@ def _newton_porous(grid, u_start, rhs, dt, m, config):
     fv = _porous_residual(grid, v, dt, m, rhs)
     rn = norm_values(grid, fv, "L2")
     target = config.newton_tol * (1.0 + norm_values(grid, rhs, "L2"))
+    # a NaN residual compares false against the target and would skip the
+    # loop, returning a state that breaks the residual contract
+    if not np.isfinite(rn):
+        raise NewtonDivergence(f"non-finite starting residual {rn} (dt {dt:.3e})")
     iterations = 0
     while rn > target:
         if iterations >= config.newton_max_iter:

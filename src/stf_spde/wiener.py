@@ -30,7 +30,7 @@ import numpy as np
 
 from .grids import Field, SpatialGrid
 from .projection import TimeGrid, Trajectory
-from .rng import derive_key, gaussian_stream
+from .rng import derive_key, gaussian_stream, standard_normal_rows
 
 __all__ = [
     "QWienerSpec",
@@ -165,12 +165,10 @@ def sample_increments(spec: QWienerSpec, timegrid: TimeGrid, seed: int) -> Noise
     (seed, mode), so any sub-block of modes can be regenerated alone and
     extending the truncation leaves earlier modes untouched.
     """
-    scale = np.sqrt(spec.eigenvalues * timegrid.dt)
-    out = np.empty((timegrid.n_steps, spec.n_modes))
-    for i in range(spec.n_modes):
-        stream = gaussian_stream(seed, _STREAM_INCREMENTS, i + 1)
-        out[:, i] = scale[i] * stream.standard_normal(timegrid.n_steps)
-    return NoisePath(timegrid, out, seed)
+    draws = standard_normal_rows(
+        seed, (_STREAM_INCREMENTS,), spec.n_modes, timegrid.n_steps
+    )
+    return NoisePath(timegrid, draws.T * np.sqrt(spec.eigenvalues * timegrid.dt), seed)
 
 
 def save_noise_path(noise: NoisePath, path: str) -> None:

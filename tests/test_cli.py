@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from stf_spde import cli
 from stf_spde.cli import ConfigError, RunConfig, main
 from stf_spde.grids import SpatialGrid, sine_field
 from stf_spde.projection import trajectory_from_csv
@@ -277,6 +278,15 @@ class TestVerify:
             assert set(check) == {"name", "value", "bound", "pass"}
             assert check["pass"] is True
         assert read_tree(a) == read_tree(b)
+
+    def test_unexpected_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def broken_suite():
+            raise KeyError("planted fault")
+
+        monkeypatch.setitem(cli.SUITES, "lc", broken_suite)
+        assert main(["verify", "lc", "--out", str(tmp_path)]) == cli.EXIT_INTERNAL == 5
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "planted fault" in err
 
     def test_lc_suite_passes(self, tmp_path):
         assert main(["verify", "lc", "--out", str(tmp_path)]) == 0

@@ -8,6 +8,7 @@ from stf_spde.grids import (
     Field,
     SpatialGrid,
     TripleKind,
+    _neg_lap_cholesky,
     discrete_laplacian,
     duality_pairing,
     inverse_neg_laplacian,
@@ -227,3 +228,15 @@ def test_field_values_are_read_only():
     u = Field(grid, np.ones(4))
     with pytest.raises(ValueError):
         u.values[0] = 2.0
+
+
+def test_cached_cholesky_factor_is_read_only():
+    grid = SpatialGrid(31)
+    factor = _neg_lap_cholesky(grid.n_interior)
+    assert factor.flags.writeable is False
+    with pytest.raises(ValueError):
+        factor[1, 0] = 0.0
+    # the frozen factor still serves solves
+    f = sine_field(grid, 1)
+    u = inverse_neg_laplacian(f)
+    assert np.max(np.abs(discrete_laplacian(u).values + f.values)) < 1e-9

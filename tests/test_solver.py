@@ -231,6 +231,16 @@ class TestPorousStep:
         with pytest.raises(ValueError):
             step_porous(z, z, z, 0.01, m=0)
 
+    @pytest.mark.parametrize("bad_input", ["u", "dw"])
+    def test_non_finite_residual_raises(self, grid, bad_input):
+        z = zero_field(grid)
+        values = np.sin(np.pi * grid.nodes)
+        values[4] = np.nan if bad_input == "u" else np.inf
+        bad = Field(grid, values)
+        u, dw = (bad, z) if bad_input == "u" else (sine_field(grid, 1), bad)
+        with pytest.raises(NewtonDivergence, match="non-finite"):
+            step_porous(u, z, dw, 0.01, m=2)
+
 
 class TestGradientNoise:
     def test_unit_xi_is_plain_difference(self, grid):

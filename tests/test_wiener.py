@@ -1,5 +1,8 @@
 """Dyadic step/tent functions, midpoint-displacement paths, noise statistics."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -330,6 +333,48 @@ def test_sample_increments_reproducible():
     assert a.seed == 12345 and a.n_modes == 4
     with pytest.raises(ValueError):
         NoisePath(timegrid, np.zeros((5, 4)), 0)
+
+
+@pytest.mark.parametrize("n_steps", [1, 4, 128])
+@pytest.mark.parametrize(
+    "seed", [0, 2**64 - 1, path_seed(101, 0), path_seed(29, 7), path_seed(304, 1999)]
+)
+def test_sample_increments_are_scaled_mode_streams(n_steps, seed):
+    # mode i's column is stream (seed, 2, i + 1) scaled by sqrt(lambda_i dt),
+    # bit for bit: replays and saved noise files depend on it
+    spec = QWienerSpec.power_decay(SpatialGrid(31), 16, 1.0)
+    timegrid = TimeGrid(n_steps)
+    inc = sample_increments(spec, timegrid, seed).increments
+    for i in range(spec.n_modes):
+        draws = gaussian_stream(seed, 2, i + 1).standard_normal(n_steps)
+        expected = np.sqrt(spec.eigenvalues[i] * timegrid.dt) * draws
+        assert np.array_equal(inc[:, i], expected)
+
+
+def test_sample_increments_concurrent_calls_match_serial():
+    spec = QWienerSpec.power_decay(SpatialGrid(31), 16, 1.0)
+    timegrid = TimeGrid(8)
+    seeds = [path_seed(101, i) for i in range(400)]
+    serial = [sample_increments(spec, timegrid, s).increments for s in seeds]
+    results = [None] * len(seeds)
+
+    def worker(start):
+        for j in range(start, len(seeds), 4):
+            results[j] = sample_increments(spec, timegrid, seeds[j]).increments
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(results, serial):
+        assert np.array_equal(a, b)
 
 
 def test_noise_path_io_round_trip(tmp_path):
