@@ -23,7 +23,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def splitmix64(x):
+def splitmix64(x: int | np.ndarray) -> int | np.ndarray:
     """One splitmix64 output step (Steele et al. finalizer).
 
     Takes a Python int or a numpy uint64 array; array arithmetic wraps
