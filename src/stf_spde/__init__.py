@@ -81,65 +81,3 @@ from stf_spde.estimators import (
     mc_mean_stderr,
     pathwise_sup_H,
 )
-
-__all__ = [
-    "__version__",
-    "Field",
-    "SpatialGrid",
-    "TripleKind",
-    "discrete_laplacian",
-    "duality_pairing",
-    "inverse_neg_laplacian",
-    "laplacian_eigenvalue",
-    "norm",
-    "signed_power",
-    "NoisePath",
-    "QWienerLCPath",
-    "QWienerSpec",
-    "ScalarBMPath",
-    "assemble_field",
-    "haar_function",
-    "lc_q_wiener",
-    "lc_scalar_bm",
-    "load_noise_path",
-    "mode_coefficients",
-    "sample_increments",
-    "save_noise_path",
-    "schauder_function",
-    "tail_bound_probe",
-    "HaarLevel",
-    "RateFit",
-    "TimeGrid",
-    "Trajectory",
-    "fractional_seminorm",
-    "haar_rate_experiment",
-    "proj_shifted",
-    "smoothed_seed",
-    "trajectory_from_csv",
-    "trajectory_lp_norm",
-    "trajectory_to_csv",
-    "HypothesisReport",
-    "NewtonDivergence",
-    "ProblemSpec",
-    "SolverConfig",
-    "check_hypotheses",
-    "gradient_noise_apply",
-    "solve_frozen",
-    "step_heat",
-    "step_porous",
-    "ContinuityResult",
-    "FixedPointDiagnostics",
-    "RegularityTable",
-    "continuity_probe",
-    "invariance_radius",
-    "picard_iterate",
-    "staircase_construct",
-    "time_regularity_probe",
-    "xnorm_power_distance",
-    "EnergyReport",
-    "EstimateInvalid",
-    "energy_report",
-    "integral_v_power",
-    "mc_mean_stderr",
-    "pathwise_sup_H",
-]

@@ -60,7 +60,7 @@ def mc_mean_stderr(samples) -> tuple[float, float]:
 
 def pathwise_sup_H(traj: Trajectory, triple: TripleKind) -> float:
     """max over the sample times of |w(t_k)|_H^2 (squared pivot norm)."""
-    return max(triple.h_norm(f) ** 2 for f in traj.fields)
+    return max(triple.h_norm_values(traj.grid, row) ** 2 for row in traj.values)
 
 
 def integral_v_power(traj: Trajectory, triple: TripleKind, power: float) -> float:
@@ -69,7 +69,7 @@ def integral_v_power(traj: Trajectory, triple: TripleKind, power: float) -> floa
         raise ValueError(f"power must be positive, got {power}")
     dt = traj.timegrid.dt
     return dt * float(
-        sum(triple.v_norm(f) ** power for f in traj.fields[:-1])
+        sum(triple.v_norm_values(traj.grid, row) ** power for row in traj.values[:-1])
     )
 
 

@@ -26,7 +26,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .estimators import integral_v_power, mc_mean_stderr
-from .grids import Field
 from .projection import HaarLevel, Trajectory, fractional_seminorm, proj_shifted
 from .rng import path_seed
 from .solver import ProblemSpec, SolverConfig, _advance, solve_frozen
@@ -54,14 +53,7 @@ def xnorm_power_distance(a: Trajectory, b: Trajectory, problem: ProblemSpec) -> 
     """
     if a.timegrid != b.timegrid:
         raise ValueError("trajectories live on different time grids")
-    grid = a.grid
-    gap = Trajectory(
-        a.timegrid,
-        tuple(
-            Field(grid, np.asarray(fa.values) - np.asarray(fb.values))
-            for fa, fb in zip(a.fields, b.fields)
-        ),
-    )
+    gap = Trajectory.from_matrix(a.timegrid, a.grid, a.values - b.values)
     return integral_v_power(gap, problem.triple, problem.time_power)
 
 
@@ -261,13 +253,9 @@ def staircase_construct(
     block_value = np.empty((blocks, grid.n_interior))
     block_value[0] = level.seed_field.values
     for k in range(blocks):
-        coeff = Field(grid, block_value[k])
         for j in range(k * s, (k + 1) * s):
-            state = Field(grid, u[j])
-            dw_values = noise.increments[j] @ basis
-            u[j + 1] = _advance(
-                problem, state, coeff, dw_values, dt, cfg, stats, 0
-            ).values
+            dw = noise.increments[j] @ basis
+            u[j + 1] = _advance(problem, u[j], block_value[k], dw, dt, cfg, stats, 0)
         if k + 1 < blocks:
             # same trapezoid weights, in the same order, as the projection
             a, b = k * s, (k + 1) * s
@@ -334,12 +322,8 @@ def continuity_probe(
     ]
     input_dists, output_dists = [], []
     for e in eps:
-        shifted = Trajectory(
-            tg,
-            tuple(
-                Field(grid, np.asarray(f.values) + e * np.asarray(p.values))
-                for f, p in zip(base.fields, perturbation.fields)
-            ),
+        shifted = Trajectory.from_matrix(
+            tg, grid, base.values + e * perturbation.values
         )
         input_dists.append(xnorm_power_distance(shifted, base, problem))
         dists = [
@@ -418,11 +402,8 @@ def time_regularity_probe(
     times = [k * tg.dt for k in ks]
     running = []
     for traj in ensemble:
-        w0 = np.asarray(traj.fields[0].values)
-        gaps = [
-            triple.h_norm(Field(traj.grid, np.asarray(f.values) - w0)) ** 2
-            for f in traj.fields
-        ]
+        w0 = traj.values[0]
+        gaps = [triple.h_norm_values(traj.grid, row - w0) ** 2 for row in traj.values]
         sup_so_far = np.maximum.accumulate(gaps)
         running.append([sup_so_far[k] for k in ks])
     means = np.mean(np.asarray(running), axis=0)

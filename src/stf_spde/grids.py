@@ -98,17 +98,25 @@ class TripleKind:
     def porous(cls, m: int) -> "TripleKind":
         return cls("porous", m)
 
+    def v_norm_values(self, grid: SpatialGrid, values: np.ndarray) -> float:
+        """|u|_V of raw nodal values: H1_0 seminorm (heat) or L^{m+1} (porous)."""
+        if self.name == "heat":
+            return norm_values(grid, values, "V_H1")
+        return norm_values(grid, values, "Lp", p=self.m + 1)
+
+    def h_norm_values(self, grid: SpatialGrid, values: np.ndarray) -> float:
+        """|u|_H of raw nodal values: L2 (heat) or H^-1 (porous)."""
+        if self.name == "heat":
+            return norm_values(grid, values, "L2")
+        return norm_values(grid, values, "Hminus1")
+
     def v_norm(self, u: "Field") -> float:
         """|u|_V: H1_0 seminorm (heat) or L^{m+1} (porous)."""
-        if self.name == "heat":
-            return norm(u, "V_H1")
-        return norm(u, "Lp", p=self.m + 1)
+        return self.v_norm_values(u.grid, u.values)
 
     def h_norm(self, u: "Field") -> float:
         """|u|_H: L2 (heat) or H^-1 (porous)."""
-        if self.name == "heat":
-            return norm(u, "L2")
-        return norm(u, "Hminus1")
+        return self.h_norm_values(u.grid, u.values)
 
     def vstar_norm(self, u: "Field") -> float:
         """|u|_V*: H^-1 (heat) or L^{(m+1)/m} (porous)."""

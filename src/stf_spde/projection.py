@@ -1,12 +1,12 @@
 """Backward block averaging of trajectories on dyadic time partitions.
 
-A Trajectory samples a Field-valued path on a uniform mesh of [0, T] that
-is nested in a dyadic partition with 2^n blocks. proj_shifted replaces the
-path on each dyadic block by a constant: a prescribed seed field on block 0
-and, on block k >= 1, the trapezoid average of the path over block k-1.
-Averaging only ever looks backward, so the output on [0, t) is determined
-by the input on [0, t] alone; this is the adaptedness property the
-construction exists for.
+A Trajectory holds a path as one (n_steps + 1, N) array sampled on a
+uniform mesh of [0, T] that is nested in a dyadic partition with 2^n
+blocks. proj_shifted replaces the path on each dyadic block by a constant:
+a prescribed seed field on block 0 and, on block k >= 1, the trapezoid
+average of the path over block k-1. Averaging only ever looks backward, so
+the output on [0, t) is determined by the input on [0, t] alone; this is
+the adaptedness property the construction exists for.
 
 Time regularity is measured by the discrete fractional Sobolev norm
 
@@ -79,46 +79,47 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Field-valued path sampled at the n_steps + 1 nodes of a TimeGrid."""
+    """Path on a SpatialGrid sampled at the n_steps + 1 nodes of a TimeGrid.
+
+    The samples live in one read-only (n_steps + 1, n_interior) float
+    array, values, whose row k is the sample at t_k. The constructor copies
+    its input once and checks the shape; from_matrix is the same
+    constructor under its documented name.
+    """
 
     timegrid: TimeGrid
-    fields: tuple[Field, ...]
+    grid: SpatialGrid
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        fields = tuple(self.fields)
-        if len(fields) != self.timegrid.n_steps + 1:
+        vals = np.array(self.values, dtype=float)
+        if vals.shape != (self.timegrid.n_steps + 1, self.grid.n_interior):
             raise ValueError(
-                f"trajectory has {len(fields)} samples, timegrid expects "
-                f"{self.timegrid.n_steps + 1}"
+                f"matrix shape {vals.shape} does not match "
+                f"({self.timegrid.n_steps + 1}, {self.grid.n_interior})"
             )
-        grid = fields[0].grid
-        if any(f.grid != grid for f in fields):
-            raise ValueError("trajectory fields live on different spatial grids")
-        object.__setattr__(self, "fields", fields)
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
     @property
-    def grid(self) -> SpatialGrid:
-        return self.fields[0].grid
+    def fields(self) -> tuple[Field, ...]:
+        """The samples as Fields, built anew on every access."""
+        return tuple(Field(self.grid, row) for row in self.values)
 
     def stacked(self) -> np.ndarray:
-        """Samples as a writable (n_steps + 1, n_interior) matrix."""
-        return np.array([f.values for f in self.fields])
+        """Samples as a writable copy of values."""
+        return self.values.copy()
 
     @classmethod
     def from_matrix(
         cls, timegrid: TimeGrid, grid: SpatialGrid, matrix: np.ndarray
     ) -> "Trajectory":
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (timegrid.n_steps + 1, grid.n_interior):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match "
-                f"({timegrid.n_steps + 1}, {grid.n_interior})"
-            )
-        return cls(timegrid, tuple(Field(grid, row) for row in matrix))
+        return cls(timegrid, grid, matrix)
 
     @classmethod
     def constant(cls, timegrid: TimeGrid, value: Field) -> "Trajectory":
-        return cls(timegrid, (value,) * (timegrid.n_steps + 1))
+        shape = (timegrid.n_steps + 1, value.grid.n_interior)
+        return cls(timegrid, value.grid, np.broadcast_to(value.values, shape))
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def proj_shifted(traj: Trajectory, level: HaarLevel) -> Trajectory:
     if level.seed_field.grid != traj.grid:
         raise ValueError("seed field lives on a different spatial grid")
     s = tg.n_steps // blocks
-    u = traj.stacked()
+    u = traj.values
     avg = _block_averages(u, blocks, s)
     block_value = np.empty_like(avg)
     block_value[0] = level.seed_field.values
@@ -249,7 +250,7 @@ def fractional_seminorm(
     tg = traj.timegrid
     n, dt = tg.n_steps, tg.dt
     grid = traj.grid
-    u = traj.stacked()[:n]
+    u = traj.values[:n]
     # weight of the gap g = |i - j|: dt^2 / (g dt)^{1 + alpha p}
     gap_w = dt * dt / (dt * np.arange(1, n)) ** (1.0 + alpha * p)
     if norm_kind in _HILBERT_KINDS:
@@ -284,7 +285,7 @@ def trajectory_lp_norm(
 ) -> float:
     """Left-Riemann time-Lp norm (sum_k dt |u(t_k)|^p_kind)^{1/p}."""
     return _matrix_lp_norm(
-        traj.grid, traj.stacked(), traj.timegrid.dt, norm_kind, p, spatial_p
+        traj.grid, traj.values, traj.timegrid.dt, norm_kind, p, spatial_p
     )
 
 
@@ -353,12 +354,13 @@ def haar_rate_experiment(
         raise ValueError(f"rate fit needs at least 3 levels, got {len(levels)}")
     errors = np.empty((len(trajs), len(levels)))
     for i, traj in enumerate(trajs):
-        u = traj.stacked()
+        u = traj.values
+        start = Field(traj.grid, u[0])
         for j, n in enumerate(levels):
-            proj = proj_shifted(traj, HaarLevel(n, traj.fields[0]))
+            proj = proj_shifted(traj, HaarLevel(n, start))
             errors[i, j] = _matrix_lp_norm(
                 traj.grid,
-                proj.stacked() - u,
+                proj.values - u,
                 traj.timegrid.dt,
                 norm_kind,
                 p,
@@ -383,8 +385,8 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"u_{j}" for j in range(1, traj.grid.n_interior + 1)])
-        for t, f in zip(traj.timegrid.times, traj.fields):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in f.values])
+        for t, row in zip(traj.timegrid.times, traj.values):
+            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
 
 
 def trajectory_from_csv(path: str, dyadic_level: int | None = None) -> Trajectory:

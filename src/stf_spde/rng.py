@@ -15,8 +15,6 @@ costs more than drawing a short stream.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -86,13 +84,3 @@ def standard_normal_rows(
         }
         out[j] = gen.standard_normal(size)
     return out
-
-
-def thread_count() -> int:
-    """Worker cap for path ensembles, from STF_SPDE_THREADS (default 1)."""
-    raw = os.environ.get("STF_SPDE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"STF_SPDE_THREADS must be an integer, got {raw!r}")
-    return max(1, n)

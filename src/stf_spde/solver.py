@@ -44,7 +44,7 @@ from .grids import (
 )
 from .projection import Trajectory
 from .rng import gaussian_stream
-from .wiener import NoisePath, QWienerSpec, assemble_field
+from .wiener import NoisePath, QWienerSpec
 
 __all__ = [
     "ProblemSpec",
@@ -65,7 +65,11 @@ _NOISE_FORMS = ("divergence", "pointwise")
 
 
 class NewtonDivergence(RuntimeError):
-    """The damped Newton iteration failed to meet its residual contract."""
+    """A step failed its contract.
+
+    The damped Newton iteration missed its residual target, or a step met
+    non-finite input.
+    """
 
 
 @dataclass(frozen=True)
@@ -156,26 +160,34 @@ def _check_step_inputs(u: Field, xi: Field, dw: Field, dt: float) -> None:
         raise ValueError(f"dt must be positive, got {dt}")
 
 
+def _heat_step(grid, u, xi, dw, dt, sigma):
+    """Heat step on raw nodal values; see step_heat."""
+    rhs = u + dt * signed_power_values(xi, 0.5) + sigma * u * dw
+    # the banded solve below skips its own finite check
+    if not np.all(np.isfinite(rhs)):
+        raise NewtonDivergence(f"non-finite heat right-hand side (dt {dt:.3e})")
+    h2 = grid.h * grid.h
+    ab = np.empty((2, grid.n_interior))
+    ab[0] = -dt / h2
+    ab[0, 0] = 0.0
+    ab[1] = 1.0 + 2.0 * dt / h2
+    return solveh_banded(ab, rhs, check_finite=False)
+
+
 def step_heat(u_k: Field, xi_k: Field, dw_k: Field, dt: float, sigma: float = 0.1) -> Field:
     """One semi-implicit heat step.
 
     Solves (I - dt Lap_h) u = u_k + dt xi_k^{[1/2]} + sigma u_k dw_k; the
     Laplacian is implicit (one SPD tridiagonal solve) and the drift and
     noise are explicit.
+
+    Raises:
+        NewtonDivergence: the right-hand side is not finite.
     """
     _check_step_inputs(u_k, xi_k, dw_k, dt)
-    grid = u_k.grid
-    rhs = (
-        u_k.values
-        + dt * signed_power_values(np.asarray(xi_k.values), 0.5)
-        + sigma * u_k.values * dw_k.values
+    return Field(
+        u_k.grid, _heat_step(u_k.grid, u_k.values, xi_k.values, dw_k.values, dt, sigma)
     )
-    h2 = grid.h * grid.h
-    ab = np.empty((2, grid.n_interior))
-    ab[0] = -dt / h2
-    ab[0, 0] = 0.0
-    ab[1] = 1.0 + 2.0 * dt / h2
-    return Field(grid, solveh_banded(ab, rhs))
 
 
 def _porous_residual(grid, v, dt, m, rhs):
@@ -224,19 +236,10 @@ def _newton_porous(grid, u_start, rhs, dt, m, config):
     return v, iterations
 
 
-def _porous_step_core(u_k, xi_k, dw_k, dt, m, cfg, sigma, noise_term):
-    _check_step_inputs(u_k, xi_k, dw_k, dt)
-    if int(m) != m or m < 1:
-        raise ValueError(f"porous exponent must be an integer >= 1, got {m}")
-    grid = u_k.grid
-    if noise_term is None:
-        noise = sigma * u_k.values * dw_k.values
-    else:
-        if noise_term.grid != grid:
-            raise ValueError("noise term lives on a different grid")
-        noise = np.asarray(noise_term.values)
-    rhs = u_k.values + dt * signed_power_values(np.asarray(xi_k.values), 0.5) + noise
-    return _newton_porous(grid, np.asarray(u_k.values), rhs, dt, m, cfg)
+def _porous_step(grid, u, xi, noise, dt, m, config):
+    """Porous step on raw nodal values; returns (v, Newton iterations)."""
+    rhs = u + dt * signed_power_values(xi, 0.5) + noise
+    return _newton_porous(grid, u, rhs, dt, m, config)
 
 
 def step_porous(
@@ -259,8 +262,17 @@ def step_porous(
     Raises:
         NewtonDivergence: residual contract unmet; retry with smaller dt.
     """
+    _check_step_inputs(u_k, xi_k, dw_k, dt)
+    if int(m) != m or m < 1:
+        raise ValueError(f"porous exponent must be an integer >= 1, got {m}")
+    if noise_term is None:
+        noise = sigma * u_k.values * dw_k.values
+    else:
+        if noise_term.grid != u_k.grid:
+            raise ValueError("noise term lives on a different grid")
+        noise = noise_term.values
     cfg = config if config is not None else SolverConfig()
-    v, _ = _porous_step_core(u_k, xi_k, dw_k, dt, m, cfg, sigma, noise_term)
+    v, _ = _porous_step(u_k.grid, u_k.values, xi_k.values, noise, dt, m, cfg)
     return Field(u_k.grid, v)
 
 
@@ -274,6 +286,14 @@ def _one_sided_centered_diff(grid, g):
     return out
 
 
+def _gradient_noise(grid, xi, dw, form):
+    """Gradient-coupled noise on raw nodal values; see gradient_noise_apply."""
+    root = signed_power_values(xi, 0.5)
+    if form == "divergence":
+        return _one_sided_centered_diff(grid, root * dw)
+    return _one_sided_centered_diff(grid, root) * dw
+
+
 def gradient_noise_apply(xi_k: Field, dw_k: Field, form: str = "divergence") -> Field:
     """Gradient-coupled noise increment D_h(xi^{[1/2]} dW).
 
@@ -284,37 +304,31 @@ def gradient_noise_apply(xi_k: Field, dw_k: Field, form: str = "divergence") -> 
         raise ValueError("fields live on different grids")
     if form not in _NOISE_FORMS:
         raise ValueError(f"form must be one of {_NOISE_FORMS}, got {form!r}")
-    grid = xi_k.grid
-    root = signed_power_values(np.asarray(xi_k.values), 0.5)
-    if form == "divergence":
-        out = _one_sided_centered_diff(grid, root * dw_k.values)
-    else:
-        out = _one_sided_centered_diff(grid, root) * dw_k.values
-    return Field(grid, out)
+    return Field(xi_k.grid, _gradient_noise(xi_k.grid, xi_k.values, dw_k.values, form))
 
 
-def _advance(problem, u, xi_k, dw_values, dt, cfg, stats, depth):
+def _advance(problem, u, xi_k, dw, dt, cfg, stats, depth):
+    """One step of the problem on raw nodal values (rows u, xi_k, dw).
+
+    The inputs were checked once by the caller: every row lives on the
+    problem's grid, dt is positive and ProblemSpec fixed the exponent.
+    """
     grid = problem.qwiener.grid
-    dw = Field(grid, dw_values)
     try:
         if problem.example == "heat_sqrt_drift":
-            return step_heat(u, xi_k, dw, dt, sigma=problem.sigma)
+            return _heat_step(grid, u, xi_k, dw, dt, problem.sigma)
         if problem.example == "porous_sqrt_drift":
-            v, its = _porous_step_core(
-                u, xi_k, dw, dt, problem.m, cfg, problem.sigma, None
-            )
+            noise = problem.sigma * u * dw
         else:
-            noise = gradient_noise_apply(xi_k, dw, problem.gradient_noise_form)
-            v, its = _porous_step_core(
-                u, xi_k, dw, dt, problem.m, cfg, problem.sigma, noise
-            )
+            noise = _gradient_noise(grid, xi_k, dw, problem.gradient_noise_form)
+        v, its = _porous_step(grid, u, xi_k, noise, dt, problem.m, cfg)
         stats["newton_iterations"] += its
-        return Field(grid, v)
+        return v
     except NewtonDivergence:
         if depth >= cfg.dt_retries:
             raise
         stats["dt_retries"] += 1
-        half = 0.5 * dw_values
+        half = 0.5 * dw
         mid = _advance(problem, u, xi_k, half, 0.5 * dt, cfg, stats, depth + 1)
         return _advance(problem, mid, xi_k, half, 0.5 * dt, cfg, stats, depth + 1)
 
@@ -345,31 +359,34 @@ def solve_frozen(
 
     Returns:
         Trajectory of the solution, n_steps + 1 samples.
+
+    Raises:
+        NewtonDivergence: a step failed its contract after every retry.
     """
     cfg = config if config is not None else SolverConfig()
     tg = xi.timegrid
+    grid = problem.qwiener.grid
     if noise.timegrid.n_steps != tg.n_steps or noise.timegrid.T != tg.T:
         raise ValueError("frozen trajectory and noise live on different time grids")
-    if xi.grid != problem.qwiener.grid:
+    if xi.grid != grid:
         raise ValueError("frozen trajectory lives on a different spatial grid")
     if noise.n_modes != problem.qwiener.n_modes:
         raise ValueError(
             f"noise has {noise.n_modes} modes, spec wants {problem.qwiener.n_modes}"
         )
-    if not np.all(np.isfinite(xi.stacked())):
+    if not np.all(np.isfinite(xi.values)):
         raise ValueError("frozen trajectory contains non-finite values")
     stats = {"newton_iterations": 0, "dt_retries": 0}
     dt = tg.dt
-    u = problem.initial_datum
-    samples = [u]
     basis = problem.qwiener.basis
+    u = np.empty((tg.n_steps + 1, grid.n_interior))
+    u[0] = problem.initial_datum.values
     for k in range(tg.n_steps):
-        dw_values = noise.increments[k] @ basis
-        u = _advance(problem, u, xi.fields[k], dw_values, dt, cfg, stats, 0)
-        samples.append(u)
+        dw = noise.increments[k] @ basis
+        u[k + 1] = _advance(problem, u[k], xi.values[k], dw, dt, cfg, stats, 0)
     if collect_stats is not None:
         collect_stats.update(stats)
-    return Trajectory(tg, tuple(samples))
+    return Trajectory.from_matrix(tg, grid, u)
 
 
 def _operator_values(problem, u_values, xi_values):

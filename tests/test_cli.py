@@ -17,6 +17,7 @@ from stf_spde import cli
 from stf_spde.cli import ConfigError, RunConfig, main
 from stf_spde.grids import SpatialGrid, sine_field
 from stf_spde.projection import trajectory_from_csv
+from stf_spde.wiener import NoisePath
 
 
 def write_config(path, overrides=None, drop=None):
@@ -165,14 +166,35 @@ class TestSimulate:
         assert list(tree_a) == list(tree_b)
         assert tree_a == tree_b
 
-    def test_replay_unchanged_by_thread_count(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path / "run.ini", overrides={"run": {"paths": "3"}})
-        serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-        monkeypatch.setenv("STF_SPDE_THREADS", "1")
-        assert main(["simulate", "--config", path, "--out", str(serial)]) == 0
-        monkeypatch.setenv("STF_SPDE_THREADS", "3")
-        assert main(["simulate", "--config", path, "--out", str(threaded)]) == 0
-        assert read_tree(serial) == read_tree(threaded)
+    def test_path_bits_unchanged_by_path_count(self, tmp_path):
+        path = write_config(tmp_path / "run.ini")
+        one, three = tmp_path / "one", tmp_path / "three"
+        for out, paths in ((one, "1"), (three, "3")):
+            argv = ["simulate", "--config", path, "--out", str(out), "--paths", paths]
+            assert main(argv) == 0
+        tree_one, tree_three = read_tree(one), read_tree(three)
+        assert "solution_001.csv" not in tree_one
+        for name in ("noise_000.bin", "coefficient_000.csv", "solution_000.csv"):
+            assert tree_one[name] == tree_three[name]
+        # the other paths are driven by other noise
+        assert tree_three["solution_001.csv"] != tree_three["solution_000.csv"]
+
+    def test_non_finite_noise_exits_with_solver_code(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        sample = cli.sample_increments
+
+        def poisoned(spec, timegrid, seed):
+            noise = sample(spec, timegrid, seed)
+            increments = noise.increments.copy()
+            increments[3, 0] = np.nan
+            return NoisePath(timegrid, increments, seed)
+
+        monkeypatch.setattr(cli, "sample_increments", poisoned)
+        path = write_config(tmp_path / "run.ini")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        assert "solver failure" in capsys.readouterr().err
 
     def test_overrides_change_output(self, tmp_path):
         path = write_config(tmp_path / "run.ini")

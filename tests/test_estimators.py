@@ -41,11 +41,10 @@ def small_datum(grid):
 
 
 def random_traj(grid, timegrid, rng):
-    fields = tuple(
-        Field(grid, rng.standard_normal(grid.n_interior))
-        for _ in range(timegrid.n_steps + 1)
-    )
-    return Trajectory(timegrid, fields)
+    rows = [
+        rng.standard_normal(grid.n_interior) for _ in range(timegrid.n_steps + 1)
+    ]
+    return Trajectory.from_matrix(timegrid, grid, rows)
 
 
 class TestMeanStderr:
@@ -87,10 +86,9 @@ class TestTrajectoryFunctionals:
     def test_ramp_sup_attained_at_endpoint(self, grid):
         tg = TimeGrid(8, T=1.0)
         v = Field(grid, np.sin(2 * np.pi * grid.nodes))
-        fields = tuple(
-            Field(grid, t * np.asarray(v.values)) for t in tg.times
+        traj = Trajectory.from_matrix(
+            tg, grid, [t * np.asarray(v.values) for t in tg.times]
         )
-        traj = Trajectory(tg, fields)
         for triple in (TripleKind.heat(), TripleKind.porous(2)):
             assert pathwise_sup_H(traj, triple) == pytest.approx(
                 triple.h_norm(v) ** 2, rel=1e-13
@@ -114,9 +112,8 @@ class TestTrajectoryFunctionals:
         tg = TimeGrid(8)
         rng = np.random.default_rng(9)
         traj = random_traj(grid, tg, rng)
-        spiked = Trajectory(
-            tg,
-            traj.fields[:-1] + (Field(grid, 1e6 * np.ones(grid.n_interior)),),
+        spiked = Trajectory.from_matrix(
+            tg, grid, np.vstack([traj.values[:-1], 1e6 * np.ones(grid.n_interior)])
         )
         triple = TripleKind.heat()
         assert integral_v_power(traj, triple, 2) == integral_v_power(

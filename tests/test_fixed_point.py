@@ -81,11 +81,10 @@ def coeff_pair(grid):
 
 
 def random_traj(grid, timegrid, rng):
-    fields = tuple(
-        Field(grid, rng.standard_normal(grid.n_interior))
-        for _ in range(timegrid.n_steps + 1)
-    )
-    return Trajectory(timegrid, fields)
+    rows = [
+        rng.standard_normal(grid.n_interior) for _ in range(timegrid.n_steps + 1)
+    ]
+    return Trajectory.from_matrix(timegrid, grid, rows)
 
 
 class TestDistance:

@@ -263,14 +263,43 @@ def test_timegrid_and_trajectory_validation():
         TimeGrid(8, dyadic_level=-1)
     grid = SpatialGrid(4)
     with pytest.raises(ValueError):
-        Trajectory(TimeGrid(3), (Field(grid, np.zeros(4)),) * 3)
+        Trajectory.from_matrix(TimeGrid(3), grid, np.zeros((3, 4)))
     with pytest.raises(ValueError):
-        Trajectory(
-            TimeGrid(1),
-            (Field(grid, np.zeros(4)), Field(SpatialGrid(5), np.zeros(5))),
-        )
+        Trajectory.from_matrix(TimeGrid(1), grid, np.zeros((2, 5)))
     with pytest.raises(ValueError):
         Trajectory.from_matrix(TimeGrid(4), grid, np.zeros((4, 4)))
+
+
+def test_trajectory_values_are_read_only():
+    traj = Trajectory.from_matrix(TimeGrid(2), SpatialGrid(4), np.zeros((3, 4)))
+    assert traj.values.shape == (3, 4)
+    assert not traj.values.flags.writeable
+    with pytest.raises(ValueError):
+        traj.values[0, 0] = 1.0
+
+
+def test_trajectory_copies_its_input_once():
+    matrix = np.arange(12.0).reshape(3, 4)
+    traj = Trajectory.from_matrix(TimeGrid(2), SpatialGrid(4), matrix)
+    matrix[1, 2] = -7.0
+    assert np.array_equal(traj.values, np.arange(12.0).reshape(3, 4))
+    # stacked() hands out a writable copy that does not alias values
+    copy = traj.stacked()
+    copy[0, 0] = 99.0
+    assert traj.values[0, 0] == 0.0
+
+
+def test_trajectory_fields_are_derived_from_values():
+    grid = SpatialGrid(4)
+    rows = np.random.default_rng(8).standard_normal((3, 4))
+    traj = Trajectory.from_matrix(TimeGrid(2), grid, rows)
+    first, second = traj.fields, traj.fields
+    assert len(first) == len(second) == 3
+    for a, b, row, stored in zip(first, second, rows, traj.values):
+        assert a.grid == b.grid == grid
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values, row)
+        assert np.array_equal(a.values, stored)
 
 
 def test_smoothed_seed_eigenmode_closed_form():

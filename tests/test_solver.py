@@ -209,9 +209,8 @@ class TestPorousStep:
             xi_fields.append(Field(grid, signed_power_values(g, 2.0)))
         xi_fields.append(xi_fields[-1])
         prob = ProblemSpec("porous_sqrt_drift", qspec, target[0], m=2, sigma=0.0)
-        out = solve_frozen(
-            prob, Trajectory(tg, tuple(xi_fields)), zero_noise(tg, 16)
-        )
+        xi = Trajectory.from_matrix(tg, grid, [f.values for f in xi_fields])
+        out = solve_frozen(prob, xi, zero_noise(tg, 16))
         worst = max(values_gap(out.fields[k], target[k]) for k in range(17))
         assert worst < 1e-9
 
@@ -426,6 +425,16 @@ class TestSolveFrozen:
         xi_other = Trajectory.constant(tg, zero_field(other))
         with pytest.raises(ValueError):
             solve_frozen(prob, xi_other, zero_noise(tg, 16))
+
+    def test_non_finite_heat_noise_is_a_solver_failure(self, grid, qspec):
+        tg = TimeGrid(4)
+        increments = np.zeros((tg.n_steps, 16))
+        increments[2, 5] = np.nan
+        noise = NoisePath(tg, increments, seed=-1)
+        prob = ProblemSpec("heat_sqrt_drift", qspec, sine_field(grid, 1))
+        xi = Trajectory.constant(tg, zero_field(grid))
+        with pytest.raises(NewtonDivergence, match="non-finite"):
+            solve_frozen(prob, xi, noise)
 
     def test_rejects_non_finite_coefficient(self, grid, qspec):
         tg = TimeGrid(4)
