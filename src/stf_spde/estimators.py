@@ -60,17 +60,15 @@ def mc_mean_stderr(samples) -> tuple[float, float]:
 
 def pathwise_sup_H(traj: Trajectory, triple: TripleKind) -> float:
     """max over the sample times of |w(t_k)|_H^2 (squared pivot norm)."""
-    return max(triple.h_norm_values(traj.grid, row) ** 2 for row in traj.values)
+    return float(np.max(triple.h_norm_values(traj.grid, traj.values) ** 2))
 
 
 def integral_v_power(traj: Trajectory, triple: TripleKind, power: float) -> float:
     """Left-endpoint quadrature of int_0^T |w(t)|_V^power dt."""
     if power <= 0:
         raise ValueError(f"power must be positive, got {power}")
-    dt = traj.timegrid.dt
-    return dt * float(
-        sum(triple.v_norm_values(traj.grid, row) ** power for row in traj.values[:-1])
-    )
+    norms = triple.v_norm_values(traj.grid, traj.values[:-1])
+    return traj.timegrid.dt * float(np.sum(norms**power))
 
 
 @dataclass(frozen=True)

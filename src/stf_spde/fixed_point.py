@@ -27,6 +27,7 @@ from scipy.optimize import brentq
 
 from .estimators import integral_v_power, mc_mean_stderr
 from .projection import HaarLevel, Trajectory, fractional_seminorm, proj_shifted
+from .projection import _block_average, _block_constant
 from .rng import path_seed
 from .solver import ProblemSpec, SolverConfig, _advance, solve_frozen
 from .wiener import NoisePath, sample_increments
@@ -171,16 +172,11 @@ def picard_iterate(
         mean, stderr = _ensemble_mean_stderr(distances)
         distance_means.append(mean)
         distance_stderrs.append(stderr)
-        energy_means.append(
-            float(
-                np.mean(
-                    [
-                        integral_v_power(xi, problem.triple, problem.time_power)
-                        for xi in new_iterates
-                    ]
-                )
-            )
-        )
+        energies = [
+            integral_v_power(xi, problem.triple, problem.time_power)
+            for xi in new_iterates
+        ]
+        energy_means.append(float(np.mean(energies)))
         iterates = new_iterates
         if mean <= tol:
             converged = True
@@ -195,9 +191,7 @@ def picard_iterate(
         for xi, noise in zip(iterates, noise_ensemble)
     ]
     res_mean, res_stderr = _ensemble_mean_stderr(residuals)
-    energies = [
-        integral_v_power(xi, problem.triple, problem.time_power) for xi in iterates
-    ]
+    # the last pass measured these energies on the final iterates
     energy_mean, energy_stderr = _ensemble_mean_stderr(energies)
     diagnostics = FixedPointDiagnostics(
         distance_means=tuple(distance_means),
@@ -257,16 +251,8 @@ def staircase_construct(
             dw = noise.increments[j] @ basis
             u[j + 1] = _advance(problem, u[j], block_value[k], dw, dt, cfg, stats, 0)
         if k + 1 < blocks:
-            # same trapezoid weights, in the same order, as the projection
-            a, b = k * s, (k + 1) * s
-            block_value[k + 1] = (
-                0.5 * (u[a] + u[b]) + u[a + 1 : b].sum(axis=0)
-            ) / s
-
-    out = np.empty_like(u)
-    out[: tg.n_steps] = np.repeat(block_value, s, axis=0)
-    out[tg.n_steps] = block_value[-1]
-    return Trajectory.from_matrix(tg, grid, out)
+            block_value[k + 1] = _block_average(u, k, s)
+    return Trajectory.from_matrix(tg, grid, _block_constant(block_value, s))
 
 
 @dataclass(frozen=True)
@@ -402,10 +388,8 @@ def time_regularity_probe(
     times = [k * tg.dt for k in ks]
     running = []
     for traj in ensemble:
-        w0 = traj.values[0]
-        gaps = [triple.h_norm_values(traj.grid, row - w0) ** 2 for row in traj.values]
-        sup_so_far = np.maximum.accumulate(gaps)
-        running.append([sup_so_far[k] for k in ks])
+        gaps = triple.h_norm_values(traj.grid, traj.values - traj.values[0]) ** 2
+        running.append(np.maximum.accumulate(gaps)[ks])
     means = np.mean(np.asarray(running), axis=0)
     if np.any(means <= 0):
         raise ValueError("degenerate increment fit: zero supremum")

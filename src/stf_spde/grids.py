@@ -15,6 +15,11 @@ the porous triple with exponent m (V = L^{m+1}, H = H^-1,
 V* = L^{(m+1)/m}), whose duality pairing routes through (-Lap_h)^{-1}.
 
 All operations are pure functions; Field values are read-only arrays.
+laplacian_values, inv_neg_laplacian_values and norm_values act on the
+last axis of their input: a 1-D array of nodal values is one function and
+a (rows, N) array a batch of them. A batch gives each row the bits of that
+row alone, except that the Lp norm's final root, taken as an array power,
+may differ from the scalar one in the last bit.
 """
 
 from __future__ import annotations
@@ -98,14 +103,14 @@ class TripleKind:
     def porous(cls, m: int) -> "TripleKind":
         return cls("porous", m)
 
-    def v_norm_values(self, grid: SpatialGrid, values: np.ndarray) -> float:
-        """|u|_V of raw nodal values: H1_0 seminorm (heat) or L^{m+1} (porous)."""
+    def v_norm_values(self, grid: SpatialGrid, values: np.ndarray) -> float | np.ndarray:
+        """|u|_V along the last axis: H1_0 seminorm (heat) or L^{m+1} (porous)."""
         if self.name == "heat":
             return norm_values(grid, values, "V_H1")
         return norm_values(grid, values, "Lp", p=self.m + 1)
 
-    def h_norm_values(self, grid: SpatialGrid, values: np.ndarray) -> float:
-        """|u|_H of raw nodal values: L2 (heat) or H^-1 (porous)."""
+    def h_norm_values(self, grid: SpatialGrid, values: np.ndarray) -> float | np.ndarray:
+        """|u|_H along the last axis: L2 (heat) or H^-1 (porous)."""
         if self.name == "heat":
             return norm_values(grid, values, "L2")
         return norm_values(grid, values, "Hminus1")
@@ -131,11 +136,13 @@ def _check_same_grid(a: Field, b: Field) -> None:
 
 
 def laplacian_values(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
-    """3-point Dirichlet Laplacian applied to raw nodal values."""
+    """3-point Dirichlet Laplacian of raw nodal values, along the last axis."""
     h2 = grid.h * grid.h
     out = -2.0 * values
-    out[:-1] += values[1:]
-    out[1:] += values[:-1]
+    # .T puts the node axis first for 1-D and batched input alike
+    o, v = out.T, values.T
+    o[:-1] += v[1:]
+    o[1:] += v[:-1]
     return out / h2
 
 
@@ -166,17 +173,31 @@ def _neg_lap_cholesky(n_interior: int) -> np.ndarray:
     return factor
 
 
-def inv_neg_laplacian_values(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
-    """Solve (-Lap_h) u = f for raw nodal values.
+def _implicit_band(grid: SpatialGrid, c: float) -> np.ndarray:
+    """Upper band of the SPD matrix I - c Lap_h, in solveh_banded's layout."""
+    h2 = grid.h * grid.h
+    ab = np.empty((2, grid.n_interior))
+    ab[0] = -c / h2  # superdiagonal
+    ab[0, 0] = 0.0
+    ab[1] = 1.0 + 2.0 * c / h2  # diagonal
+    return ab
 
-    One step of iterative refinement keeps the residual near machine level
-    even for smooth f aligned with the lowest mode, where the plain solve's
+
+def inv_neg_laplacian_values(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
+    """Solve (-Lap_h) u = f for raw nodal values, along the last axis.
+
+    A (rows, N) batch is one multi-right-hand-side solve. One step of
+    iterative refinement keeps the residual near machine level even for
+    smooth f aligned with the lowest mode, where the plain solve's
     eps * cond(A) residual bound would bite at larger grids.
     """
     cb = _neg_lap_cholesky(grid.n_interior)
-    u = cho_solve_banded((cb, False), values)
+    # LAPACK solves the columns of an (N, rows) right-hand side; the
+    # Fortran-order result transposes back to contiguous rows, on which
+    # np.vecdot gives np.dot's bits
+    u = cho_solve_banded((cb, False), values.T).T
     resid = values + laplacian_values(grid, u)
-    u += cho_solve_banded((cb, False), resid)
+    u += cho_solve_banded((cb, False), resid.T).T
     return u
 
 
@@ -206,27 +227,34 @@ def sine_field(grid: SpatialGrid, k: int, amplitude: float = 1.0) -> Field:
     return Field(grid, amplitude * np.sin(k * np.pi * grid.nodes))
 
 
-def norm_values(grid: SpatialGrid, values: np.ndarray, kind: str, p: float | None = None) -> float:
-    """Discrete norm of raw nodal values; see module docstring for kinds."""
+def norm_values(
+    grid: SpatialGrid, values: np.ndarray, kind: str, p: float | None = None
+) -> float | np.ndarray:
+    """Discrete norm of raw nodal values along the last axis.
+
+    A 1-D array gives a float, a (rows, N) array one norm per row. See the
+    module docstring for the kinds.
+    """
     h = grid.h
     if kind == "L2":
-        return float(np.sqrt(h * np.dot(values, values)))
-    if kind == "Lp":
+        out = np.sqrt(h * np.vecdot(values, values))
+    elif kind == "Lp":
         if p is None:
             raise ValueError("Lp norm needs the exponent p")
         if p < 1:
             raise ValueError(f"Lp norm needs p >= 1, got {p}")
-        return float((h * np.sum(np.abs(values) ** p)) ** (1.0 / p))
-    if kind == "V_H1":
+        out = (h * np.sum(np.abs(values) ** p, axis=-1)) ** (1.0 / p)
+    elif kind == "V_H1":
         # sum over the N+1 edges, with zero boundary values at both ends
-        diffs = np.diff(values, prepend=0.0, append=0.0)
-        return float(np.sqrt(np.dot(diffs, diffs) / h))
-    if kind == "Hminus1":
+        diffs = np.diff(values, axis=-1, prepend=0.0, append=0.0)
+        out = np.sqrt(np.vecdot(diffs, diffs) / h)
+    elif kind == "Hminus1":
         w = inv_neg_laplacian_values(grid, values)
-        val = h * np.dot(values, w)
         # the quadratic form is positive; tiny negatives are roundoff
-        return float(np.sqrt(max(val, 0.0)))
-    raise ValueError(f"unknown norm kind {kind!r}")
+        out = np.sqrt(np.maximum(h * np.vecdot(values, w), 0.0))
+    else:
+        raise ValueError(f"unknown norm kind {kind!r}")
+    return float(out) if out.ndim == 0 else out
 
 
 def norm(u: Field, kind: str, p: float | None = None) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
 
-from .grids import Field, SpatialGrid, _neg_lap_cholesky, norm_values
+from .grids import Field, SpatialGrid, _implicit_band, _neg_lap_cholesky, norm_values
 
 __all__ = [
     "TimeGrid",
@@ -134,13 +134,21 @@ class HaarLevel:
             raise ValueError(f"dyadic level must be >= 1, got {self.n}")
 
 
-def _block_averages(u: np.ndarray, blocks: int, s: int) -> np.ndarray:
-    """Trapezoid average of the fine samples over each of the dyadic blocks."""
-    avg = np.empty((blocks, u.shape[1]))
-    for k in range(blocks):
-        a, b = k * s, (k + 1) * s
-        avg[k] = (0.5 * (u[a] + u[b]) + u[a + 1 : b].sum(axis=0)) / s
-    return avg
+def _block_average(u: np.ndarray, k: int, s: int) -> np.ndarray:
+    """Trapezoid average of the samples u over block k of s fine steps."""
+    a, b = k * s, (k + 1) * s
+    return (0.5 * (u[a] + u[b]) + u[a + 1 : b].sum(axis=0)) / s
+
+
+def _block_constant(block_value: np.ndarray, s: int) -> np.ndarray:
+    """Samples equal to block_value[k] on block k of s fine steps.
+
+    The final node at t = T carries the last block's value.
+    """
+    out = np.empty((block_value.shape[0] * s + 1, block_value.shape[1]))
+    out[:-1] = np.repeat(block_value, s, axis=0)
+    out[-1] = block_value[-1]
+    return out
 
 
 def proj_shifted(traj: Trajectory, level: HaarLevel) -> Trajectory:
@@ -168,15 +176,11 @@ def proj_shifted(traj: Trajectory, level: HaarLevel) -> Trajectory:
     if level.seed_field.grid != traj.grid:
         raise ValueError("seed field lives on a different spatial grid")
     s = tg.n_steps // blocks
-    u = traj.values
-    avg = _block_averages(u, blocks, s)
-    block_value = np.empty_like(avg)
+    block_value = np.empty((blocks, traj.grid.n_interior))
     block_value[0] = level.seed_field.values
-    block_value[1:] = avg[:-1]
-    out = np.empty_like(u)
-    out[: tg.n_steps] = np.repeat(block_value, s, axis=0)
-    out[tg.n_steps] = block_value[-1]
-    return Trajectory.from_matrix(tg, traj.grid, out)
+    for k in range(1, blocks):
+        block_value[k] = _block_average(traj.values, k - 1, s)
+    return Trajectory.from_matrix(tg, traj.grid, _block_constant(block_value, s))
 
 
 def smoothed_seed(u0: Field, n: int) -> Field:
@@ -188,14 +192,8 @@ def smoothed_seed(u0: Field, n: int) -> Field:
     """
     if n < 1:
         raise ValueError(f"smoothing level must be >= 1, got {n}")
-    grid = u0.grid
-    eps = 2.0**-n
-    h2 = grid.h * grid.h
-    ab = np.empty((2, grid.n_interior))
-    ab[0] = -eps / h2
-    ab[0, 0] = 0.0
-    ab[1] = 1.0 + 2.0 * eps / h2
-    return Field(grid, solveh_banded(ab, np.asarray(u0.values)))
+    band = _implicit_band(u0.grid, 2.0**-n)
+    return Field(u0.grid, solveh_banded(band, np.asarray(u0.values)))
 
 
 def _euclidean_embedding(grid: SpatialGrid, u: np.ndarray, kind: str) -> np.ndarray:
@@ -255,25 +253,24 @@ def fractional_seminorm(
     gap_w = dt * dt / (dt * np.arange(1, n)) ** (1.0 + alpha * p)
     if norm_kind in _HILBERT_KINDS:
         e = _euclidean_embedding(grid, u, norm_kind)
-        row_p = np.einsum("ij,ij->i", e, e) ** (0.5 * p)
-        acc = 0.0
-        for g in range(1, n):
-            d = e[g:] - e[:-g]
-            d2 = np.einsum("ij,ij->i", d, d)
-            acc += gap_w[g - 1] * np.sum(d2 ** (0.5 * p))
+
+        def norm_p(d):
+            return np.einsum("ij,ij->i", d, d) ** (0.5 * p)
+
     elif norm_kind == "Lp":
         if spatial_p is None:
             raise ValueError('norm kind "Lp" needs spatial_p')
-        h = grid.h
-        row_p = (h * np.sum(np.abs(u) ** spatial_p, axis=1)) ** (p / spatial_p)
-        acc = 0.0
-        for g in range(1, n):
-            d = u[g:] - u[:-g]
-            dn = (h * np.sum(np.abs(d) ** spatial_p, axis=1)) ** (1.0 / spatial_p)
-            acc += gap_w[g - 1] * np.sum(dn**p)
+        e = u
+
+        def norm_p(d):
+            return norm_values(grid, d, "Lp", spatial_p) ** p
+
     else:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
-    total = dt * np.sum(row_p) + 2.0 * acc
+    acc = 0.0
+    for g in range(1, n):
+        acc += gap_w[g - 1] * np.sum(norm_p(e[g:] - e[:-g]))
+    total = dt * np.sum(norm_p(e)) + 2.0 * acc
     return float(total ** (1.0 / p))
 
 
@@ -299,8 +296,7 @@ def _matrix_lp_norm(
 ) -> float:
     if p < 1:
         raise ValueError(f"time exponent p must be >= 1, got {p}")
-    rows = u[:-1]
-    vals = np.array([norm_values(grid, row, norm_kind, spatial_p) for row in rows])
+    vals = norm_values(grid, u[:-1], norm_kind, spatial_p)
     return float((dt * np.sum(vals**p)) ** (1.0 / p))
 
 

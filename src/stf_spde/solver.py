@@ -35,6 +35,7 @@ from scipy.linalg import solve_banded, solveh_banded
 from .grids import (
     Field,
     TripleKind,
+    _implicit_band,
     duality_pairing,
     laplacian_eigenvalue,
     laplacian_values,
@@ -166,12 +167,7 @@ def _heat_step(grid, u, xi, dw, dt, sigma):
     # the banded solve below skips its own finite check
     if not np.all(np.isfinite(rhs)):
         raise NewtonDivergence(f"non-finite heat right-hand side (dt {dt:.3e})")
-    h2 = grid.h * grid.h
-    ab = np.empty((2, grid.n_interior))
-    ab[0] = -dt / h2
-    ab[0, 0] = 0.0
-    ab[1] = 1.0 + 2.0 * dt / h2
-    return solveh_banded(ab, rhs, check_finite=False)
+    return solveh_banded(_implicit_band(grid, dt), rhs, check_finite=False)
 
 
 def step_heat(u_k: Field, xi_k: Field, dw_k: Field, dt: float, sigma: float = 0.1) -> Field:
@@ -277,17 +273,25 @@ def step_porous(
 
 
 def _one_sided_centered_diff(grid, g):
-    """Centered difference inside, first-order one-sided at the two ends."""
+    """Centered difference inside, first-order one-sided at the two ends.
+
+    Acts on the last axis, so a (rows, N) stack is differenced row by row.
+    """
     h = grid.h
     out = np.empty_like(g)
-    out[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
-    out[0] = (g[1] - g[0]) / h
-    out[-1] = (g[-1] - g[-2]) / h
+    # .T puts the node axis first for 1-D and batched input alike
+    o, x = out.T, g.T
+    o[1:-1] = (x[2:] - x[:-2]) / (2.0 * h)
+    o[0] = (x[1] - x[0]) / h
+    o[-1] = (x[-1] - x[-2]) / h
     return out
 
 
 def _gradient_noise(grid, xi, dw, form):
-    """Gradient-coupled noise on raw nodal values; see gradient_noise_apply."""
+    """Gradient-coupled noise on raw nodal values; see gradient_noise_apply.
+
+    dw may also be a (rows, N) stack, such as the Q-basis, under the one xi.
+    """
     root = signed_power_values(xi, 0.5)
     if form == "divergence":
         return _one_sided_centered_diff(grid, root * dw)
@@ -398,36 +402,16 @@ def _operator_values(problem, u_values, xi_values):
     )
 
 
-def _hs_norm_sq(problem, multiplier_values):
-    """Hilbert-Schmidt norm^2 of phi -> multiplier * phi over the Q-basis.
+def _hs_norm_sq(problem, images):
+    """Hilbert-Schmidt norm^2 of a noise operator over the Q-basis.
 
-    sum_i lambda_i |multiplier psi_i|_H^2 with H the example's pivot norm.
+    images is the (n_modes, N) array whose row i is the operator applied
+    to psi_i; the result is sum_i lambda_i |images_i|_H^2 with H the
+    example's pivot norm.
     """
     spec = problem.qwiener
-    grid = spec.grid
-    kind = "Hminus1" if problem.is_porous else "L2"
-    rows = multiplier_values[None, :] * spec.basis
-    return float(
-        sum(
-            lam * norm_values(grid, row, kind) ** 2
-            for lam, row in zip(spec.eigenvalues, rows)
-        )
-    )
-
-
-def _hs_norm_sq_gradient(problem, xi_values):
-    """HS norm^2 of phi -> D_h(xi^{[1/2]} phi) in the H^-1 pivot norm."""
-    spec = problem.qwiener
-    grid = spec.grid
-    root = signed_power_values(xi_values, 0.5)
-    total = 0.0
-    for lam, psi in zip(spec.eigenvalues, spec.basis):
-        if problem.gradient_noise_form == "divergence":
-            row = _one_sided_centered_diff(grid, root * psi)
-        else:
-            row = _one_sided_centered_diff(grid, root) * psi
-        total += lam * norm_values(grid, row, "Hminus1") ** 2
-    return float(total)
+    sq = problem.triple.h_norm_values(spec.grid, images) ** 2
+    return float(spec.eigenvalues @ sq)
 
 
 def _f_xi(problem, xi_field):
@@ -554,6 +538,7 @@ def check_hypotheses(
         HypothesisReport; violations show up in the arrays (never raised).
     """
     grid = problem.qwiener.grid
+    basis = problem.qwiener.basis
     if pairs is None:
         if n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -592,16 +577,17 @@ def check_hypotheses(
         if problem.example == "porous_gradient_noise":
             hs_gap = 0.0
         else:
-            hs_gap = _hs_norm_sq(problem, problem.sigma * (v1 - v2))
+            hs_gap = _hs_norm_sq(problem, problem.sigma * (v1 - v2) * basis)
         h_gap_sq = triple.h_norm(du) ** 2
         defects[i] = pair_term + hs_gap - c_mono * h_gap_sq
         if h_gap_sq > 0:
             c_mono_min = max(c_mono_min, (pair_term + hs_gap) / h_gap_sq)
         full_op = Field(grid, _operator_values(problem, v1, xv))
         if problem.example == "porous_gradient_noise":
-            hs_self = _hs_norm_sq_gradient(problem, xv)
+            images = _gradient_noise(grid, xv, basis, problem.gradient_noise_form)
         else:
-            hs_self = _hs_norm_sq(problem, problem.sigma * v1)
+            images = problem.sigma * v1 * basis
+        hs_self = _hs_norm_sq(problem, images)
         f_xi = _f_xi(problem, xi)
         h_sq = triple.h_norm(u1) ** 2
         v_pow = triple.v_norm(u1) ** power

@@ -11,9 +11,12 @@ from stf_spde.grids import (
     _neg_lap_cholesky,
     discrete_laplacian,
     duality_pairing,
+    inv_neg_laplacian_values,
     inverse_neg_laplacian,
     laplacian_eigenvalue,
+    laplacian_values,
     norm,
+    norm_values,
     signed_power,
     sine_field,
 )
@@ -76,6 +79,15 @@ def test_inverse_neg_laplacian_residual(n):
         u = inverse_neg_laplacian(f)
         resid = discrete_laplacian(u).values + f.values
         assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(f.values))
+    # the same right-hand sides as one (rows, N) batch: one solve, same bits
+    rows = np.array([f.values for f in fields])
+    u = inv_neg_laplacian_values(grid, rows)
+    assert u.shape == rows.shape
+    resid = laplacian_values(grid, u) + rows
+    scale = np.max(np.abs(rows), axis=1)
+    assert np.all(np.max(np.abs(resid), axis=1) <= 1e-12 * scale)
+    for f, row in zip(fields, u):
+        assert np.array_equal(row, inverse_neg_laplacian(f).values)
 
 
 def test_inverse_matches_dense_solve():
@@ -201,6 +213,41 @@ def test_triple_kind_norm_routing():
     assert porous.v_norm(u) == norm(u, "Lp", p=4)
     assert porous.h_norm(u) == norm(u, "Hminus1")
     assert porous.vstar_norm(u) == norm(u, "Lp", p=4 / 3)
+    # a (rows, N) batch routes to the same kinds, one value per row
+    rows = rng.standard_normal((4, grid.n_interior))
+    for got, want in [
+        (heat.v_norm_values(grid, rows), norm_values(grid, rows, "V_H1")),
+        (heat.h_norm_values(grid, rows), norm_values(grid, rows, "L2")),
+        (porous.v_norm_values(grid, rows), norm_values(grid, rows, "Lp", p=4)),
+        (porous.h_norm_values(grid, rows), norm_values(grid, rows, "Hminus1")),
+    ]:
+        assert got.shape == (4,)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 12, 31])
+def test_batched_norms_match_row_loop(n):
+    # every kind on a (rows, N) array against a loop over its rows; rows of
+    # strongly different scale and an all-zero row included
+    grid = SpatialGrid(n)
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((9, n)) * 10.0 ** rng.uniform(-6, 3, size=(9, 1))
+    rows[4] = 0.0
+    for kind, p in [("L2", None), ("V_H1", None), ("Hminus1", None), ("Lp", 3.0)]:
+        batch = norm_values(grid, rows, kind, p)
+        loop = np.array([norm_values(grid, row, kind, p) for row in rows])
+        assert batch.shape == (9,)
+        assert all(isinstance(norm_values(grid, row, kind, p), float) for row in rows)
+        if kind == "Lp":
+            # the array power may differ from the scalar one by one ulp
+            np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
+        else:
+            assert np.array_equal(batch, loop)
+    # the 1-D L2 norm keeps np.dot's bits: Newton's residual contract reads it,
+    # so every trajectory keeps its bits too
+    h = grid.h
+    for row in rows:
+        assert norm_values(grid, row, "L2") == float(np.sqrt(h * np.dot(row, row)))
 
 
 def test_contract_errors():

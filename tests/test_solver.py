@@ -30,6 +30,8 @@ from stf_spde.solver import (
     NewtonDivergence,
     ProblemSpec,
     SolverConfig,
+    _gradient_noise,
+    _hs_norm_sq,
     check_hypotheses,
     gradient_noise_apply,
     solve_frozen,
@@ -514,6 +516,25 @@ class TestHypothesisChecks:
         assert np.all(report.margins <= 1e-9)
         assert np.all(report.ratios <= 1.0 + 1e-12)
         assert report.all_hold
+
+    @pytest.mark.parametrize("form", ["divergence", "pointwise"])
+    def test_gradient_hs_norm_matches_mode_loop(self, grid, qspec, form):
+        # the batched image rows against one gradient-noise image and one
+        # H^-1 norm per Q-mode, summed mode by mode
+        prob = ProblemSpec(
+            "porous_gradient_noise", qspec, zero_field(grid), gradient_noise_form=form
+        )
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            xi = random_field(grid, rng, scale=10.0 ** rng.uniform(-3, 2))
+            expected = 0.0
+            for lam, psi in zip(qspec.eigenvalues, qspec.basis):
+                image = gradient_noise_apply(xi, Field(grid, psi), form=form)
+                expected += lam * norm(image, "Hminus1") ** 2
+            images = _gradient_noise(grid, np.asarray(xi.values), qspec.basis, form)
+            assert images.shape == qspec.basis.shape
+            got = _hs_norm_sq(prob, images)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_heat_margin_clearly_negative(self, grid, qspec):
         # measured maximum margin is about -1.04 at these amplitudes
