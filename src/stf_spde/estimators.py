@@ -16,7 +16,7 @@ check the bound on an independent hold-out ensemble.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -92,32 +92,12 @@ class EnergyReport:
     n_failures: int
 
     def csv_row(self) -> str:
-        cells = [
-            self.example,
-            str(self.n_paths),
-            str(self.seed_base),
-            f"{self.sup_h_sq:.17g}",
-            f"{self.sup_h_sq_stderr:.17g}",
-            f"{self.int_v_m:.17g}",
-            f"{self.int_v_m_stderr:.17g}",
-            f"{self.power:.17g}",
-            f"{self.radius:.17g}",
-            f"{self.c_hat:.17g}",
-            f"{self.bound_rhs:.17g}",
-            f"{self.lhs_holdout:.17g}",
-            f"{self.lhs_holdout_stderr:.17g}",
-            str(int(self.holds)),
-            str(self.n_failures),
-        ]
-        return ",".join(cells)
+        # one cell per field, in field order
+        return ("%s,%d,%d," + "%.17g," * 10 + "%d,%d") % astuple(self)
 
     @staticmethod
     def csv_header() -> str:
-        return (
-            "example,n_paths,seed_base,sup_h_sq,sup_h_sq_stderr,"
-            "int_v_m,int_v_m_stderr,power,radius,c_hat,bound_rhs,"
-            "lhs_holdout,lhs_holdout_stderr,holds,n_failures"
-        )
+        return ",".join(f.name for f in fields(EnergyReport))
 
     def summary(self) -> str:
         verdict = "holds" if self.holds else "VIOLATED"

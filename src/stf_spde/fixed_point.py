@@ -19,7 +19,6 @@ scaling near t = 0).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,9 @@ from scipy.optimize import brentq
 
 from .estimators import integral_v_power, mc_mean_stderr
 from .projection import HaarLevel, Trajectory, fractional_seminorm, proj_shifted
-from .projection import _block_average, _block_constant
+from .projection import _block_average, _write_csv
 from .rng import path_seed
-from .solver import ProblemSpec, SolverConfig, _advance, solve_frozen
+from .solver import ProblemSpec, SolverConfig, _march, solve_frozen
 from .wiener import NoisePath, sample_increments
 
 __all__ = [
@@ -82,7 +81,6 @@ class FixedPointDiagnostics:
     residual_stderr: float
     energy_functional: float
     energy_stderr: float
-    r_bound: float | None
     converged: bool
     n_iterations: int
 
@@ -98,25 +96,18 @@ class FixedPointDiagnostics:
         row's mean distance; the last row carries the re-measured final
         residual.
         """
-        k_max = len(self.distance_means)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["iteration", "mean_distance", "stderr", "energy", "residual"]
-            )
-            for k in range(k_max):
-                res = (
-                    self.distance_means[k + 1] if k + 1 < k_max else self.residual
-                )
-                writer.writerow(
-                    [
-                        k + 1,
-                        f"{self.distance_means[k]:.17g}",
-                        f"{self.distance_stderrs[k]:.17g}",
-                        f"{self.energy_means[k]:.17g}",
-                        f"{res:.17g}",
-                    ]
-                )
+        _write_csv(
+            path,
+            ["iteration", "mean_distance", "stderr", "energy", "residual"],
+            "%d,%.17g,%.17g,%.17g,%.17g",
+            zip(
+                range(1, len(self.distance_means) + 1),
+                self.distance_means,
+                self.distance_stderrs,
+                self.energy_means,
+                self.distance_means[1:] + (self.residual,),
+            ),
+        )
 
 
 def picard_iterate(
@@ -126,7 +117,6 @@ def picard_iterate(
     config: SolverConfig | None = None,
     tol: float = 0.0,
     max_iter: int | None = None,
-    r_bound: float | None = None,
 ) -> tuple[list[Trajectory], FixedPointDiagnostics]:
     """Iterate coefficient -> projected solve, coupled to fixed noise paths.
 
@@ -201,7 +191,6 @@ def picard_iterate(
         residual_stderr=res_stderr,
         energy_functional=energy_mean,
         energy_stderr=energy_stderr,
-        r_bound=r_bound,
         converged=converged,
         n_iterations=n_iterations,
     )
@@ -238,21 +227,18 @@ def staircase_construct(
             f"noise has {noise.n_modes} modes, spec wants {problem.qwiener.n_modes}"
         )
     s = tg.n_steps // blocks
-    dt = tg.dt
-    basis = problem.qwiener.basis
     stats = {"newton_iterations": 0, "dt_retries": 0}
 
     u = np.empty((tg.n_steps + 1, grid.n_interior))
     u[0] = problem.initial_datum.values
-    block_value = np.empty((blocks, grid.n_interior))
-    block_value[0] = level.seed_field.values
+    xi = np.empty_like(u)
+    xi[:s] = level.seed_field.values
     for k in range(blocks):
-        for j in range(k * s, (k + 1) * s):
-            dw = noise.increments[j] @ basis
-            u[j + 1] = _advance(problem, u[j], block_value[k], dw, dt, cfg, stats, 0)
-        if k + 1 < blocks:
-            block_value[k + 1] = _block_average(u, k, s)
-    return Trajectory.from_matrix(tg, grid, _block_constant(block_value, s))
+        if k > 0:
+            xi[k * s : (k + 1) * s] = _block_average(u, k - 1, s)
+        _march(problem, u, xi, noise, k * s, (k + 1) * s, cfg, stats)
+    xi[-1] = xi[-2]
+    return Trajectory.from_matrix(tg, grid, xi)
 
 
 @dataclass(frozen=True)
@@ -266,11 +252,12 @@ class ContinuityResult:
     output_distances: tuple
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epsilon", "input_dist", "output_dist"])
-            for row in zip(self.epsilons, self.input_distances, self.output_distances):
-                writer.writerow([f"{v:.17g}" for v in row])
+        _write_csv(
+            path,
+            ["epsilon", "input_dist", "output_dist"],
+            "%.17g,%.17g,%.17g",
+            zip(self.epsilons, self.input_distances, self.output_distances),
+        )
 
 
 def continuity_probe(

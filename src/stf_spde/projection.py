@@ -140,17 +140,6 @@ def _block_average(u: np.ndarray, k: int, s: int) -> np.ndarray:
     return (0.5 * (u[a] + u[b]) + u[a + 1 : b].sum(axis=0)) / s
 
 
-def _block_constant(block_value: np.ndarray, s: int) -> np.ndarray:
-    """Samples equal to block_value[k] on block k of s fine steps.
-
-    The final node at t = T carries the last block's value.
-    """
-    out = np.empty((block_value.shape[0] * s + 1, block_value.shape[1]))
-    out[:-1] = np.repeat(block_value, s, axis=0)
-    out[-1] = block_value[-1]
-    return out
-
-
 def proj_shifted(traj: Trajectory, level: HaarLevel) -> Trajectory:
     """Replace each dyadic block by the previous block's trapezoid average.
 
@@ -176,11 +165,12 @@ def proj_shifted(traj: Trajectory, level: HaarLevel) -> Trajectory:
     if level.seed_field.grid != traj.grid:
         raise ValueError("seed field lives on a different spatial grid")
     s = tg.n_steps // blocks
-    block_value = np.empty((blocks, traj.grid.n_interior))
-    block_value[0] = level.seed_field.values
+    out = np.empty((tg.n_steps + 1, traj.grid.n_interior))
+    out[:s] = level.seed_field.values
     for k in range(1, blocks):
-        block_value[k] = _block_average(traj.values, k - 1, s)
-    return Trajectory.from_matrix(tg, traj.grid, _block_constant(block_value, s))
+        out[k * s : (k + 1) * s] = _block_average(traj.values, k - 1, s)
+    out[-1] = out[-2]
+    return Trajectory.from_matrix(tg, traj.grid, out)
 
 
 def smoothed_seed(u0: Field, n: int) -> Field:
@@ -376,13 +366,22 @@ def haar_rate_experiment(
     return RateFit(levels, errors, slopes, exact, alpha)
 
 
+def _write_csv(path: str, header, row_format: str, rows) -> None:
+    """Write the header, then row_format % row for each row, as CRLF lines.
+
+    Every table the package writes goes through here; floats are %.17g.
+    """
+    line = row_format + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:
     """Write one row per time node: t, u(x_1), ..., u(x_N), 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"u_{j}" for j in range(1, traj.grid.n_interior + 1)])
-        for t, row in zip(traj.timegrid.times, traj.values):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+    header = ["t"] + [f"u_{j}" for j in range(1, traj.grid.n_interior + 1)]
+    rows = np.column_stack([traj.timegrid.times, traj.values]).tolist()
+    _write_csv(path, header, ",".join(["%.17g"] * len(header)), rows)
 
 
 def trajectory_from_csv(path: str, dyadic_level: int | None = None) -> Trajectory:

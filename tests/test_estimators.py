@@ -7,6 +7,8 @@ the degenerate all-zero configuration where every quantity vanishes
 exactly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,7 +203,9 @@ class TestEnergyReport:
         with pytest.raises(ValueError):
             energy_report(prob, level, TimeGrid(64), n_paths=8)
 
-    def test_csv_row_matches_header(self, grid, qspec, small_datum):
+    def test_csv_row_matches_header(
+        self, grid, qspec, small_datum, csv_reference, extreme_floats
+    ):
         prob = ProblemSpec("heat_sqrt_drift", qspec, small_datum)
         level = HaarLevel(3, smoothed_seed(small_datum, 3))
         rep = energy_report(prob, level, TimeGrid(64), n_paths=16, seed_base=3)
@@ -212,3 +216,24 @@ class TestEnergyReport:
         assert float(row[10]) == rep.bound_rhs
         assert row[13] == str(int(rep.holds))
         assert "holds" in rep.summary() or "VIOLATED" in rep.summary()
+        assert header == [
+            "example", "n_paths", "seed_base", "sup_h_sq", "sup_h_sq_stderr",
+            "int_v_m", "int_v_m_stderr", "power", "radius", "c_hat",
+            "bound_rhs", "lhs_holdout", "lhs_holdout_stderr", "holds",
+            "n_failures",
+        ]
+        floats = header[3:13]
+        extremes = [
+            dataclasses.replace(
+                rep, holds=not rep.holds, **dict(zip(floats, extreme_floats[i:]))
+            )
+            for i in (0, 2)
+        ]
+        for written in [rep, *extremes]:
+            cells = [written.example, written.n_paths, written.seed_base]
+            cells += [getattr(written, name) for name in floats]
+            cells += [int(written.holds), written.n_failures]
+            assert (
+                written.csv_header() + "\r\n" + written.csv_row() + "\r\n"
+                == csv_reference(header, [cells])
+            )

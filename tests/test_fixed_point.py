@@ -177,12 +177,13 @@ class TestPicard:
                 residual_stderr=0.0,
                 energy_functional=0.0,
                 energy_stderr=0.0,
-                r_bound=None,
                 converged=True,
                 n_iterations=1,
             )
 
-    def test_diagnostics_csv_residual_column(self, heat_picard, tmp_path):
+    def test_diagnostics_csv_residual_column(
+        self, heat_picard, tmp_path, csv_reference, extreme_floats
+    ):
         _, _, diag = heat_picard
         path = tmp_path / "picard.csv"
         diag.to_csv(str(path))
@@ -206,6 +207,38 @@ class TestPicard:
                 else diag.residual
             )
             assert float(row[4]) == expected_res
+        # the bytes, against csv.writer, for this run and for extreme values
+        nonneg = [v for v in extreme_floats if not v < 0]
+        extreme = FixedPointDiagnostics(
+            distance_means=tuple(nonneg[:4]),
+            distance_stderrs=tuple(v for v in extreme_floats if v < 0)[:4],
+            energy_means=tuple(extreme_floats[-4:]),
+            residual=nonneg[-1],
+            residual_stderr=0.0,
+            energy_functional=0.0,
+            energy_stderr=0.0,
+            converged=False,
+            n_iterations=4,
+        )
+        for written in (diag, extreme):
+            n = len(written.distance_means)
+            residuals = [
+                written.distance_means[k + 1] if k + 1 < n else written.residual
+                for k in range(n)
+            ]
+            expected = csv_reference(
+                rows[0],
+                zip(
+                    range(1, n + 1),
+                    written.distance_means,
+                    written.distance_stderrs,
+                    written.energy_means,
+                    residuals,
+                ),
+            )
+            written.to_csv(str(path))
+            with open(path, newline="") as fh:
+                assert fh.read() == expected
 
 
 class TestStaircase:
@@ -339,7 +372,7 @@ class TestContinuityProbe:
         with pytest.raises(ValueError):
             continuity_probe(heat_problem, base, pert, [1e-2, 1e-1, 1.0])
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self, tmp_path, csv_reference, extreme_floats):
         result = ContinuityResult(
             gamma_hat=0.5,
             half_width=0.1,
@@ -354,6 +387,25 @@ class TestContinuityProbe:
         assert rows[0] == ["epsilon", "input_dist", "output_dist"]
         assert [float(r[0]) for r in rows[1:]] == [0.1, 0.2, 0.4]
         assert [float(r[2]) for r in rows[1:]] == [0.5, 0.7, 1.1]
+        extreme = ContinuityResult(
+            gamma_hat=0.5,
+            half_width=0.1,
+            epsilons=extreme_floats[0::3],
+            input_distances=extreme_floats[1::3],
+            output_distances=extreme_floats[2::3],
+        )
+        for written in (result, extreme):
+            written.to_csv(str(path))
+            expected = csv_reference(
+                rows[0],
+                zip(
+                    written.epsilons,
+                    written.input_distances,
+                    written.output_distances,
+                ),
+            )
+            with open(path, newline="") as fh:
+                assert fh.read() == expected
 
 
 class TestRegularityProbe:
@@ -474,10 +526,7 @@ class TestInvarianceChain:
         noises = [
             sample_increments(qspec, tg, path_seed(17, i)) for i in range(4)
         ]
-        _, diag = picard_iterate(
-            heat_problem, level, noises, r_bound=r_star
-        )
-        assert diag.r_bound == r_star
+        _, diag = picard_iterate(heat_problem, level, noises)
         assert diag.energy_functional == pytest.approx(
             0.006589693658034249, rel=1e-9
         )

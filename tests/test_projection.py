@@ -486,15 +486,24 @@ def test_trajectory_lp_norm_left_sum():
         trajectory_lp_norm(traj, "L2", 0.25)
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip(tmp_path, csv_reference, extreme_floats):
     grid = SpatialGrid(6)
     rng = np.random.default_rng(19)
     traj = random_traj(grid, 24, rng, scale=10.0 ** rng.uniform(-8, 8))
-    path = str(tmp_path / "traj.csv")
-    trajectory_to_csv(traj, path)
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh))
-    assert header == ["t", "u_1", "u_2", "u_3", "u_4", "u_5", "u_6"]
+    extreme = Trajectory(
+        TimeGrid(1, T=1e300), grid, np.reshape(extreme_floats, (2, 6))
+    )
+    for i, written in enumerate((traj, extreme)):
+        path = str(tmp_path / f"traj_{i}.csv")
+        trajectory_to_csv(written, path)
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header == ["t", "u_1", "u_2", "u_3", "u_4", "u_5", "u_6"]
+        rows = [[t, *row] for t, row in zip(written.timegrid.times, written.values)]
+        with open(path, newline="") as fh:
+            assert fh.read() == csv_reference(header, rows)
+        assert np.array_equal(trajectory_from_csv(path).values, written.values)
+    path = str(tmp_path / "traj_0.csv")
     back = trajectory_from_csv(path, dyadic_level=3)
     assert np.array_equal(back.stacked(), traj.stacked())
     assert back.timegrid.n_steps == 24

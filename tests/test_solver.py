@@ -8,11 +8,14 @@ runs of the solver itself; those errors are deterministic, so the fitted
 slopes are frozen facts, not statistics.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stf_spde import solver
 from stf_spde.grids import (
     Field,
     SpatialGrid,
@@ -544,9 +547,26 @@ class TestHypothesisChecks:
 
     def test_growth_constant_stable_across_seeds(self, grid, qspec):
         prob = ProblemSpec("porous_sqrt_drift", qspec, zero_field(grid), m=2)
-        c0 = check_hypotheses(prob, n_pairs=100, seed=0).c_growth
-        c1 = check_hypotheses(prob, n_pairs=100, seed=1).c_growth
+        c0 = check_hypotheses(prob, n_pairs=100, seed=0).c_growth_min
+        c1 = check_hypotheses(prob, n_pairs=100, seed=1).c_growth_min
         assert 0.5 <= c0 / c1 <= 2.0
+
+    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
+    def test_growth_check_fails_on_faster_growth(
+        self, grid, qspec, example, monkeypatch
+    ):
+        # an operator of order m + 2 outgrows the V-norm power the derived
+        # constant is fixed against, so the large random fields break it
+        def steeper(problem, u_values, xi_values):
+            return laplacian_values(
+                grid, signed_power_values(u_values, problem.m + 2)
+            ) + signed_power_values(xi_values, 0.5)
+
+        monkeypatch.setattr(solver, "_operator_values", steeper)
+        prob = ProblemSpec(example, qspec, zero_field(grid), m=2)
+        report = check_hypotheses(prob, n_pairs=100, seed=0)
+        assert report.ratios.max() > 1.0
+        assert report.all_hold is False
 
     def test_smallest_admissible_below_used(self, grid, qspec):
         for example in KNOWN_EXAMPLES:
@@ -554,8 +574,11 @@ class TestHypothesisChecks:
             report = check_hypotheses(prob, n_pairs=100, seed=0)
             assert report.c_monotone_min <= report.c_monotone + 1e-12
             assert report.c_coercive_min <= report.c_coercive + 1e-12
+            assert report.c_growth_min <= report.c_growth
 
-    def test_csv_round_trip(self, grid, qspec, tmp_path):
+    def test_csv_round_trip(
+        self, grid, qspec, tmp_path, csv_reference, extreme_floats
+    ):
         prob = ProblemSpec("heat_sqrt_drift", qspec, zero_field(grid))
         report = check_hypotheses(prob, n_pairs=5, seed=2)
         path = tmp_path / "hypotheses.csv"
@@ -568,3 +591,23 @@ class TestHypothesisChecks:
         assert float(first[1]) == report.defects[0]
         assert float(first[2]) == report.margins[0]
         assert float(first[3]) == report.ratios[0]
+        extreme = dataclasses.replace(
+            report,
+            n_pairs=4,
+            defects=np.asarray(extreme_floats[0::3]),
+            margins=np.asarray(extreme_floats[1::3]),
+            ratios=np.asarray(extreme_floats[2::3]),
+        )
+        for written in (report, extreme):
+            written.to_csv(str(path))
+            expected = csv_reference(
+                lines[0].split(","),
+                zip(
+                    range(written.n_pairs),
+                    written.defects,
+                    written.margins,
+                    written.ratios,
+                ),
+            )
+            with open(path, newline="") as fh:
+                assert fh.read() == expected
