@@ -15,11 +15,11 @@ the porous triple with exponent m (V = L^{m+1}, H = H^-1,
 V* = L^{(m+1)/m}), whose duality pairing routes through (-Lap_h)^{-1}.
 
 All operations are pure functions; Field values are read-only arrays.
-laplacian_values, inv_neg_laplacian_values and norm_values act on the
-last axis of their input: a 1-D array of nodal values is one function and
-a (rows, N) array a batch of them. A batch gives each row the bits of that
-row alone, except that the Lp norm's final root, taken as an array power,
-may differ from the scalar one in the last bit.
+laplacian_values, inv_neg_laplacian_values, norm_values and TripleKind's
+*_values methods act on the last axis: a 1-D array of nodal values is one
+function and a (..., N) array a batch of them. A batch gives each row the
+bits of that row alone, except that the Lp norm's final root, taken as an
+array power, may differ from the scalar one in the last bit.
 """
 
 from __future__ import annotations
@@ -115,6 +115,18 @@ class TripleKind:
             return norm_values(grid, values, "L2")
         return norm_values(grid, values, "Hminus1")
 
+    def vstar_norm_values(self, grid: SpatialGrid, values: np.ndarray) -> float | np.ndarray:
+        """|u|_V* along the last axis: H^-1 (heat) or L^{(m+1)/m} (porous)."""
+        if self.name == "heat":
+            return norm_values(grid, values, "Hminus1")
+        return norm_values(grid, values, "Lp", p=(self.m + 1) / self.m)
+
+    def pairing_values(self, grid: SpatialGrid, f: np.ndarray, g: np.ndarray) -> float | np.ndarray:
+        """Duality pairing <f, g> along the last axis; see duality_pairing."""
+        if self.name == "porous":
+            f = inv_neg_laplacian_values(grid, f)
+        return grid.h * np.vecdot(f, g)
+
     def v_norm(self, u: "Field") -> float:
         """|u|_V: H1_0 seminorm (heat) or L^{m+1} (porous)."""
         return self.v_norm_values(u.grid, u.values)
@@ -125,9 +137,7 @@ class TripleKind:
 
     def vstar_norm(self, u: "Field") -> float:
         """|u|_V*: H^-1 (heat) or L^{(m+1)/m} (porous)."""
-        if self.name == "heat":
-            return norm(u, "Hminus1")
-        return norm(u, "Lp", p=(self.m + 1) / self.m)
+        return self.vstar_norm_values(u.grid, u.values)
 
 
 def _check_same_grid(a: Field, b: Field) -> None:
@@ -186,19 +196,20 @@ def _implicit_band(grid: SpatialGrid, c: float) -> np.ndarray:
 def inv_neg_laplacian_values(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     """Solve (-Lap_h) u = f for raw nodal values, along the last axis.
 
-    A (rows, N) batch is one multi-right-hand-side solve. One step of
-    iterative refinement keeps the residual near machine level even for
-    smooth f aligned with the lowest mode, where the plain solve's
-    eps * cond(A) residual bound would bite at larger grids.
+    Any leading shape is one multi-right-hand-side solve over all its
+    rows. One step of iterative refinement keeps the residual near machine
+    level even for smooth f aligned with the lowest mode, where the plain
+    solve's eps * cond(A) residual bound would bite at larger grids.
     """
     cb = _neg_lap_cholesky(grid.n_interior)
+    rows = values.reshape(-1, values.shape[-1])
     # LAPACK solves the columns of an (N, rows) right-hand side; the
     # Fortran-order result transposes back to contiguous rows, on which
     # np.vecdot gives np.dot's bits
-    u = cho_solve_banded((cb, False), values.T).T
-    resid = values + laplacian_values(grid, u)
+    u = cho_solve_banded((cb, False), rows.T).T
+    resid = rows + laplacian_values(grid, u)
     u += cho_solve_banded((cb, False), resid.T).T
-    return u
+    return u.reshape(values.shape)
 
 
 def inverse_neg_laplacian(f: Field) -> Field:
@@ -299,10 +310,4 @@ def duality_pairing(f: Field, g: Field, triple: TripleKind) -> float:
         The pairing value.
     """
     _check_same_grid(f, g)
-    h = f.grid.h
-    fv = np.asarray(f.values)
-    gv = np.asarray(g.values)
-    if triple.name == "heat":
-        return float(h * np.dot(fv, gv))
-    w = inv_neg_laplacian_values(f.grid, fv)
-    return float(h * np.dot(w, gv))
+    return triple.pairing_values(f.grid, f.values, g.values)

@@ -35,10 +35,8 @@ from .grids import (
     Field,
     TripleKind,
     _implicit_band,
-    duality_pairing,
     laplacian_eigenvalue,
     laplacian_values,
-    norm,
     norm_values,
     signed_power_values,
 )
@@ -415,24 +413,23 @@ def _operator_values(problem, u_values, xi_values):
 
 
 def _hs_norm_sq(problem, images):
-    """Hilbert-Schmidt norm^2 of a noise operator over the Q-basis.
+    """Hilbert-Schmidt norm^2 of noise operators over the Q-basis.
 
-    images is the (n_modes, N) array whose row i is the operator applied
-    to psi_i; the result is sum_i lambda_i |images_i|_H^2 with H the
-    example's pivot norm.
+    images is an (..., n_modes, N) array whose row i is the operator
+    applied to psi_i; the result is sum_i lambda_i |images_i|_H^2 with H
+    the example's pivot norm, one value per leading index.
     """
     spec = problem.qwiener
     sq = problem.triple.h_norm_values(spec.grid, images) ** 2
-    return float(spec.eigenvalues @ sq)
+    return np.vecdot(sq, spec.eigenvalues)
 
 
-def _f_xi(problem, xi_field):
-    """Coercivity forcing term: |xi|_L1 (heat) or |xi|_V^{m+1} (porous)."""
+def _f_xi(problem, xi):
+    """Coercivity forcing term per row: |xi|_L1 (heat) or |xi|_V^{m+1} (porous)."""
+    grid = problem.qwiener.grid
     if problem.is_porous:
-        return norm(xi_field, "Lp", p=problem.m + 1) ** (problem.m + 1)
-    return float(
-        xi_field.grid.h * np.sum(np.abs(np.asarray(xi_field.values)))
-    )
+        return norm_values(grid, xi, "Lp", p=problem.m + 1) ** (problem.m + 1)
+    return grid.h * np.sum(np.abs(xi), axis=-1)
 
 
 def _lipschitz_constant(problem):
@@ -554,12 +551,15 @@ def check_hypotheses(
 
     Args:
         problem: example problem (fixes norms and constants).
-        pairs: optional explicit (u1, u2, xi) triples; when omitted,
-            n_pairs random triples with amplitudes log-spread across
-            [1e-3, 1e2] are drawn from the given seed.
+        pairs: optional explicit (u1, u2, xi) triples on the problem's
+            grid; when omitted, n_pairs random triples with amplitudes
+            log-spread across [1e-3, 1e2] are drawn from the given seed.
 
     Returns:
         HypothesisReport; violations show up in the arrays (never raised).
+
+    Raises:
+        ValueError: n_pairs < 1, empty pairs, or a field on another grid.
     """
     grid = problem.qwiener.grid
     basis = problem.qwiener.basis
@@ -567,17 +567,17 @@ def check_hypotheses(
         if n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
         stream = gaussian_stream(seed, 4)
-        pairs = []
-        for _ in range(n_pairs):
+        u1, u2, xi = np.empty((3, n_pairs, grid.n_interior))
+        for i in range(n_pairs):
             amp = 10.0 ** stream.uniform(-3.0, 2.0, size=3)
-            pairs.append(
-                (
-                    Field(grid, amp[0] * stream.standard_normal(grid.n_interior)),
-                    Field(grid, amp[1] * stream.standard_normal(grid.n_interior)),
-                    Field(grid, amp[2] * stream.standard_normal(grid.n_interior)),
-                )
-            )
-    n = len(pairs)
+            for rows, a in zip((u1, u2, xi), amp):
+                rows[i] = a * stream.standard_normal(grid.n_interior)
+    else:
+        if len(pairs) == 0:
+            raise ValueError("pairs must hold at least one (u1, u2, xi) triple")
+        if any(f.grid != grid for pair in pairs for f in pair):
+            raise ValueError("a field in pairs lives on a different grid")
+        u1, u2, xi = (np.stack([f.values for f in col]) for col in zip(*pairs))
     triple = problem.triple
     power = problem.time_power  # 2 heat, m+1 porous: the V-norm exponent
     theta = 2.0 if problem.is_porous else 1.0
@@ -585,55 +585,42 @@ def check_hypotheses(
     c_mono = _lipschitz_constant(problem)
     c_coer = _coercivity_constant(problem)
     c_growth = _growth_constant(problem)
-    defects = np.empty(n)
-    margins = np.empty(n)
-    growth_num = np.empty(n)
-    growth_den = np.empty(n)
-    c_mono_min = 0.0
-    c_coer_min = 0.0
-    for i, (u1, u2, xi) in enumerate(pairs):
-        v1, v2, xv = (np.asarray(f.values) for f in (u1, u2, xi))
-        du = Field(grid, v1 - v2)
-        a_gap = Field(
-            grid,
-            _operator_values(problem, v1, xv) - _operator_values(problem, v2, xv),
-        )
-        pair_term = 2.0 * duality_pairing(a_gap, du, triple)
-        if problem.example == "porous_gradient_noise":
-            hs_gap = 0.0
-        else:
-            hs_gap = _hs_norm_sq(problem, problem.sigma * (v1 - v2) * basis)
-        h_gap_sq = triple.h_norm(du) ** 2
-        defects[i] = pair_term + hs_gap - c_mono * h_gap_sq
-        if h_gap_sq > 0:
-            c_mono_min = max(c_mono_min, (pair_term + hs_gap) / h_gap_sq)
-        full_op = Field(grid, _operator_values(problem, v1, xv))
-        if problem.example == "porous_gradient_noise":
-            images = _gradient_noise(grid, xv, basis, problem.gradient_noise_form)
-        else:
-            images = problem.sigma * v1 * basis
-        hs_self = _hs_norm_sq(problem, images)
-        f_xi = _f_xi(problem, xi)
-        h_sq = triple.h_norm(u1) ** 2
-        v_pow = triple.v_norm(u1) ** power
-        base = 2.0 * duality_pairing(full_op, u1, triple) + hs_self + theta * v_pow
-        margins[i] = base - c_coer * (h_sq + 1.0 + f_xi)
-        c_coer_min = max(c_coer_min, base / (h_sq + 1.0 + f_xi))
-        growth_num[i] = triple.vstar_norm(full_op) ** dual_q
-        growth_den[i] = v_pow + 1.0 + f_xi
+    op1 = _operator_values(problem, u1, xi)
+    op2 = _operator_values(problem, u2, xi)
+    du = u1 - u2
+    if problem.example == "porous_gradient_noise":
+        hs_gap = 0.0
+        images = _gradient_noise(grid, xi[:, None], basis, problem.gradient_noise_form)
+    else:
+        hs_gap = _hs_norm_sq(problem, problem.sigma * du[:, None] * basis)
+        images = problem.sigma * u1[:, None] * basis
+    pair_term = 2.0 * triple.pairing_values(grid, op1 - op2, du)
+    h_gap_sq = triple.h_norm_values(grid, du) ** 2
+    defects = pair_term + hs_gap - c_mono * h_gap_sq
+    moved = h_gap_sq > 0
+    c_mono_min = np.max((pair_term + hs_gap)[moved] / h_gap_sq[moved], initial=0.0)
+    f_xi = _f_xi(problem, xi)
+    h_sq = triple.h_norm_values(grid, u1) ** 2
+    v_pow = triple.v_norm_values(grid, u1) ** power
+    hs_self = _hs_norm_sq(problem, images)
+    base = 2.0 * triple.pairing_values(grid, op1, u1) + hs_self + theta * v_pow
+    margins = base - c_coer * (h_sq + 1.0 + f_xi)
+    c_coer_min = np.max(base / (h_sq + 1.0 + f_xi), initial=0.0)
+    growth_num = triple.vstar_norm_values(grid, op1) ** dual_q
+    growth_den = v_pow + 1.0 + f_xi
     ratios = growth_num / (c_growth * growth_den)
     for arr in (defects, margins, ratios):
         arr.flags.writeable = False
     return HypothesisReport(
         example=problem.example,
-        n_pairs=n,
+        n_pairs=len(defects),
         c_monotone=c_mono,
         c_coercive=c_coer,
         c_growth=c_growth,
         defects=defects,
         margins=margins,
         ratios=ratios,
-        c_monotone_min=float(max(c_mono_min, 0.0)),
-        c_coercive_min=float(max(c_coer_min, 0.0)),
-        c_growth_min=float(np.max(growth_num / growth_den)),
+        c_monotone_min=float(c_mono_min),
+        c_coercive_min=float(c_coer_min),
+        c_growth_min=float(np.max(growth_num / growth_den, initial=0.0)),
     )

@@ -13,6 +13,7 @@ import csv
 import numpy as np
 import pytest
 
+from stf_spde import fixed_point
 from stf_spde.estimators import energy_report
 from stf_spde.fixed_point import (
     ContinuityResult,
@@ -163,6 +164,38 @@ class TestPicard:
         assert diag.n_iterations == 1
         assert diag.residual > 0.0
 
+    def test_residual_solve_only_when_not_fixed(
+        self, heat_problem, level, heat_picard, monkeypatch
+    ):
+        # a converged run's last pass returns its input, so that pass's
+        # distances are the residuals; a capped run solves once more per path
+        noises, _, _ = heat_picard
+        noises = noises[:2]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_frozen(*args, **kwargs)
+
+        monkeypatch.setattr(fixed_point, "solve_frozen", counted)
+        _, diag = picard_iterate(heat_problem, level, noises)
+        assert diag.converged and diag.n_iterations == 9
+        assert len(calls) == 9 * len(noises)
+        assert diag.residual == 0.0
+        calls.clear()
+        capped, diag = picard_iterate(heat_problem, level, noises, max_iter=3)
+        assert len(calls) == 4 * len(noises)
+        residuals = [
+            xnorm_power_distance(
+                proj_shifted(solve_frozen(heat_problem, xi, noise), level),
+                xi,
+                heat_problem,
+            )
+            for xi, noise in zip(capped, noises)
+        ]
+        assert diag.residual == float(np.mean(residuals))
+        assert diag.residual > 0.0
+
     def test_rejects_empty_ensemble(self, heat_problem, level):
         with pytest.raises(ValueError):
             picard_iterate(heat_problem, level, [])
@@ -304,6 +337,18 @@ class TestStaircase:
         assert not np.array_equal(
             full_out.fields[80].values, cut_out.fields[80].values
         )
+
+    def test_last_block_noise_is_never_read(self, heat_problem, level, heat_picard):
+        # no coefficient block reads the solve on the last block (steps
+        # 112..127), so NaN increments there change nothing and raise nothing
+        noises, _, _ = heat_picard
+        noise = noises[0]
+        poisoned = noise.increments.copy()
+        poisoned[112:] = np.nan
+        nan_tail = NoisePath(noise.timegrid, poisoned, seed=noise.seed)
+        full_out = staircase_construct(heat_problem, level, noise)
+        nan_out = staircase_construct(heat_problem, level, nan_tail)
+        assert np.array_equal(full_out.values, nan_out.values)
 
     def test_rejects_indivisible_time_grid(self, heat_problem, level, qspec):
         noise = sample_increments(qspec, TimeGrid(12), 0)

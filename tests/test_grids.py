@@ -215,14 +215,27 @@ def test_triple_kind_norm_routing():
     assert porous.vstar_norm(u) == norm(u, "Lp", p=4 / 3)
     # a (rows, N) batch routes to the same kinds, one value per row
     rows = rng.standard_normal((4, grid.n_interior))
+    others = rng.standard_normal((4, grid.n_interior))
+    h = grid.h
+    inv = inv_neg_laplacian_values(grid, rows)
     for got, want in [
         (heat.v_norm_values(grid, rows), norm_values(grid, rows, "V_H1")),
         (heat.h_norm_values(grid, rows), norm_values(grid, rows, "L2")),
+        (heat.vstar_norm_values(grid, rows), norm_values(grid, rows, "Hminus1")),
+        (heat.pairing_values(grid, rows, others), h * np.vecdot(rows, others)),
         (porous.v_norm_values(grid, rows), norm_values(grid, rows, "Lp", p=4)),
         (porous.h_norm_values(grid, rows), norm_values(grid, rows, "Hminus1")),
+        (porous.vstar_norm_values(grid, rows), norm_values(grid, rows, "Lp", p=4 / 3)),
+        (porous.pairing_values(grid, rows, others), h * np.vecdot(inv, others)),
     ]:
         assert got.shape == (4,)
         assert np.array_equal(got, want)
+    # each batched pairing row keeps the bits of the Field pairing
+    for triple in (heat, porous):
+        batch = triple.pairing_values(grid, rows, others)
+        for j in range(4):
+            pair = duality_pairing(Field(grid, rows[j]), Field(grid, others[j]), triple)
+            assert batch[j] == pair
 
 
 @pytest.mark.parametrize("n", [2, 12, 31])
@@ -238,6 +251,10 @@ def test_batched_norms_match_row_loop(n):
         loop = np.array([norm_values(grid, row, kind, p) for row in rows])
         assert batch.shape == (9,)
         assert all(isinstance(norm_values(grid, row, kind, p), float) for row in rows)
+        # any leading shape gives the (rows, N) batch's values, reshaped
+        cube = norm_values(grid, rows[:6].reshape(2, 3, n), kind, p)
+        assert cube.shape == (2, 3)
+        assert np.array_equal(cube.ravel(), batch[:6])
         if kind == "Lp":
             # the array power may differ from the scalar one by one ulp
             np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)

@@ -28,6 +28,7 @@ from stf_spde.grids import (
     signed_power_values,
 )
 from stf_spde.projection import TimeGrid, Trajectory
+from stf_spde.rng import gaussian_stream
 from stf_spde.solver import (
     KNOWN_EXAMPLES,
     NewtonDivergence,
@@ -538,6 +539,106 @@ class TestHypothesisChecks:
             assert images.shape == qspec.basis.shape
             got = _hs_norm_sq(prob, images)
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("form", ["divergence", "pointwise"])
+    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
+    def test_batched_check_matches_pair_loop(
+        self, grid, qspec, example, form, monkeypatch
+    ):
+        # the pair-by-pair measurement through the Field API, against the
+        # one array pass, which evaluates the operator once per argument
+        prob = ProblemSpec(
+            example, qspec, zero_field(grid), m=2, gradient_noise_form=form
+        )
+        triple = prob.triple
+        theta, power = (2.0, 3) if prob.is_porous else (1.0, 2)
+        dual_q = 1.5 if prob.is_porous else 2.0
+        c_mono = solver._lipschitz_constant(prob)
+        c_coer = solver._coercivity_constant(prob)
+        c_growth = solver._growth_constant(prob)
+
+        def hs_norm_sq(images):
+            sq = [triple.h_norm(Field(grid, row)) ** 2 for row in images]
+            return np.dot(qspec.eigenvalues, sq)
+
+        original = solver._operator_values
+        operator_calls = []
+
+        def counted(*args):
+            operator_calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_operator_values", counted)
+
+        def op(u, xi):
+            return Field(grid, original(prob, u.values, xi.values))
+
+        for seed in range(3):
+            # the draws of check_hypotheses, in its order
+            stream = gaussian_stream(seed, 4)
+            pairs = []
+            for _ in range(100):
+                amp = 10.0 ** stream.uniform(-3.0, 2.0, size=3)
+                pairs.append([Field(grid, a * stream.standard_normal(31)) for a in amp])
+            defects, margins, ratios = [], [], []
+            for u1, u2, xi in pairs:
+                du = Field(grid, u1.values - u2.values)
+                full_op = op(u1, xi)
+                a_gap = Field(grid, full_op.values - op(u2, xi).values)
+                if example == "porous_gradient_noise":
+                    hs_gap = 0.0
+                    images = [
+                        gradient_noise_apply(xi, Field(grid, psi), form).values
+                        for psi in qspec.basis
+                    ]
+                else:
+                    hs_gap = hs_norm_sq(prob.sigma * du.values * qspec.basis)
+                    images = prob.sigma * u1.values * qspec.basis
+                h_gap_sq = triple.h_norm(du) ** 2
+                defects.append(
+                    2.0 * duality_pairing(a_gap, du, triple)
+                    + hs_gap
+                    - c_mono * h_gap_sq
+                )
+                if prob.is_porous:
+                    f_xi = norm(xi, "Lp", p=3) ** 3
+                else:
+                    f_xi = grid.h * np.sum(np.abs(xi.values))
+                v_pow = triple.v_norm(u1) ** power
+                base = (
+                    2.0 * duality_pairing(full_op, u1, triple)
+                    + hs_norm_sq(images)
+                    + theta * v_pow
+                )
+                margins.append(base - c_coer * (triple.h_norm(u1) ** 2 + 1.0 + f_xi))
+                growth = triple.vstar_norm(full_op) ** dual_q
+                ratios.append(growth / (c_growth * (v_pow + 1.0 + f_xi)))
+            operator_calls.clear()
+            report = check_hypotheses(prob, n_pairs=100, seed=seed)
+            assert len(operator_calls) == 2
+            assert np.array_equal(report.defects, defects)
+            np.testing.assert_allclose(report.margins, margins, rtol=1e-11, atol=0.0)
+            np.testing.assert_allclose(report.ratios, ratios, rtol=1e-11, atol=0.0)
+            hold = (
+                np.all(np.array(defects) <= 1e-9)
+                and np.all(np.array(margins) <= 1e-9)
+                and np.all(np.array(ratios) <= 1.0 + 1e-12)
+            )
+            assert report.all_hold == hold
+            explicit = check_hypotheses(prob, pairs=pairs)
+            for name in ("defects", "margins", "ratios"):
+                assert np.array_equal(getattr(explicit, name), getattr(report, name))
+
+    def test_explicit_pairs_validated(self, grid, qspec):
+        prob = ProblemSpec("porous_sqrt_drift", qspec, zero_field(grid), m=2)
+        with pytest.raises(ValueError, match="pairs"):
+            check_hypotheses(prob, pairs=[])
+        rng = np.random.default_rng(4)
+        u = random_field(grid, rng)
+        other = random_field(SpatialGrid(15), rng)
+        for bad in [(u, u, other), (other, other, other)]:
+            with pytest.raises(ValueError, match="grid"):
+                check_hypotheses(prob, pairs=[(u, u, u), bad])
 
     def test_heat_margin_clearly_negative(self, grid, qspec):
         # measured maximum margin is about -1.04 at these amplitudes
