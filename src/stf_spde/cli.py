@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 from .estimators import EstimateInvalid, energy_report, mc_mean_stderr
 from .fixed_point import (
+    _staircase_solve,
     continuity_probe,
     picard_iterate,
     staircase_construct,
@@ -592,8 +593,7 @@ def suite_regularity() -> list[dict]:
         ensemble = []
         for i in range(16):
             noise = sample_increments(qspec, tg, path_seed(29, i))
-            xi = staircase_construct(problem, level, noise)
-            ensemble.append(solve_frozen(problem, xi, noise))
+            ensemble.append(_staircase_solve(problem, level, noise)[1])
         table = time_regularity_probe(problem, ensemble, alphas=(0.2,))
         checks.append(
             _check(

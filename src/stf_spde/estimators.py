@@ -24,6 +24,8 @@ from scipy.optimize import brentq
 from .grids import TripleKind
 from .projection import TimeGrid, Trajectory
 from .rng import path_seed
+# solve_frozen is bound here for bench/tests/test_bench_tracer.py, which
+# checks that the tracer wraps every module binding of it
 from .solver import NewtonDivergence, ProblemSpec, SolverConfig, solve_frozen
 from .wiener import sample_increments
 
@@ -123,7 +125,7 @@ def _path_samples(problem, timegrid, level, seeds, config):
     coefficient. Failed paths (Newton divergence surviving all retries)
     are recorded as None.
     """
-    from .fixed_point import staircase_construct
+    from .fixed_point import _staircase_solve
 
     triple = problem.triple
     power = problem.time_power
@@ -131,8 +133,7 @@ def _path_samples(problem, timegrid, level, seeds, config):
     for seed in seeds:
         noise = sample_increments(problem.qwiener, timegrid, seed)
         try:
-            xi_star = staircase_construct(problem, level, noise, config)
-            u = solve_frozen(problem, xi_star, noise, config)
+            xi_star, u = _staircase_solve(problem, level, noise, config)
         except NewtonDivergence:
             out.append(None)
             continue

@@ -140,6 +140,17 @@ def _block_average(u: np.ndarray, k: int, s: int) -> np.ndarray:
     return (0.5 * (u[a] + u[b]) + u[a + 1 : b].sum(axis=0)) / s
 
 
+def _shifted_rows(u: np.ndarray, level: HaarLevel, s: int) -> np.ndarray:
+    """proj_shifted on raw rows; reads u on rows 0 .. (2^n - 1) s only."""
+    blocks = 2**level.n
+    out = np.empty((blocks * s + 1, u.shape[1]))
+    out[:s] = level.seed_field.values
+    for k in range(1, blocks):
+        out[k * s : (k + 1) * s] = _block_average(u, k - 1, s)
+    out[-1] = out[-2]
+    return out
+
+
 def proj_shifted(traj: Trajectory, level: HaarLevel) -> Trajectory:
     """Replace each dyadic block by the previous block's trapezoid average.
 
@@ -164,12 +175,7 @@ def proj_shifted(traj: Trajectory, level: HaarLevel) -> Trajectory:
         )
     if level.seed_field.grid != traj.grid:
         raise ValueError("seed field lives on a different spatial grid")
-    s = tg.n_steps // blocks
-    out = np.empty((tg.n_steps + 1, traj.grid.n_interior))
-    out[:s] = level.seed_field.values
-    for k in range(1, blocks):
-        out[k * s : (k + 1) * s] = _block_average(traj.values, k - 1, s)
-    out[-1] = out[-2]
+    out = _shifted_rows(traj.values, level, tg.n_steps // blocks)
     return Trajectory.from_matrix(tg, traj.grid, out)
 
 

@@ -13,8 +13,8 @@ import csv
 import numpy as np
 import pytest
 
-from stf_spde import fixed_point
-from stf_spde.estimators import energy_report
+from stf_spde import fixed_point, solver
+from stf_spde.estimators import energy_report, integral_v_power, mc_mean_stderr
 from stf_spde.fixed_point import (
     ContinuityResult,
     FixedPointDiagnostics,
@@ -34,7 +34,7 @@ from stf_spde.projection import (
     smoothed_seed,
 )
 from stf_spde.rng import path_seed
-from stf_spde.solver import ProblemSpec, solve_frozen
+from stf_spde.solver import KNOWN_EXAMPLES, ProblemSpec, solve_frozen
 from stf_spde.wiener import NoisePath, QWienerSpec, lc_q_wiener, sample_increments
 
 
@@ -167,24 +167,28 @@ class TestPicard:
     def test_residual_solve_only_when_not_fixed(
         self, heat_problem, level, heat_picard, monkeypatch
     ):
-        # a converged run's last pass returns its input, so that pass's
-        # distances are the residuals; a capped run solves once more per path
+        # pass k + 1 re-marches a path from block k up to row 112 (the
+        # projection never reads the last block), so a converged path
+        # marches 112 + 112 + 96 + ... + 16 + 0 steps and its residual pass
+        # none; a capped run's residual pass marches on from its block
         noises, _, _ = heat_picard
         noises = noises[:2]
-        calls = []
+        march = fixed_point._march
+        steps = {}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve_frozen(*args, **kwargs)
+        def counted(problem, u, xi_rows, noise, start, stop, cfg, stats):
+            steps[noise.seed] = steps.get(noise.seed, 0) + max(stop - start, 0)
+            march(problem, u, xi_rows, noise, start, stop, cfg, stats)
 
-        monkeypatch.setattr(fixed_point, "solve_frozen", counted)
+        monkeypatch.setattr(fixed_point, "_march", counted)
         _, diag = picard_iterate(heat_problem, level, noises)
         assert diag.converged and diag.n_iterations == 9
-        assert len(calls) == 9 * len(noises)
+        assert steps == {noise.seed: 560 for noise in noises}
         assert diag.residual == 0.0
-        calls.clear()
+        steps.clear()
         capped, diag = picard_iterate(heat_problem, level, noises, max_iter=3)
-        assert len(calls) == 4 * len(noises)
+        # passes of 112, 112 and 96 steps, then a residual pass of 80
+        assert steps == {noise.seed: 400 for noise in noises}
         residuals = [
             xnorm_power_distance(
                 proj_shifted(solve_frozen(heat_problem, xi, noise), level),
@@ -199,6 +203,50 @@ class TestPicard:
     def test_rejects_empty_ensemble(self, heat_problem, level):
         with pytest.raises(ValueError):
             picard_iterate(heat_problem, level, [])
+
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            ("modes", "noise has 3 modes, spec wants 16"),
+            ("indivisible", "n_steps=12 is not divisible"),
+            ("time_grids", "noise paths live on different time grids"),
+            ("seed_grid", "seed field lives on a different spatial grid"),
+        ],
+    )
+    def test_rejects_bad_inputs_before_marching(
+        self, heat_problem, level, monkeypatch, defect, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a step was marched before the inputs were checked")
+
+        monkeypatch.setattr(solver, "_march", never)
+        monkeypatch.setattr(fixed_point, "_march", never)
+        tg = TimeGrid(128)
+        noises = [NoisePath(tg, np.zeros((128, 16)), seed=0)]
+        if defect == "modes":
+            noises.append(NoisePath(tg, np.zeros((128, 3)), seed=1))
+        elif defect == "indivisible":
+            noises = [NoisePath(TimeGrid(12), np.zeros((12, 16)), seed=0)]
+        elif defect == "time_grids":
+            noises.append(NoisePath(TimeGrid(64), np.zeros((64, 16)), seed=1))
+        else:
+            coarse = SpatialGrid(15)
+            level = HaarLevel(3, Field(coarse, np.zeros(coarse.n_interior)))
+        with pytest.raises(ValueError, match=message):
+            picard_iterate(heat_problem, level, noises)
+
+    def test_last_block_noise_is_never_read(self, heat_problem, level, heat_picard):
+        # no coefficient block reads the solve on steps 112..127, so NaN
+        # increments there leave the iterates at the staircase, unraised
+        noises, _, _ = heat_picard
+        noise = noises[0]
+        poisoned = noise.increments.copy()
+        poisoned[112:] = np.nan
+        nan_tail = NoisePath(noise.timegrid, poisoned, seed=noise.seed)
+        iterates, diag = picard_iterate(heat_problem, level, [nan_tail])
+        assert diag.converged and diag.residual == 0.0
+        sweep = staircase_construct(heat_problem, level, noise)
+        assert np.array_equal(iterates[0].values, sweep.values)
 
     def test_diagnostics_reject_negative_distance(self):
         with pytest.raises(ValueError):
@@ -272,6 +320,71 @@ class TestPicard:
             written.to_csv(str(path))
             with open(path, newline="") as fh:
                 assert fh.read() == expected
+
+
+def plain_picard(problem, level, noises, max_iter):
+    """The Picard loop written out: proj_shifted(solve_frozen(...)) per pass."""
+    triple, power = problem.triple, problem.time_power
+    tg = noises[0].timegrid
+    iterates = [Trajectory.constant(tg, problem.initial_datum) for _ in noises]
+    distance_means, distance_stderrs, energy_means = [], [], []
+    converged = False
+    for n_iterations in range(1, max_iter + 1):
+        new = [
+            proj_shifted(solve_frozen(problem, xi, noise), level)
+            for xi, noise in zip(iterates, noises)
+        ]
+        mean, stderr = mc_mean_stderr(
+            [xnorm_power_distance(a, b, problem) for a, b in zip(new, iterates)]
+        )
+        distance_means.append(mean)
+        distance_stderrs.append(stderr)
+        energies = [integral_v_power(xi, triple, power) for xi in new]
+        energy_means.append(float(np.mean(energies)))
+        iterates = new
+        if mean <= 0.0:
+            converged = True
+            break
+    residual, residual_stderr = mc_mean_stderr(
+        [
+            xnorm_power_distance(
+                proj_shifted(solve_frozen(problem, xi, noise), level), xi, problem
+            )
+            for xi, noise in zip(iterates, noises)
+        ]
+    )
+    energy, energy_stderr = mc_mean_stderr(energies)
+    return iterates, FixedPointDiagnostics(
+        distance_means=tuple(distance_means),
+        distance_stderrs=tuple(distance_stderrs),
+        energy_means=tuple(energy_means),
+        residual=residual,
+        residual_stderr=residual_stderr,
+        energy_functional=energy,
+        energy_stderr=energy_stderr,
+        converged=converged,
+        n_iterations=n_iterations,
+    )
+
+
+class TestPicardOracle:
+    @pytest.mark.parametrize(
+        "example,max_iter",
+        [(example, 9) for example in KNOWN_EXAMPLES] + [("heat_sqrt_drift", 3)],
+    )
+    def test_matches_plain_loop_bitwise(
+        self, qspec, small_datum, level, example, max_iter
+    ):
+        prob = ProblemSpec(example, qspec, small_datum, m=2)
+        tg = TimeGrid(128)
+        noises = [sample_increments(qspec, tg, path_seed(23, i)) for i in range(2)]
+        iterates, diag = picard_iterate(prob, level, noises, max_iter=max_iter)
+        want_iterates, want = plain_picard(prob, level, noises, max_iter)
+        assert diag.converged == (max_iter == 9)
+        # repr spells every float field out to its last bit
+        assert repr(diag) == repr(want)
+        for got, expected in zip(iterates, want_iterates):
+            assert got.values.tobytes() == expected.values.tobytes()
 
 
 class TestStaircase:
@@ -349,6 +462,16 @@ class TestStaircase:
         full_out = staircase_construct(heat_problem, level, noise)
         nan_out = staircase_construct(heat_problem, level, nan_tail)
         assert np.array_equal(full_out.values, nan_out.values)
+
+    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
+    def test_sweep_solve_equals_resolve(self, qspec, small_datum, level, example):
+        prob = ProblemSpec(example, qspec, small_datum, m=2)
+        noise = sample_increments(qspec, TimeGrid(128), path_seed(17, 1))
+        xi, u = fixed_point._staircase_solve(prob, level, noise)
+        sweep = staircase_construct(prob, level, noise)
+        assert xi.values.tobytes() == sweep.values.tobytes()
+        resolve = solve_frozen(prob, sweep, noise)
+        assert u.values.tobytes() == resolve.values.tobytes()
 
     def test_rejects_indivisible_time_grid(self, heat_problem, level, qspec):
         noise = sample_increments(qspec, TimeGrid(12), 0)
