@@ -34,6 +34,7 @@ from stf_spde.wiener import (
     load_noise_path,
     mode_coefficients,
     sample_increments,
+    sample_increments_batch,
     save_noise_path,
     schauder_function,
     tail_bound_probe,

@@ -66,6 +66,7 @@ from .wiener import (
     lc_q_wiener,
     lc_scalar_bm,
     sample_increments,
+    sample_increments_batch,
     save_noise_path,
     tail_bound_probe,
 )
@@ -373,11 +374,11 @@ def suite_wiener() -> list[dict]:
     qspec = QWienerSpec.power_decay(grid, n_modes=16, decay_exponent=1.0)
     tg = TimeGrid(4, T=1.0)
     n_paths = 20_000
-    nodes = np.empty((n_paths, tg.n_steps + 1, qspec.n_modes))
-    for i in range(n_paths):
-        noise = sample_increments(qspec, tg, path_seed(101, i))
-        nodes[i, 0] = 0.0
-        nodes[i, 1:] = np.cumsum(noise.increments, axis=0)
+    inc = sample_increments_batch(
+        qspec, tg, [path_seed(101, i) for i in range(n_paths)]
+    )
+    # nodes[:, j] is W(t_{j+1}), summed up in place of the increments
+    nodes = np.cumsum(inc, axis=1, out=inc)
     checks = []
     # the sine basis is h-orthonormal, so mode i's coefficient of W(t) is
     # exactly the i-th cumulative increment; its covariance across two
@@ -385,7 +386,7 @@ def suite_wiener() -> list[dict]:
     for s_idx, t_idx in ((1, 2), (2, 3), (4, 4)):
         s, t = s_idx * tg.dt, t_idx * tg.dt
         for mode in (1, 2, 3):
-            products = nodes[:, s_idx, mode - 1] * nodes[:, t_idx, mode - 1]
+            products = nodes[:, s_idx - 1, mode - 1] * nodes[:, t_idx - 1, mode - 1]
             mean, stderr = mc_mean_stderr(products)
             target = min(s, t) * qspec.eigenvalues[mode - 1]
             checks.append(
@@ -588,12 +589,12 @@ def suite_regularity() -> list[dict]:
         "heat_sqrt_drift": 0.5 - 0.15,
         "porous_sqrt_drift": 2.0 / 3.0 - 0.15,
     }
+    inc = sample_increments_batch(qspec, tg, [path_seed(29, i) for i in range(16)])
     for example, target in targets.items():
         problem = ProblemSpec(example, qspec, datum, m=2)
-        ensemble = []
-        for i in range(16):
-            noise = sample_increments(qspec, tg, path_seed(29, i))
-            ensemble.append(_staircase_solve(problem, level, noise)[1])
+        _, u, stats = _staircase_solve(problem, level, tg, inc)
+        stats.raise_first()
+        ensemble = [Trajectory.from_matrix(tg, grid, rows) for rows in u]
         table = time_regularity_probe(problem, ensemble, alphas=(0.2,))
         checks.append(
             _check(

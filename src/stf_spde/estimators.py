@@ -19,15 +19,14 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .grids import TripleKind
 from .projection import TimeGrid, Trajectory
 from .rng import path_seed
 # solve_frozen is bound here for bench/tests/test_bench_tracer.py, which
 # checks that the tracer wraps every module binding of it
-from .solver import NewtonDivergence, ProblemSpec, SolverConfig, solve_frozen
-from .wiener import sample_increments
+from .solver import ProblemSpec, SolverConfig, solve_frozen  # noqa: F401
+from .wiener import sample_increments_batch
 
 __all__ = [
     "EstimateInvalid",
@@ -60,17 +59,32 @@ def mc_mean_stderr(samples) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
 
 
+def _sup_h_sq(grid, values, triple):
+    """pathwise_sup_H on raw samples (..., rows, N), one value per path."""
+    return np.max(triple.h_norm_values(grid, values) ** 2, axis=-1)
+
+
 def pathwise_sup_H(traj: Trajectory, triple: TripleKind) -> float:
     """max over the sample times of |w(t_k)|_H^2 (squared pivot norm)."""
-    return float(np.max(triple.h_norm_values(traj.grid, traj.values) ** 2))
+    return float(_sup_h_sq(traj.grid, traj.values, triple))
+
+
+def _v_power_integrals(grid, dt, values, triple, power):
+    """integral_v_power on raw samples (..., rows, N), one value per path.
+
+    Each path's value has the bits of its own integral_v_power.
+    """
+    norms = triple.v_norm_values(grid, values[..., :-1, :])
+    return dt * np.sum(norms**power, axis=-1)
 
 
 def integral_v_power(traj: Trajectory, triple: TripleKind, power: float) -> float:
     """Left-endpoint quadrature of int_0^T |w(t)|_V^power dt."""
     if power <= 0:
         raise ValueError(f"power must be positive, got {power}")
-    norms = triple.v_norm_values(traj.grid, traj.values[:-1])
-    return traj.timegrid.dt * float(np.sum(norms**power))
+    return float(
+        _v_power_integrals(traj.grid, traj.timegrid.dt, traj.values, triple, power)
+    )
 
 
 @dataclass(frozen=True)
@@ -122,28 +136,26 @@ def _path_samples(problem, timegrid, level, seeds, config):
 
     Each path builds the dyadic fixed point for its own noise, then
     evaluates the energy functionals of the solution driven by that fixed
-    coefficient. Failed paths (Newton divergence surviving all retries)
-    are recorded as None.
+    coefficient; all paths are swept in one batch. Failed paths (Newton
+    divergence surviving all retries) are recorded as None.
     """
     from .fixed_point import _staircase_solve
 
     triple = problem.triple
     power = problem.time_power
-    out = []
-    for seed in seeds:
-        noise = sample_increments(problem.qwiener, timegrid, seed)
-        try:
-            xi_star, u = _staircase_solve(problem, level, noise, config)
-        except NewtonDivergence:
-            out.append(None)
-            continue
-        out.append(
-            (
-                pathwise_sup_H(u, triple),
-                integral_v_power(u, triple, power),
-                integral_v_power(xi_star, triple, power),
-            )
-        )
+    grid = problem.qwiener.grid
+    inc = sample_increments_batch(problem.qwiener, timegrid, seeds)
+    xi_star, u, stats = _staircase_solve(problem, level, timegrid, inc, config)
+    kept = [p for p in range(len(inc)) if p not in stats.failed]
+    xi_star, u = xi_star[kept], u[kept]
+    samples = zip(
+        _sup_h_sq(grid, u, triple).tolist(),
+        _v_power_integrals(grid, timegrid.dt, u, triple, power).tolist(),
+        _v_power_integrals(grid, timegrid.dt, xi_star, triple, power).tolist(),
+    )
+    out = [None] * len(inc)
+    for p, sample in zip(kept, samples):
+        out[p] = sample
     return out
 
 
@@ -204,6 +216,9 @@ def energy_report(
     if gap(0.0) >= 0.0:
         c_hat = 0.0
     else:
+        # imported on use, so that importing the package leaves scipy.optimize out
+        from scipy.optimize import brentq
+
         c_hi = 1.0
         while gap(c_hi) < 0.0:
             c_hi *= 2.0

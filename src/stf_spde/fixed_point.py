@@ -17,6 +17,14 @@ from the old one. A converged path thus marches 7 + 7 + 6 + ... + 1 + 0
 blocks at level 3 instead of 9 full solves, with every iterate and
 diagnostic equal bit for bit to the plain loop proj_shifted(solve_frozen).
 
+Every ensemble here is marched as one batch: Picard's coupled paths (each
+joining the batch at its own restart row), the staircase sweep behind the
+energy and regularity probes, and the continuity probe's base and
+perturbed coefficients under all their noise paths. The solver's batched
+march gives each path the bits it gets when marched alone, so a path's
+bits do not depend on its batch, and a path that fails raises the error
+the path-by-path loop met first: that of the lowest-index failing path.
+
 The probes quantify the two estimates the construction leans on: the
 continuity modulus of the solve in the coefficient (fitted Holder
 exponent over four decades of perturbation size) and the time regularity
@@ -29,14 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .estimators import integral_v_power, mc_mean_stderr
-from .projection import HaarLevel, Trajectory, fractional_seminorm
+from .estimators import _v_power_integrals, integral_v_power, mc_mean_stderr
+from .projection import HaarLevel, TimeGrid, Trajectory, fractional_seminorm
 from .projection import _block_average, _shifted_rows, _write_csv
 from .rng import path_seed
-from .solver import ProblemSpec, SolverConfig, _march, solve_frozen
-from .wiener import NoisePath, sample_increments
+# solve_frozen is bound here for bench/tests/test_bench_tracer.py, which
+# checks that the tracer wraps every module binding of it
+from .solver import ProblemSpec, SolverConfig, _march, _PathStats
+from .solver import solve_frozen  # noqa: F401
+from .wiener import NoisePath, sample_increments_batch
 
 __all__ = [
     "FixedPointDiagnostics",
@@ -118,30 +128,33 @@ class FixedPointDiagnostics:
         )
 
 
-def _check_sweep(problem: ProblemSpec, level: HaarLevel, noise: NoisePath) -> None:
-    """Reject a noise path or level that a block sweep cannot march."""
+def _check_sweep(
+    problem: ProblemSpec, level: HaarLevel, timegrid: TimeGrid, n_modes: int
+) -> None:
+    """Reject noise (time grid, mode count) or a level a block sweep cannot march."""
     blocks = 2**level.n
-    if noise.timegrid.n_steps % blocks != 0:
+    if timegrid.n_steps % blocks != 0:
         raise ValueError(
-            f"n_steps={noise.timegrid.n_steps} is not divisible by the 2^{level.n} "
+            f"n_steps={timegrid.n_steps} is not divisible by the 2^{level.n} "
             "dyadic blocks"
         )
     if level.seed_field.grid != problem.qwiener.grid:
         raise ValueError("seed field lives on a different spatial grid")
-    if noise.n_modes != problem.qwiener.n_modes:
+    if n_modes != problem.qwiener.n_modes:
         raise ValueError(
-            f"noise has {noise.n_modes} modes, spec wants {problem.qwiener.n_modes}"
+            f"noise has {n_modes} modes, spec wants {problem.qwiener.n_modes}"
         )
 
 
-def _first_changed_row(old: np.ndarray, new: np.ndarray) -> int:
-    """First row where old and new differ in any bit; len(new) if none does.
+def _first_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Per path, the first row where old and new differ in any bit.
 
+    old and new are (paths, rows, N); a path with no change gets rows.
     Bits, not values: equal bits in make equal bits out of the march,
     while -0.0 == 0.0 could still carry a sign into the solve.
     """
-    changed = np.flatnonzero(np.any(old.view(np.int64) != new.view(np.int64), axis=1))
-    return int(changed[0]) if changed.size else len(new)
+    changed = np.any(old.view(np.int64) != new.view(np.int64), axis=-1)
+    return np.where(changed.any(axis=-1), changed.argmax(axis=-1), changed.shape[-1])
 
 
 def picard_iterate(
@@ -167,10 +180,14 @@ def picard_iterate(
     bit, but re-marches a path only from the first coefficient row that
     differs from the one its kept solve was marched under, and stops at
     row (2^n - 1) s, since the projection never reads the last block.
-    The inputs are checked here, before any step is marched.
+    All paths are marched in one batch, each joining it at its own
+    restart row. The inputs are checked here, before any step is marched.
 
     Returns:
         (final iterate per path, FixedPointDiagnostics).
+
+    Raises:
+        NewtonDivergence: the lowest-index path that failed in a pass.
     """
     if not noise_ensemble:
         raise ValueError("need at least one noise path")
@@ -180,58 +197,54 @@ def picard_iterate(
         # the coefficient's time and spatial grids against every noise path
         if noise.timegrid != tg:
             raise ValueError("noise paths live on different time grids")
-        _check_sweep(problem, level, noise)
+        _check_sweep(problem, level, noise.timegrid, noise.n_modes)
     if max_iter is None:
         max_iter = 2**level.n + 1
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     cfg = config if config is not None else SolverConfig()
     grid = problem.qwiener.grid
+    triple, power = problem.triple, problem.time_power
     s = tg.n_steps // 2**level.n
     stop = tg.n_steps - s
-    stats = {"newton_iterations": 0, "dt_retries": 0}
+    inc = np.stack([noise.increments for noise in noise_ensemble])
+    stats = _PathStats(len(inc))
     # each path's solve rows and the coefficient rows they were marched under
-    solves = np.empty((len(noise_ensemble), stop + 1, grid.n_interior))
+    solves = np.empty((len(inc), stop + 1, grid.n_interior))
     solves[:, 0] = problem.initial_datum.values
-    marched_under = [None] * len(noise_ensemble)
+    marched_under = None
 
-    def projected_solve(i: int, xi: Trajectory) -> Trajectory:
-        u, old = solves[i], marched_under[i]
-        start = 0 if old is None else _first_changed_row(old, xi.values)
-        _march(problem, u, xi.values, noise_ensemble[i], start, stop, cfg, stats)
-        marched_under[i] = xi.values
-        return Trajectory.from_matrix(tg, grid, _shifted_rows(u, level, s))
+    def projected_solve(xi: np.ndarray) -> np.ndarray:
+        nonlocal marched_under
+        start = 0 if marched_under is None else _first_changed_rows(marched_under, xi)
+        _march(problem, solves, xi, inc, tg.dt, start, stop, cfg, stats)
+        stats.raise_first()
+        marched_under = xi
+        return _shifted_rows(solves, level, s)
 
-    iterates = [
-        Trajectory.constant(tg, problem.initial_datum) for _ in noise_ensemble
-    ]
+    def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # xnorm_power_distance of every path's pair
+        return _v_power_integrals(grid, tg.dt, a - b, triple, power)
+
+    iterates = np.empty((len(inc), tg.n_steps + 1, grid.n_interior))
+    iterates[:] = problem.initial_datum.values
     distance_means, distance_stderrs, energy_means = [], [], []
     converged = False
     n_iterations = 0
     for _ in range(max_iter):
-        new_iterates = [projected_solve(i, xi) for i, xi in enumerate(iterates)]
+        new_iterates = projected_solve(iterates)
         n_iterations += 1
-        distances = [
-            xnorm_power_distance(new, old, problem)
-            for new, old in zip(new_iterates, iterates)
-        ]
-        mean, stderr = _ensemble_mean_stderr(distances)
+        mean, stderr = _ensemble_mean_stderr(distances(new_iterates, iterates))
         distance_means.append(mean)
         distance_stderrs.append(stderr)
-        energies = [
-            integral_v_power(xi, problem.triple, problem.time_power)
-            for xi in new_iterates
-        ]
+        energies = _v_power_integrals(grid, tg.dt, new_iterates, triple, power)
         energy_means.append(float(np.mean(energies)))
         iterates = new_iterates
         if mean <= tol:
             converged = True
             break
 
-    residuals = [
-        xnorm_power_distance(projected_solve(i, xi), xi, problem)
-        for i, xi in enumerate(iterates)
-    ]
+    residuals = distances(projected_solve(iterates), iterates)
     res_mean, res_stderr = _ensemble_mean_stderr(residuals)
     # the last pass measured these energies on the final iterates
     energy_mean, energy_stderr = _ensemble_mean_stderr(energies)
@@ -246,27 +259,29 @@ def picard_iterate(
         converged=converged,
         n_iterations=n_iterations,
     )
-    return iterates, diagnostics
+    return [Trajectory.from_matrix(tg, grid, xi) for xi in iterates], diagnostics
 
 
-def _staircase_rows(problem, level, noise, cfg, stats):
-    """Coefficient and solve rows of the staircase sweep, as arrays.
+def _staircase_rows(problem, level, timegrid, inc, cfg, stats):
+    """Coefficient and solve rows of the staircase sweep, (paths, rows, N) each.
 
-    The solve is marched through row (2^n - 1) s only: no coefficient
-    block reads its last block, whose rows are left unset.
+    inc holds each path's increments, (paths, n_steps, n_modes). The solve
+    is marched through row (2^n - 1) s only: no coefficient block reads its
+    last block, whose rows are left NaN, as are a failed path's rows past
+    its failure.
     """
-    _check_sweep(problem, level, noise)
-    tg = noise.timegrid
+    _check_sweep(problem, level, timegrid, inc.shape[-1])
     blocks = 2**level.n
-    s = tg.n_steps // blocks
-    u = np.empty((tg.n_steps + 1, problem.qwiener.grid.n_interior))
-    u[0] = problem.initial_datum.values
+    s = timegrid.n_steps // blocks
+    shape = (len(inc), timegrid.n_steps + 1, problem.qwiener.grid.n_interior)
+    u = np.full(shape, np.nan)
+    u[:, 0] = problem.initial_datum.values
     xi = np.empty_like(u)
-    xi[:s] = level.seed_field.values
+    xi[:, :s] = level.seed_field.values
     for k in range(1, blocks):
-        _march(problem, u, xi, noise, (k - 1) * s, k * s, cfg, stats)
-        xi[k * s : (k + 1) * s] = _block_average(u, k - 1, s)
-    xi[-1] = xi[-2]
+        _march(problem, u, xi, inc, timegrid.dt, (k - 1) * s, k * s, cfg, stats)
+        xi[:, k * s : (k + 1) * s] = _block_average(u, k - 1, s)[:, None]
+    xi[:, -1] = xi[:, -2]
     return xi, u
 
 
@@ -286,30 +301,35 @@ def staircase_construct(
     residual vanishes up to the Newton tolerance.
     """
     cfg = config if config is not None else SolverConfig()
-    stats = {"newton_iterations": 0, "dt_retries": 0}
-    xi, _ = _staircase_rows(problem, level, noise, cfg, stats)
-    return Trajectory.from_matrix(noise.timegrid, problem.qwiener.grid, xi)
+    stats = _PathStats(1)
+    xi, _ = _staircase_rows(
+        problem, level, noise.timegrid, noise.increments[None], cfg, stats
+    )
+    stats.raise_first()
+    return Trajectory.from_matrix(noise.timegrid, problem.qwiener.grid, xi[0])
 
 
 def _staircase_solve(
     problem: ProblemSpec,
     level: HaarLevel,
-    noise: NoisePath,
+    timegrid: TimeGrid,
+    inc: np.ndarray,
     config: SolverConfig | None = None,
-) -> tuple[Trajectory, Trajectory]:
-    """The staircase fixed point xi and the solution it drives.
+) -> tuple[np.ndarray, np.ndarray, _PathStats]:
+    """Every path's staircase fixed point xi and the solution u it drives.
 
-    Equal bit for bit to (xi, solve_frozen(problem, xi, noise, config)),
-    but the sweep's own solve is kept and only its last block is marched.
+    inc holds the paths' increments, (paths, n_steps, n_modes); xi and u
+    are (paths, n_steps + 1, N). Path p's rows equal (xi, solve_frozen(
+    problem, xi, noise_p, config)) bit for bit, but the sweep's own solve
+    is kept and only its last block is marched. Failed paths are in the
+    returned stats, with their rows undefined.
     """
     cfg = config if config is not None else SolverConfig()
-    stats = {"newton_iterations": 0, "dt_retries": 0}
-    xi, u = _staircase_rows(problem, level, noise, cfg, stats)
-    tg = noise.timegrid
-    last_block = tg.n_steps - tg.n_steps // 2**level.n
-    _march(problem, u, xi, noise, last_block, tg.n_steps, cfg, stats)
-    grid = problem.qwiener.grid
-    return Trajectory.from_matrix(tg, grid, xi), Trajectory.from_matrix(tg, grid, u)
+    stats = _PathStats(len(inc))
+    xi, u = _staircase_rows(problem, level, timegrid, inc, cfg, stats)
+    last_block = timegrid.n_steps - timegrid.n_steps // 2**level.n
+    _march(problem, u, xi, inc, timegrid.dt, last_block, timegrid.n_steps, cfg, stats)
+    return xi, u, stats
 
 
 @dataclass(frozen=True)
@@ -346,7 +366,12 @@ def continuity_probe(
     solved against the same noise paths (coupling isolates the coefficient
     effect), and the regression of log mean output distance on log input
     distance over the epsilon range yields the Holder exponent gamma with
-    a 95% half-width from the residual scatter.
+    a 95% half-width from the residual scatter. The base and every
+    perturbed coefficient are marched under all noise paths in one batch.
+
+    Raises:
+        NewtonDivergence: the first failure in the order base, then each
+            epsilon, path by path within each.
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size < 3:
@@ -357,26 +382,37 @@ def continuity_probe(
         raise ValueError("base and perturbation live on different time grids")
     tg = base.timegrid
     grid = base.grid
-    noise_paths = [
-        sample_increments(problem.qwiener, tg, path_seed(seed, i))
-        for i in range(n_paths)
+    if grid != problem.qwiener.grid:
+        raise ValueError("frozen trajectory lives on a different spatial grid")
+    shifted = [
+        Trajectory.from_matrix(tg, grid, base.values + e * perturbation.values)
+        for e in eps
     ]
-    base_solutions = [
-        solve_frozen(problem, base, noise, config) for noise in noise_paths
-    ]
-    input_dists, output_dists = [], []
-    for e in eps:
-        shifted = Trajectory.from_matrix(
-            tg, grid, base.values + e * perturbation.values
-        )
-        input_dists.append(xnorm_power_distance(shifted, base, problem))
-        dists = [
-            xnorm_power_distance(
-                solve_frozen(problem, shifted, noise, config), sol, problem
-            )
-            for noise, sol in zip(noise_paths, base_solutions)
-        ]
-        output_dists.append(float(np.mean(dists)))
+    coeffs = np.stack([base.values] + [xi.values for xi in shifted])
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("frozen trajectory contains non-finite values")
+    cfg = config if config is not None else SolverConfig()
+    noise = sample_increments_batch(
+        problem.qwiener, tg, [path_seed(seed, i) for i in range(n_paths)]
+    )
+    # row v * n_paths + i pairs coefficient v (the base first) with noise
+    # path i: the order in which a path-by-path loop would solve them
+    xi_rows = np.repeat(coeffs, n_paths, axis=0)
+    u = np.empty_like(xi_rows)
+    u[:, 0] = problem.initial_datum.values
+    stats = _PathStats(len(u))
+    _march(
+        problem, u, xi_rows, np.tile(noise, (len(coeffs), 1, 1)), tg.dt,
+        0, tg.n_steps, cfg, stats,
+    )
+    stats.raise_first()
+    solutions = u.reshape(len(coeffs), n_paths, *u.shape[1:])
+    gaps = solutions[1:] - solutions[0]
+    triple, power = problem.triple, problem.time_power
+    input_dists = [xnorm_power_distance(xi, base, problem) for xi in shifted]
+    output_dists = np.mean(
+        _v_power_integrals(grid, tg.dt, gaps, triple, power), axis=-1
+    )
     x_raw = np.asarray(input_dists)
     y_raw = np.asarray(output_dists)
     if np.any(x_raw <= 0) or np.any(y_raw <= 0):
@@ -477,6 +513,8 @@ def invariance_radius(
         raise ValueError("constants must be nonnegative and the horizon positive")
     if c == 0.0 and initial_energy == 0.0:
         return 0.0
+    # imported on use, so that importing the package leaves scipy.optimize out
+    from scipy.optimize import brentq
 
     def gap(r):
         return (2.0 * initial_energy + c * r**q + c * horizon) * np.exp(

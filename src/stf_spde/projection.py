@@ -135,19 +135,27 @@ class HaarLevel:
 
 
 def _block_average(u: np.ndarray, k: int, s: int) -> np.ndarray:
-    """Trapezoid average of the samples u over block k of s fine steps."""
+    """Trapezoid average of the samples u over block k of s fine steps.
+
+    u is (rows, N) or a stack of them, (paths, rows, N); each path's
+    average has the bits of its own 2-D call.
+    """
     a, b = k * s, (k + 1) * s
-    return (0.5 * (u[a] + u[b]) + u[a + 1 : b].sum(axis=0)) / s
+    inner = u[..., a + 1 : b, :].sum(axis=-2)
+    return (0.5 * (u[..., a, :] + u[..., b, :]) + inner) / s
 
 
 def _shifted_rows(u: np.ndarray, level: HaarLevel, s: int) -> np.ndarray:
-    """proj_shifted on raw rows; reads u on rows 0 .. (2^n - 1) s only."""
+    """proj_shifted on raw rows, (rows, N) or (paths, rows, N).
+
+    Reads u on rows 0 .. (2^n - 1) s only.
+    """
     blocks = 2**level.n
-    out = np.empty((blocks * s + 1, u.shape[1]))
-    out[:s] = level.seed_field.values
+    out = np.empty(u.shape[:-2] + (blocks * s + 1, u.shape[-1]))
+    out[..., :s, :] = level.seed_field.values
     for k in range(1, blocks):
-        out[k * s : (k + 1) * s] = _block_average(u, k - 1, s)
-    out[-1] = out[-2]
+        out[..., k * s : (k + 1) * s, :] = _block_average(u, k - 1, s)[..., None, :]
+    out[..., -1, :] = out[..., -2, :]
     return out
 
 

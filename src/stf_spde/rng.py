@@ -15,6 +15,8 @@ costs more than drawing a short stream.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -57,21 +59,29 @@ def gaussian_stream(master_seed: int, *indices: int) -> np.random.Generator:
 
 
 def standard_normal_rows(
-    master_seed: int, prefix: tuple[int, ...], lanes: int, size: int
+    master_seeds: int | Sequence[int], prefix: tuple[int, ...], lanes: int, size: int
 ) -> np.ndarray:
-    """(lanes, size) standard normals, row j from stream (*prefix, j + 1).
+    """Standard normals per seed and lane, row j from stream (*prefix, j + 1).
 
-    Row j equals ``gaussian_stream(master_seed, *prefix, j + 1)
-    .standard_normal(size)`` bit for bit. The generator is local to the
-    call, so concurrent calls share no state.
+    master_seeds is one seed, giving a (lanes, size) array, or a sequence
+    of them, giving (seeds, lanes, size). Row j of seed s equals
+    ``gaussian_stream(s, *prefix, j + 1).standard_normal(size)`` bit for
+    bit. Every (seed, lane) key comes out of one splitmix64 pass over the
+    arrays. The generator is local to the call, so concurrent calls share
+    no state.
     """
-    base = np.uint64(derive_key(master_seed, *prefix))
-    keys = splitmix64(base ^ np.arange(1, lanes + 1, dtype=np.uint64)).tolist()
+    single = isinstance(master_seeds, (int, np.integer))
+    seeds = [master_seeds] if single else master_seeds
+    base = np.fromiter((int(s) & _MASK64 for s in seeds), dtype=np.uint64)
+    for ix in prefix:
+        base = splitmix64(base ^ np.uint64(ix & _MASK64))
+    lanes_ix = np.arange(1, lanes + 1, dtype=np.uint64)
+    keys = splitmix64(base[:, None] ^ lanes_ix).ravel().tolist()
     # a fixed seed spares the OS-entropy draw; the key is replaced per lane
     bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
     zeros = (0, 0, 0, 0)
-    out = np.empty((lanes, size))
+    out = np.empty((len(keys), size))
     for j, key in enumerate(keys):
         # a freshly keyed stream: zero counter, empty output buffer
         bits.state = {
@@ -83,4 +93,4 @@ def standard_normal_rows(
             "uinteger": 0,
         }
         out[j] = gen.standard_normal(size)
-    return out
+    return out.reshape((lanes, size) if single else (len(base), lanes, size))

@@ -18,6 +18,22 @@ satisfies |F|_L2 <= newton_tol (1 + |rhs|_L2), otherwise NewtonDivergence
 is raised and the caller may retry with a halved step (the increment dW is
 split in half so its sum is preserved).
 
+The march behind solve_frozen and every ensemble steps a whole batch of
+noise paths at once, its state stacked as (paths, rows, N). One step costs
+one solver call for the batch: a multi-right-hand-side SPD solve for heat,
+and for porous a masked damped Newton whose iterations each make one
+block-diagonal tridiagonal solve over the rows still iterating (the blocks
+are joined by zero couplings), each row keeping its own Armijo step length
+and iteration count. A batch of one row, and any row the batch could not
+finish, goes through the row kernel instead: the per-path step with its
+half-step retries. Each row's noise projection is one stacked
+vector-matrix product, (inc[:, k, None, :] @ basis)[:, 0], which gives the
+bits of the row kernel's gemv inc[k] @ basis; the plain matrix product
+inc[:, k] @ basis is a gemm and rounds differently. Every kernel works row
+by row in the same floating-point operations, so a path's bits do not
+depend on its batch: on how many paths are stepped with it, in which
+order, or whether it is stepped alone.
+
 check_hypotheses measures, on random field pairs, the three structural
 inequalities the solves rest on: a monotonicity defect, a coercivity
 margin, and a growth ratio, each with an explicitly derived admissible
@@ -167,6 +183,18 @@ def _heat_step(grid, u, xi, dw, dt, sigma):
     return solveh_banded(_implicit_band(grid, dt), rhs, check_finite=False)
 
 
+def _heat_rows(grid, u, xi, dw, dt, sigma):
+    """_heat_step on a (rows, N) batch, in one multi-right-hand-side solve.
+
+    Returns (v, ok). LAPACK solves the columns of the (N, rows) right-hand
+    side one by one, so each row gets the row kernel's bits; a row whose
+    right-hand side is not finite comes back with ok False.
+    """
+    rhs = u + dt * signed_power_values(xi, 0.5) + sigma * u * dw
+    ok = np.all(np.isfinite(rhs), axis=-1)
+    return solveh_banded(_implicit_band(grid, dt), rhs.T, check_finite=False).T, ok
+
+
 def step_heat(u_k: Field, xi_k: Field, dw_k: Field, dt: float, sigma: float = 0.1) -> Field:
     """One semi-implicit heat step.
 
@@ -230,6 +258,65 @@ def _newton_porous(grid, u_start, rhs, dt, m, config):
         v, fv, rn = trial, ft, rt
         iterations += 1
     return v, iterations
+
+
+def _newton_rows(grid, u_start, rhs, dt, m, config):
+    """_newton_porous on a (rows, N) batch; returns (v, iterations, ok).
+
+    Each row runs the row kernel's iteration in the same floating-point
+    operations, so it ends on that kernel's iterate and count, bit for
+    bit. One block-diagonal solve_banded call per iteration covers the
+    rows still above their target, and each of them backtracks with its
+    own step length. A row on which _newton_porous raises (non-finite
+    start, iteration budget or halvings spent) stops with ok False.
+    """
+    h2 = grid.h * grid.h
+    v = u_start.copy()
+    fv = _porous_residual(grid, v, dt, m, rhs)
+    rn = norm_values(grid, fv, "L2")
+    target = config.newton_tol * (1.0 + norm_values(grid, rhs, "L2"))
+    iterations = np.zeros(len(v), dtype=np.int64)
+    # a NaN residual would compare false against its target: fail it
+    ok = np.isfinite(rn)
+    active = np.flatnonzero(ok & (rn > target))
+    while active.size:
+        spent = iterations[active] >= config.newton_max_iter
+        ok[active[spent]] = False
+        active = active[~spent]
+        if not active.size:
+            break
+        d = m * np.abs(v[active]) ** (m - 1)
+        ab = np.empty((3,) + d.shape)
+        ab[0] = -dt * d / h2
+        ab[1] = 1.0 + 2.0 * dt * d / h2
+        ab[2] = -dt * d / h2
+        # the entries that would couple consecutive rows' blocks; with
+        # them zero, elimination leaves every block its own bits
+        ab[0, :, 0] = 0.0
+        ab[2, :, -1] = 0.0
+        delta = solve_banded(
+            (1, 1), ab.reshape(3, -1), -fv[active].ravel(), check_finite=False
+        ).reshape(d.shape)
+        lam = np.ones(active.size)
+        trial, ft = np.empty_like(delta), np.empty_like(delta)
+        rt = np.empty(active.size)
+        searching = np.ones(active.size, dtype=bool)
+        for _ in range(config.newton_max_halvings + 1):
+            rows = active[searching]
+            trial[searching] = v[rows] + lam[searching, None] * delta[searching]
+            ft[searching] = _porous_residual(grid, trial[searching], dt, m, rhs[rows])
+            rt[searching] = norm_values(grid, ft[searching], "L2")
+            searching &= ~(rt < rn[active])
+            if not searching.any():
+                break
+            lam[searching] *= 0.5
+        ok[active[searching]] = False
+        moved = ~searching
+        rows = active[moved]
+        v[rows], fv[rows], rn[rows] = trial[moved], ft[moved], rt[moved]
+        iterations[rows] += 1
+        active = rows[rn[rows] > target[rows]]
+    return v, iterations, ok
 
 
 def _porous_step(grid, u, xi, noise, dt, m, config):
@@ -311,6 +398,15 @@ def gradient_noise_apply(xi_k: Field, dw_k: Field, form: str = "divergence") -> 
     return Field(xi_k.grid, _gradient_noise(xi_k.grid, xi_k.values, dw_k.values, form))
 
 
+def _porous_noise(problem, u, xi_k, dw):
+    """The porous examples' noise term on raw rows (one row or a batch)."""
+    if problem.example == "porous_sqrt_drift":
+        return problem.sigma * u * dw
+    return _gradient_noise(
+        problem.qwiener.grid, xi_k, dw, problem.gradient_noise_form
+    )
+
+
 def _advance(problem, u, xi_k, dw, dt, cfg, stats, depth):
     """One step of the problem on raw nodal values (rows u, xi_k, dw).
 
@@ -321,10 +417,7 @@ def _advance(problem, u, xi_k, dw, dt, cfg, stats, depth):
     try:
         if problem.example == "heat_sqrt_drift":
             return _heat_step(grid, u, xi_k, dw, dt, problem.sigma)
-        if problem.example == "porous_sqrt_drift":
-            noise = problem.sigma * u * dw
-        else:
-            noise = _gradient_noise(grid, xi_k, dw, problem.gradient_noise_form)
+        noise = _porous_noise(problem, u, xi_k, dw)
         v, its = _porous_step(grid, u, xi_k, noise, dt, problem.m, cfg)
         stats["newton_iterations"] += its
         return v
@@ -337,18 +430,90 @@ def _advance(problem, u, xi_k, dw, dt, cfg, stats, depth):
         return _advance(problem, mid, xi_k, half, 0.5 * dt, cfg, stats, depth + 1)
 
 
-def _march(problem, u, xi_rows, noise, start, stop, cfg, stats):
-    """Fill rows start + 1 .. stop of u in place, stepping from u[start].
+def _advance_rows(problem, u, xi_k, dw, dt, cfg):
+    """One full step of a (rows, N) batch; returns (v, Newton iterations, ok).
 
-    Step k freezes the coefficient at xi_rows[k] and takes the k-th noise
-    increment. solve_frozen and staircase_construct share this loop, so
-    the Picard limit and the staircase stay equal bit for bit.
+    A row with ok False was not finished: _advance raises on it at depth
+    0, so it is left for the row kernel and its half-step retries.
     """
-    dt = noise.timegrid.dt
+    grid = problem.qwiener.grid
+    if problem.example == "heat_sqrt_drift":
+        v, ok = _heat_rows(grid, u, xi_k, dw, dt, problem.sigma)
+        return v, np.zeros(len(u), dtype=np.int64), ok
+    noise = _porous_noise(problem, u, xi_k, dw)
+    rhs = u + dt * signed_power_values(xi_k, 0.5) + noise
+    return _newton_rows(grid, u, rhs, dt, problem.m, cfg)
+
+
+class _PathStats:
+    """Solver counters of a batched march, per path, and the failed paths.
+
+    A failed path maps to the NewtonDivergence its row kernel raised after
+    every retry; the march leaves it where it stopped.
+    """
+
+    def __init__(self, paths: int) -> None:
+        self.newton_iterations = np.zeros(paths, dtype=np.int64)
+        self.dt_retries = np.zeros(paths, dtype=np.int64)
+        self.failed: dict[int, NewtonDivergence] = {}
+
+    def raise_first(self) -> None:
+        """Raise the lowest failed path's error, the one a path loop meets first."""
+        if self.failed:
+            raise self.failed[min(self.failed)]
+
+
+def _march_row(problem, u, xi_rows, inc, dt, start, stop, cfg, stats, p):
+    """The row kernel over steps start .. stop - 1 of path p's own rows."""
     basis = problem.qwiener.basis
-    for k in range(start, stop):
-        dw = noise.increments[k] @ basis
-        u[k + 1] = _advance(problem, u[k], xi_rows[k], dw, dt, cfg, stats, 0)
+    counts = {"newton_iterations": 0, "dt_retries": 0}
+    try:
+        for k in range(start, stop):
+            u[k + 1] = _advance(
+                problem, u[k], xi_rows[k], inc[k] @ basis, dt, cfg, counts, 0
+            )
+    except NewtonDivergence as exc:
+        stats.failed[p] = exc
+    stats.newton_iterations[p] += counts["newton_iterations"]
+    stats.dt_retries[p] += counts["dt_retries"]
+
+
+def _march(problem, u, xi_rows, inc, dt, start, stop, cfg, stats):
+    """Fill rows start + 1 .. stop of every path's solve u, in place.
+
+    u and xi_rows are stacked per path as (paths, rows, N), inc as
+    (paths, n_steps, n_modes). Step k freezes path p's coefficient at
+    xi_rows[p, k] and takes its increment inc[p, k]. start is one row for
+    every path or one row per path: a path joins the batch at its own
+    start. A path already in stats.failed is skipped; one that fails after
+    every retry is added there and marched no further. solve_frozen,
+    staircase_construct and Picard share this loop, so the Picard limit
+    and the staircase stay equal bit for bit.
+    """
+    if len(u) == 1:
+        if not stats.failed:
+            first = int(np.ravel(start)[0])
+            _march_row(
+                problem, u[0], xi_rows[0], inc[0], dt, first, stop, cfg, stats, 0
+            )
+        return
+    basis = problem.qwiener.basis
+    start = np.broadcast_to(start, len(u))
+    live = np.ones(len(u), dtype=bool)
+    live[list(stats.failed)] = False
+    for k in range(int(start.min()), stop):
+        rows = np.flatnonzero(live & (start <= k))
+        redo = rows
+        if rows.size > 1:
+            dw = (inc[rows, k, None, :] @ basis)[:, 0]
+            uk, xk = u[rows, k], xi_rows[rows, k]
+            v, its, ok = _advance_rows(problem, uk, xk, dw, dt, cfg)
+            u[rows[ok], k + 1] = v[ok]
+            stats.newton_iterations[rows[ok]] += its[ok]
+            redo = rows[~ok]
+        for p in redo.tolist():
+            _march_row(problem, u[p], xi_rows[p], inc[p], dt, k, k + 1, cfg, stats, p)
+            live[p] = p not in stats.failed
 
 
 def solve_frozen(
@@ -394,13 +559,20 @@ def solve_frozen(
         )
     if not np.all(np.isfinite(xi.values)):
         raise ValueError("frozen trajectory contains non-finite values")
-    stats = {"newton_iterations": 0, "dt_retries": 0}
-    u = np.empty((tg.n_steps + 1, grid.n_interior))
-    u[0] = problem.initial_datum.values
-    _march(problem, u, xi.values, noise, 0, tg.n_steps, cfg, stats)
+    stats = _PathStats(1)
+    u = np.empty((1, tg.n_steps + 1, grid.n_interior))
+    u[0, 0] = problem.initial_datum.values
+    _march(
+        problem, u, xi.values[None], noise.increments[None], noise.timegrid.dt,
+        0, tg.n_steps, cfg, stats,
+    )
+    stats.raise_first()
     if collect_stats is not None:
-        collect_stats.update(stats)
-    return Trajectory.from_matrix(tg, grid, u)
+        collect_stats.update(
+            newton_iterations=int(stats.newton_iterations[0]),
+            dt_retries=int(stats.dt_retries[0]),
+        )
+    return Trajectory.from_matrix(tg, grid, u[0])
 
 
 def _operator_values(problem, u_values, xi_values):

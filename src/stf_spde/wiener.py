@@ -6,7 +6,9 @@ discretely orthonormal in L2. A QWienerSpec fixes the retained modes and
 their eigenvalues lambda_i > 0 (trace class). Two constructions share it:
 
   * sample_increments draws the independent N(0, lambda_i dt) mode
-    increments used to feed time steppers, and
+    increments used to feed time steppers (sample_increments_batch draws
+    them for many seeds at once, each path bit for bit its single-seed
+    draw), and
   * lc_scalar_bm / lc_q_wiener build Brownian paths level by level, each
     dyadic midpoint displaced by an independent Gaussian times
     2^{-(m+1)/2}; this is the partial sum of the tent-function series
@@ -42,6 +44,7 @@ __all__ = [
     "lc_scalar_bm",
     "lc_q_wiener",
     "sample_increments",
+    "sample_increments_batch",
     "tail_bound_probe",
     "assemble_field",
     "mode_coefficients",
@@ -55,6 +58,10 @@ _STREAM_LC_LEVEL = 0
 _STREAM_LC_MODE = 1
 _STREAM_INCREMENTS = 2
 _STREAM_TAIL = 3
+
+# seeds per draw in sample_increments_batch: bounds the key list and the
+# scratch rows, whatever the number of paths
+_DRAW_CHUNK = 1024
 
 _HEADER = struct.Struct("<qqQ")  # n_steps, n_modes, seed (seed is unsigned)
 
@@ -158,6 +165,29 @@ class NoisePath:
         return self.increments.shape[1]
 
 
+def sample_increments_batch(
+    spec: QWienerSpec, timegrid: TimeGrid, seeds
+) -> np.ndarray:
+    """Mode increments of many noise paths, (paths, n_steps, n_modes).
+
+    Path p is drawn from seeds[p] exactly as sample_increments draws it,
+    bit for bit, whatever the other seeds. The draws go in chunks of a
+    fixed number of seeds, so memory beyond the result stays bounded.
+    """
+    seeds = list(seeds)
+    scale = np.sqrt(spec.eigenvalues * timegrid.dt)
+    out = np.empty((len(seeds), timegrid.n_steps, spec.n_modes))
+    for a in range(0, len(seeds), _DRAW_CHUNK):
+        draws = standard_normal_rows(
+            seeds[a : a + _DRAW_CHUNK],
+            (_STREAM_INCREMENTS,),
+            spec.n_modes,
+            timegrid.n_steps,
+        )
+        out[a : a + _DRAW_CHUNK] = draws.transpose(0, 2, 1) * scale
+    return out
+
+
 def sample_increments(spec: QWienerSpec, timegrid: TimeGrid, seed: int) -> NoisePath:
     """Draw the independent N(0, lambda_i dt) mode increments.
 
@@ -165,10 +195,7 @@ def sample_increments(spec: QWienerSpec, timegrid: TimeGrid, seed: int) -> Noise
     (seed, mode), so any sub-block of modes can be regenerated alone and
     extending the truncation leaves earlier modes untouched.
     """
-    draws = standard_normal_rows(
-        seed, (_STREAM_INCREMENTS,), spec.n_modes, timegrid.n_steps
-    )
-    return NoisePath(timegrid, draws.T * np.sqrt(spec.eigenvalues * timegrid.dt), seed)
+    return NoisePath(timegrid, sample_increments_batch(spec, timegrid, [seed])[0], seed)
 
 
 def save_noise_path(noise: NoisePath, path: str) -> None:

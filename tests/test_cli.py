@@ -9,6 +9,8 @@ the documented exit codes (0 ok, 1 failed check, 2 config, 3 solver,
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +285,59 @@ class TestFixedPoint:
         assert main(["fixed-point", "--config", path, "--out", str(b)]) == 0
         assert read_tree(a) == read_tree(b)
 
+    def test_path_bits_unchanged_by_path_count(self, tmp_path):
+        path = write_config(
+            tmp_path / "run.ini",
+            overrides={"problem": {"example": "porous_sqrt_drift"}},
+        )
+        trees = {}
+        for paths in ("1", "3"):
+            out = tmp_path / paths
+            argv = ["fixed-point", "--config", path, "--out", str(out)]
+            assert main(argv + ["--paths", paths]) == 0
+            trees[paths] = read_tree(out)
+        assert "fixed_point_001.csv" not in trees["1"]
+        assert trees["1"]["fixed_point_000.csv"] == trees["3"]["fixed_point_000.csv"]
+        assert trees["3"]["fixed_point_001.csv"] != trees["3"]["fixed_point_000.csv"]
+
+    @pytest.mark.parametrize(
+        "sigma,newton_max_iter,paths,stderr",
+        [
+            (
+                "0.1", "2", "3",
+                "solver failure: no convergence in 2 iterations "
+                "(residual 3.299e-09, target 1.072e-10, dt 7.812e-03)\n",
+            ),
+            # paths 4, 6 and 7 fail at earlier steps than path 2, whose
+            # error a path-by-path loop meets first
+            (
+                "1.0", "3", "8",
+                "solver failure: no convergence in 3 iterations "
+                "(residual 3.221e-10, target 1.104e-10, dt 7.812e-03)\n",
+            ),
+        ],
+    )
+    def test_solver_failure_reports_the_lowest_failing_path(
+        self, tmp_path, capsys, sigma, newton_max_iter, paths, stderr
+    ):
+        path = write_config(
+            tmp_path / "run.ini",
+            overrides={
+                "problem": {"example": "porous_sqrt_drift", "sigma": sigma},
+                "discretization": {
+                    "grid_size": "31",
+                    "time_steps": "128",
+                    "dyadic_level": "3",
+                },
+                "noise": {"n_modes": "16"},
+                "run": {"paths": paths, "master_seed": "11"},
+                "tolerances": {"newton_max_iter": newton_max_iter, "dt_retries": "0"},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["fixed-point", "--config", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == stderr
+
 
 class TestVerify:
     def test_unknown_suite(self, tmp_path, capsys):
@@ -331,3 +386,16 @@ class TestUsage:
 
     def test_missing_required_config_flag(self):
         assert main(["simulate"]) == 2
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # brentq is imported where it is called: a fresh interpreter that only
+    # imports the CLI never loads scipy.optimize
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, stf_spde.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

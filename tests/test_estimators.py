@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from stf_spde import estimators
 from stf_spde.estimators import (
     EnergyReport,
     EstimateInvalid,
@@ -22,9 +23,16 @@ from stf_spde.estimators import (
 )
 from stf_spde.grids import Field, SpatialGrid, TripleKind, norm
 from stf_spde.projection import HaarLevel, TimeGrid, Trajectory, smoothed_seed
-from stf_spde.rng import gaussian_stream
-from stf_spde.solver import ProblemSpec, SolverConfig
-from stf_spde.wiener import QWienerSpec
+from stf_spde.fixed_point import staircase_construct
+from stf_spde.rng import gaussian_stream, path_seed
+from stf_spde.solver import (
+    KNOWN_EXAMPLES,
+    NewtonDivergence,
+    ProblemSpec,
+    SolverConfig,
+    solve_frozen,
+)
+from stf_spde.wiener import QWienerSpec, sample_increments
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +144,55 @@ class TestTrajectoryFunctionals:
             integral_v_power(traj, TripleKind.heat(), 0)
 
 
+def plain_path_samples(problem, timegrid, level, seeds, config):
+    """_path_samples written out: one staircase and one solve per path."""
+    triple, power = problem.triple, problem.time_power
+    out = []
+    for seed in seeds:
+        noise = sample_increments(problem.qwiener, timegrid, seed)
+        try:
+            xi = staircase_construct(problem, level, noise, config)
+            u = solve_frozen(problem, xi, noise, config)
+        except NewtonDivergence:
+            out.append(None)
+            continue
+        out.append(
+            (
+                pathwise_sup_H(u, triple),
+                integral_v_power(u, triple, power),
+                integral_v_power(xi, triple, power),
+            )
+        )
+    return out
+
+
 class TestEnergyReport:
+    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
+    def test_matches_plain_loop_bitwise(self, qspec, small_datum, example, monkeypatch):
+        prob = ProblemSpec(example, qspec, small_datum, m=2)
+        level = HaarLevel(3, smoothed_seed(small_datum, 3))
+        tg = TimeGrid(32)
+        got = energy_report(prob, level, tg, n_paths=16, seed_base=11)
+        monkeypatch.setattr(estimators, "_path_samples", plain_path_samples)
+        want = energy_report(prob, level, tg, n_paths=16, seed_base=11)
+        # repr spells every float field out to its last bit
+        assert repr(got) == repr(want)
+
+    def test_failed_path_is_none_and_counted(self, grid, qspec):
+        # sigma = 1 under 4 Newton iterations and no retries: of the 32
+        # paths path_seed(11, i), only path 11 fails, within the 5% cap
+        datum = Field(grid, np.sin(np.pi * grid.nodes))
+        prob = ProblemSpec("porous_sqrt_drift", qspec, datum, m=2, sigma=1.0)
+        level = HaarLevel(3, smoothed_seed(datum, 3))
+        config = SolverConfig(newton_max_iter=4, dt_retries=0)
+        tg = TimeGrid(128)
+        seeds = [path_seed(11, i) for i in range(32)]
+        samples = estimators._path_samples(prob, tg, level, seeds, config)
+        assert [i for i, r in enumerate(samples) if r is None] == [11]
+        assert repr(samples) == repr(plain_path_samples(prob, tg, level, seeds, config))
+        report = energy_report(prob, level, tg, n_paths=16, seed_base=11, config=config)
+        assert report.n_failures == 1
+
     def test_zero_configuration_vanishes(self, grid, qspec):
         # multiplicative noise vanishes on the zero state and the zero
         # seed freezes a zero drift, so every path is identically zero

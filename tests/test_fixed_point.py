@@ -34,7 +34,13 @@ from stf_spde.projection import (
     smoothed_seed,
 )
 from stf_spde.rng import path_seed
-from stf_spde.solver import KNOWN_EXAMPLES, ProblemSpec, solve_frozen
+from stf_spde.solver import (
+    KNOWN_EXAMPLES,
+    NewtonDivergence,
+    ProblemSpec,
+    SolverConfig,
+    solve_frozen,
+)
 from stf_spde.wiener import NoisePath, QWienerSpec, lc_q_wiener, sample_increments
 
 
@@ -176,9 +182,11 @@ class TestPicard:
         march = fixed_point._march
         steps = {}
 
-        def counted(problem, u, xi_rows, noise, start, stop, cfg, stats):
-            steps[noise.seed] = steps.get(noise.seed, 0) + max(stop - start, 0)
-            march(problem, u, xi_rows, noise, start, stop, cfg, stats)
+        def counted(problem, u, xi_rows, inc, dt, start, stop, cfg, stats):
+            # row i of the batch is path i; start is one row or one per path
+            for noise, first in zip(noises, np.broadcast_to(start, len(u))):
+                steps[noise.seed] = steps.get(noise.seed, 0) + max(stop - first, 0)
+            march(problem, u, xi_rows, inc, dt, start, stop, cfg, stats)
 
         monkeypatch.setattr(fixed_point, "_march", counted)
         _, diag = picard_iterate(heat_problem, level, noises)
@@ -367,6 +375,17 @@ def plain_picard(problem, level, noises, max_iter):
     )
 
 
+def failing_problem(qspec, small_datum):
+    """porous_sqrt_drift with sigma = 1 under a budget of 3 Newton iterations.
+
+    On the paths of path_seed(11, i), i < 8, paths 4, 6 and 7 fail at
+    earlier steps than path 2 does, so the error a path-by-path loop
+    raises first is not the first in time.
+    """
+    prob = ProblemSpec("porous_sqrt_drift", qspec, small_datum, m=2, sigma=1.0)
+    return prob, SolverConfig(newton_max_iter=3, dt_retries=0)
+
+
 class TestPicardOracle:
     @pytest.mark.parametrize(
         "example,max_iter",
@@ -377,7 +396,7 @@ class TestPicardOracle:
     ):
         prob = ProblemSpec(example, qspec, small_datum, m=2)
         tg = TimeGrid(128)
-        noises = [sample_increments(qspec, tg, path_seed(23, i)) for i in range(2)]
+        noises = [sample_increments(qspec, tg, path_seed(23, i)) for i in range(5)]
         iterates, diag = picard_iterate(prob, level, noises, max_iter=max_iter)
         want_iterates, want = plain_picard(prob, level, noises, max_iter)
         assert diag.converged == (max_iter == 9)
@@ -385,6 +404,28 @@ class TestPicardOracle:
         assert repr(diag) == repr(want)
         for got, expected in zip(iterates, want_iterates):
             assert got.values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
+    def test_permuted_noise_permutes_iterates(self, qspec, small_datum, level, example):
+        prob = ProblemSpec(example, qspec, small_datum, m=2)
+        tg = TimeGrid(128)
+        noises = [sample_increments(qspec, tg, path_seed(23, i)) for i in range(5)]
+        order = [3, 0, 4, 1, 2]
+        iterates, _ = picard_iterate(prob, level, noises)
+        permuted, _ = picard_iterate(prob, level, [noises[i] for i in order])
+        for got, i in zip(permuted, order):
+            assert got.values.tobytes() == iterates[i].values.tobytes()
+
+    def test_failure_is_the_plain_loops_first(self, qspec, small_datum, level):
+        prob, config = failing_problem(qspec, small_datum)
+        tg = TimeGrid(128)
+        noises = [sample_increments(qspec, tg, path_seed(11, i)) for i in range(8)]
+        with pytest.raises(NewtonDivergence) as want:
+            for noise in noises:
+                solve_frozen(prob, Trajectory.constant(tg, small_datum), noise, config)
+        with pytest.raises(NewtonDivergence) as got:
+            picard_iterate(prob, level, noises, config)
+        assert str(got.value) == str(want.value)
 
 
 class TestStaircase:
@@ -467,11 +508,14 @@ class TestStaircase:
     def test_sweep_solve_equals_resolve(self, qspec, small_datum, level, example):
         prob = ProblemSpec(example, qspec, small_datum, m=2)
         noise = sample_increments(qspec, TimeGrid(128), path_seed(17, 1))
-        xi, u = fixed_point._staircase_solve(prob, level, noise)
+        xi, u, stats = fixed_point._staircase_solve(
+            prob, level, noise.timegrid, noise.increments[None]
+        )
+        assert not stats.failed
         sweep = staircase_construct(prob, level, noise)
-        assert xi.values.tobytes() == sweep.values.tobytes()
+        assert xi[0].tobytes() == sweep.values.tobytes()
         resolve = solve_frozen(prob, sweep, noise)
-        assert u.values.tobytes() == resolve.values.tobytes()
+        assert u[0].tobytes() == resolve.values.tobytes()
 
     def test_rejects_indivisible_time_grid(self, heat_problem, level, qspec):
         noise = sample_increments(qspec, TimeGrid(12), 0)
@@ -479,7 +523,53 @@ class TestStaircase:
             staircase_construct(heat_problem, level, noise)
 
 
+def plain_continuity(problem, base, pert, epsilons, n_paths, seed, config=None):
+    """continuity_probe's distances written out, one solve_frozen at a time."""
+    tg, grid = base.timegrid, base.grid
+    noises = [
+        sample_increments(problem.qwiener, tg, path_seed(seed, i))
+        for i in range(n_paths)
+    ]
+    base_solutions = [solve_frozen(problem, base, noise, config) for noise in noises]
+    inputs, outputs = [], []
+    for e in epsilons:
+        shifted = Trajectory.from_matrix(tg, grid, base.values + e * pert.values)
+        inputs.append(xnorm_power_distance(shifted, base, problem))
+        dists = [
+            xnorm_power_distance(
+                solve_frozen(problem, shifted, noise, config), sol, problem
+            )
+            for noise, sol in zip(noises, base_solutions)
+        ]
+        outputs.append(float(np.mean(dists)))
+    return tuple(inputs), tuple(outputs)
+
+
 class TestContinuityProbe:
+    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
+    def test_matches_plain_loop_bitwise(self, qspec, small_datum, grid, example):
+        prob = ProblemSpec(example, qspec, small_datum, m=2)
+        tg = TimeGrid(32)
+        base = Trajectory.constant(
+            tg, Field(grid, np.abs(np.sin(2 * np.pi * grid.nodes)))
+        )
+        pert = Trajectory.constant(tg, Field(grid, np.sin(3 * np.pi * grid.nodes)))
+        eps = [1e-3, 1e-2, 1e-1, 1.0]
+        result = continuity_probe(prob, base, pert, eps, n_paths=6, seed=3)
+        inputs, outputs = plain_continuity(prob, base, pert, eps, 6, 3)
+        assert repr(result.input_distances) == repr(inputs)
+        assert repr(result.output_distances) == repr(outputs)
+
+    def test_failure_is_the_plain_loops_first(self, qspec, small_datum, coeff_pair):
+        prob, config = failing_problem(qspec, small_datum)
+        base, pert = coeff_pair
+        eps = [1e-2, 1e-1, 1.0]
+        with pytest.raises(NewtonDivergence) as want:
+            plain_continuity(prob, base, pert, eps, 8, 11, config)
+        with pytest.raises(NewtonDivergence) as got:
+            continuity_probe(prob, base, pert, eps, n_paths=8, seed=11, config=config)
+        assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize(
         "example,target,frozen",
         [

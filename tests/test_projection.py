@@ -12,6 +12,8 @@ from stf_spde.projection import (
     HaarLevel,
     TimeGrid,
     Trajectory,
+    _block_average,
+    _shifted_rows,
     fractional_seminorm,
     haar_rate_experiment,
     proj_shifted,
@@ -514,3 +516,22 @@ def test_csv_round_trip(tmp_path, csv_reference, extreme_floats):
         with open(bad, "w") as fh:
             fh.write("a,b\n1,2\n")
         trajectory_from_csv(bad)
+
+
+def test_block_average_and_projection_of_a_path_stack_are_per_path_bits():
+    # (paths, rows, N) against the 2-D form of every path
+    grid = SpatialGrid(31)
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((9, 129, grid.n_interior)) * 10.0 ** rng.uniform(
+        -6, 3, (9, 1, 1)
+    )
+    for s in (16, 32):
+        for k in range(128 // s):
+            stacked = _block_average(u, k, s)
+            assert stacked.shape == (9, grid.n_interior)
+            for p in range(9):
+                assert stacked[p].tobytes() == _block_average(u[p], k, s).tobytes()
+    level = HaarLevel(3, sine_field(grid, 2))
+    stacked = _shifted_rows(u, level, 16)
+    for p in range(9):
+        assert stacked[p].tobytes() == _shifted_rows(u[p], level, 16).tobytes()

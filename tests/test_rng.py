@@ -28,3 +28,18 @@ def test_rows_match_single_streams(seed, prefix, lanes, size):
     for j in range(lanes):
         expected = gaussian_stream(seed, *prefix, j + 1).standard_normal(size)
         assert np.array_equal(rows[j], expected)
+
+
+@pytest.mark.parametrize("prefix, lanes, size", [((2,), 16, 4), ((7, 3), 5, 33)])
+def test_rows_for_many_seeds_match_single_streams(prefix, lanes, size):
+    seeds = [0, 2**64 - 1, derive_key(11, 4), 12345, derive_key(11, 4)]
+    rows = standard_normal_rows(seeds, prefix, lanes, size)
+    assert rows.shape == (len(seeds), lanes, size)
+    for s, seed in enumerate(seeds):
+        assert np.array_equal(rows[s], standard_normal_rows(seed, prefix, lanes, size))
+        for j in range(lanes):
+            expected = gaussian_stream(seed, *prefix, j + 1).standard_normal(size)
+            assert np.array_equal(rows[s, j], expected)
+    as_array = np.array(seeds, dtype=np.uint64)
+    assert np.array_equal(standard_normal_rows(as_array, prefix, lanes, size), rows)
+    assert standard_normal_rows([], prefix, lanes, size).shape == (0, lanes, size)

@@ -452,6 +452,152 @@ class TestSolveFrozen:
             solve_frozen(prob, xi, zero_noise(tg, 16))
 
 
+def row_kernel_march(problem, u, xi_rows, inc, dt, starts, stop, cfg):
+    """The path-by-path reference: _advance step by step on each row alone.
+
+    Returns each row's (Newton iterations, dt retries, error message or None).
+    """
+    basis = problem.qwiener.basis
+    records = []
+    for p, first in enumerate(starts):
+        counts = {"newton_iterations": 0, "dt_retries": 0}
+        error = None
+        try:
+            for k in range(first, stop):
+                u[p, k + 1] = solver._advance(
+                    problem, u[p, k], xi_rows[p, k], inc[p, k] @ basis, dt, cfg,
+                    counts, 0,
+                )
+        except NewtonDivergence as exc:
+            error = str(exc)
+        records.append((counts["newton_iterations"], counts["dt_retries"], error))
+    return records
+
+
+class TestBatchedMarch:
+    """The batched march against the row kernel, row by row and bit for bit."""
+
+    # amplitudes from easy to failing at dt = 1e-3 with sigma = 1
+    AMPLITUDES = (0.05, 0.1, 0.3, 1.0, 2.0, 4.0, 8.0)
+
+    def batch_inputs(self, grid, qspec, dt, seed=5):
+        rng = np.random.default_rng(seed)
+        rows = len(self.AMPLITUDES)
+        u = np.full((rows, 5, grid.n_interior), np.nan)
+        u[:, :3] = np.asarray(self.AMPLITUDES)[:, None, None] * rng.standard_normal(
+            (rows, 3, grid.n_interior)
+        )
+        xi = np.abs(rng.standard_normal((rows, 5, grid.n_interior)))
+        inc = rng.standard_normal((rows, 4, 16)) * np.sqrt(qspec.eigenvalues * dt)
+        return u, xi, inc
+
+    @pytest.mark.parametrize(
+        "example,needs_halving",
+        [("porous_sqrt_drift", False), ("porous_gradient_noise", True)],
+    )
+    def test_matches_row_kernel_with_halvings_and_retries(
+        self, grid, qspec, example, needs_halving
+    ):
+        # newton_max_iter = 5 leaves some rows plain, splits some into
+        # half steps and fails the largest ones after both retries
+        prob = ProblemSpec(example, qspec, zero_field(grid), m=2, sigma=1.0)
+        cfg = SolverConfig(newton_max_iter=5, dt_retries=2)
+        dt = 1e-3
+        u, xi, inc = self.batch_inputs(grid, qspec, dt)
+        # rows join the batch at their own start row
+        starts = np.array([0, 1, 0, 2, 0, 1, 0])
+        want = u.copy()
+        records = row_kernel_march(prob, want, xi, inc, dt, starts, 4, cfg)
+        stats = solver._PathStats(len(u))
+        solver._march(prob, u, xi, inc, dt, starts, 4, cfg, stats)
+        for p, (its, retries, error) in enumerate(records):
+            assert stats.newton_iterations[p] == its
+            assert stats.dt_retries[p] == retries
+            if error is None:
+                assert p not in stats.failed
+                assert u[p].tobytes() == want[p].tobytes()
+            else:
+                assert str(stats.failed[p]) == error
+        # the data reach every branch: plain rows, split rows, failed rows
+        assert any(r == 0 and e is None for _, r, e in records)
+        assert any(r > 0 and e is None for _, r, e in records)
+        assert any(e is not None for _, _, e in records)
+        if needs_halving:
+            # some full step the batch took backtracks: the row kernel
+            # finishes it, but gives up on it without halvings
+            no_halving = dataclasses.replace(
+                cfg, newton_max_iter=50, newton_max_halvings=0
+            )
+            backtracked = False
+            for p, k in zip(*np.nonzero(np.isfinite(want[:, 1:, 0]))):
+                if k < starts[p]:
+                    continue
+                uk, xk = want[p, k], xi[p, k]
+                dw = inc[p, k] @ qspec.basis
+                noise = solver._porous_noise(prob, uk, xk, dw)
+                rhs = uk + dt * signed_power_values(xk, 0.5) + noise
+                try:
+                    solver._newton_porous(grid, uk, rhs, dt, 2, cfg)
+                except NewtonDivergence:
+                    continue  # a step split into half steps
+                try:
+                    solver._newton_porous(grid, uk, rhs, dt, 2, no_halving)
+                except NewtonDivergence as exc:
+                    backtracked |= "damping stalled" in str(exc)
+            assert backtracked
+
+    def test_heat_batch_fails_only_the_non_finite_row(self, grid, qspec):
+        prob = ProblemSpec("heat_sqrt_drift", qspec, zero_field(grid))
+        cfg = SolverConfig()
+        dt = 1e-2
+        u, xi, inc = self.batch_inputs(grid, qspec, dt)
+        inc[4, 1, 3] = np.nan
+        starts = np.zeros(len(u), dtype=int)
+        want = u.copy()
+        records = row_kernel_march(prob, want, xi, inc, dt, starts, 4, cfg)
+        stats = solver._PathStats(len(u))
+        solver._march(prob, u, xi, inc, dt, 0, 4, cfg, stats)
+        assert list(stats.failed) == [4]
+        assert str(stats.failed[4]) == records[4][2]
+        assert "non-finite" in records[4][2]
+        assert stats.dt_retries[4] == cfg.dt_retries
+        for p in range(len(u)):
+            if p != 4:
+                assert u[p].tobytes() == want[p].tobytes()
+                assert stats.dt_retries[p] == 0
+
+    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
+    def test_path_bits_do_not_depend_on_batch(self, grid, qspec, example):
+        # one path marched alone, in a batch of 3, and in a permuted batch
+        # of 64, over a full time grid
+        prob = ProblemSpec(example, qspec, sine_field(grid, 1, 0.1), m=2)
+        tg = TimeGrid(32)
+        cfg = SolverConfig()
+        noises = [sample_increments(qspec, tg, 100 + i) for i in range(64)]
+        rng = np.random.default_rng(1)
+        coeff = np.abs(rng.standard_normal((64, tg.n_steps + 1, grid.n_interior)))
+
+        def march(order):
+            u = np.empty((len(order), tg.n_steps + 1, grid.n_interior))
+            u[:, 0] = prob.initial_datum.values
+            stats = solver._PathStats(len(order))
+            inc = np.stack([noises[i].increments for i in order])
+            solver._march(prob, u, coeff[order], inc, tg.dt, 0, tg.n_steps, cfg, stats)
+            assert not stats.failed
+            return u
+
+        alone = [march([i])[0] for i in range(3)]
+        assert [row.tobytes() for row in march([0, 1, 2])] == [
+            row.tobytes() for row in alone
+        ]
+        order = rng.permutation(64)
+        big = march(order)
+        for i in range(3):
+            assert big[list(order).index(i)].tobytes() == alone[i].tobytes()
+        solo = solve_frozen(prob, Trajectory.from_matrix(tg, grid, coeff[0]), noises[0])
+        assert solo.values.tobytes() == alone[0].tobytes()
+
+
 class TestProblemSpec:
     def test_rejects_unknown_example(self, grid, qspec):
         with pytest.raises(ValueError):

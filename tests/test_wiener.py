@@ -20,6 +20,7 @@ from stf_spde.wiener import (
     load_noise_path,
     mode_coefficients,
     sample_increments,
+    sample_increments_batch,
     save_noise_path,
     schauder_function,
     tail_bound_probe,
@@ -349,6 +350,21 @@ def test_sample_increments_are_scaled_mode_streams(n_steps, seed):
         draws = gaussian_stream(seed, 2, i + 1).standard_normal(n_steps)
         expected = np.sqrt(spec.eigenvalues[i] * timegrid.dt) * draws
         assert np.array_equal(inc[:, i], expected)
+
+
+def test_batch_rows_match_single_seed_draws():
+    # 2,500 seeds cross the internal draw chunks twice; the repeated seed
+    # gets the same row wherever it sits
+    spec = QWienerSpec.power_decay(SpatialGrid(31), 16, 1.0)
+    timegrid = TimeGrid(4)
+    seeds = [path_seed(101, i) for i in range(2500)] + [path_seed(101, 7)]
+    rows = sample_increments_batch(spec, timegrid, seeds)
+    assert rows.shape == (len(seeds), 4, 16)
+    assert rows.flags.c_contiguous
+    for row, seed in zip(rows, seeds):
+        single = sample_increments(spec, timegrid, seed)
+        assert row.tobytes() == single.increments.tobytes()
+    assert sample_increments_batch(spec, timegrid, []).shape == (0, 4, 16)
 
 
 def test_sample_increments_concurrent_calls_match_serial():
