@@ -59,22 +59,19 @@ def gaussian_stream(master_seed: int, *indices: int) -> np.random.Generator:
 
 
 def standard_normal_rows(
-    master_seeds: int | Sequence[int], prefix: tuple[int, ...], lanes: int, size: int
+    master_seeds: Sequence[int], prefix: tuple[int, ...], lanes: int, size: int
 ) -> np.ndarray:
-    """Standard normals per seed and lane, row j from stream (*prefix, j + 1).
+    """(seeds, lanes, size) standard normals, row j from stream (*prefix, j + 1).
 
-    master_seeds is one seed, giving a (lanes, size) array, or a sequence
-    of them, giving (seeds, lanes, size). Row j of seed s equals
-    ``gaussian_stream(s, *prefix, j + 1).standard_normal(size)`` bit for
-    bit. Every (seed, lane) key comes out of one splitmix64 pass over the
-    arrays. The generator is local to the call, so concurrent calls share
-    no state.
+    Row j of seed s equals ``gaussian_stream(s, *prefix, j + 1)
+    .standard_normal(size)`` bit for bit. Each seed's base key is
+    derive_key(s, *prefix), and every (seed, lane) key comes out of one
+    splitmix64 pass over those bases. The generator is local to the call,
+    so concurrent calls share no state.
     """
-    single = isinstance(master_seeds, (int, np.integer))
-    seeds = [master_seeds] if single else master_seeds
-    base = np.fromiter((int(s) & _MASK64 for s in seeds), dtype=np.uint64)
-    for ix in prefix:
-        base = splitmix64(base ^ np.uint64(ix & _MASK64))
+    base = np.fromiter(
+        (derive_key(int(s), *prefix) for s in master_seeds), dtype=np.uint64
+    )
     lanes_ix = np.arange(1, lanes + 1, dtype=np.uint64)
     keys = splitmix64(base[:, None] ^ lanes_ix).ravel().tolist()
     # a fixed seed spares the OS-entropy draw; the key is replaced per lane
@@ -93,4 +90,4 @@ def standard_normal_rows(
             "uinteger": 0,
         }
         out[j] = gen.standard_normal(size)
-    return out.reshape((lanes, size) if single else (len(base), lanes, size))
+    return out.reshape(len(base), lanes, size)

@@ -174,25 +174,29 @@ def _check_step_inputs(u: Field, xi: Field, dw: Field, dt: float) -> None:
         raise ValueError(f"dt must be positive, got {dt}")
 
 
-def _heat_step(grid, u, xi, dw, dt, sigma):
-    """Heat step on raw nodal values; see step_heat."""
-    rhs = u + dt * signed_power_values(xi, 0.5) + sigma * u * dw
-    # the banded solve below skips its own finite check
-    if not np.all(np.isfinite(rhs)):
-        raise NewtonDivergence(f"non-finite heat right-hand side (dt {dt:.3e})")
-    return solveh_banded(_implicit_band(grid, dt), rhs, check_finite=False)
+def _step_rhs(u, xi, noise, dt):
+    """Right-hand side u + dt xi^{[1/2]} + noise of every step, row-wise."""
+    return u + dt * signed_power_values(xi, 0.5) + noise
 
 
 def _heat_rows(grid, u, xi, dw, dt, sigma):
-    """_heat_step on a (rows, N) batch, in one multi-right-hand-side solve.
+    """Heat step on one row or a (rows, N) batch, in one solve; see step_heat.
 
     Returns (v, ok). LAPACK solves the columns of the (N, rows) right-hand
-    side one by one, so each row gets the row kernel's bits; a row whose
+    side one by one, so each row gets the one-row bits; a row whose
     right-hand side is not finite comes back with ok False.
     """
-    rhs = u + dt * signed_power_values(xi, 0.5) + sigma * u * dw
+    rhs = _step_rhs(u, xi, sigma * u * dw, dt)
     ok = np.all(np.isfinite(rhs), axis=-1)
     return solveh_banded(_implicit_band(grid, dt), rhs.T, check_finite=False).T, ok
+
+
+def _heat_step(grid, u, xi, dw, dt, sigma):
+    """Heat step on one row of raw nodal values; see step_heat."""
+    v, ok = _heat_rows(grid, u, xi, dw, dt, sigma)
+    if not ok:
+        raise NewtonDivergence(f"non-finite heat right-hand side (dt {dt:.3e})")
+    return v
 
 
 def step_heat(u_k: Field, xi_k: Field, dw_k: Field, dt: float, sigma: float = 0.1) -> Field:
@@ -321,8 +325,7 @@ def _newton_rows(grid, u_start, rhs, dt, m, config):
 
 def _porous_step(grid, u, xi, noise, dt, m, config):
     """Porous step on raw nodal values; returns (v, Newton iterations)."""
-    rhs = u + dt * signed_power_values(xi, 0.5) + noise
-    return _newton_porous(grid, u, rhs, dt, m, config)
+    return _newton_porous(grid, u, _step_rhs(u, xi, noise, dt), dt, m, config)
 
 
 def step_porous(
@@ -440,8 +443,7 @@ def _advance_rows(problem, u, xi_k, dw, dt, cfg):
     if problem.example == "heat_sqrt_drift":
         v, ok = _heat_rows(grid, u, xi_k, dw, dt, problem.sigma)
         return v, np.zeros(len(u), dtype=np.int64), ok
-    noise = _porous_noise(problem, u, xi_k, dw)
-    rhs = u + dt * signed_power_values(xi_k, 0.5) + noise
+    rhs = _step_rhs(u, xi_k, _porous_noise(problem, u, xi_k, dw), dt)
     return _newton_rows(grid, u, rhs, dt, problem.m, cfg)
 
 
@@ -490,13 +492,6 @@ def _march(problem, u, xi_rows, inc, dt, start, stop, cfg, stats):
     staircase_construct and Picard share this loop, so the Picard limit
     and the staircase stay equal bit for bit.
     """
-    if len(u) == 1:
-        if not stats.failed:
-            first = int(np.ravel(start)[0])
-            _march_row(
-                problem, u[0], xi_rows[0], inc[0], dt, first, stop, cfg, stats, 0
-            )
-        return
     basis = problem.qwiener.basis
     start = np.broadcast_to(start, len(u))
     live = np.ones(len(u), dtype=bool)

@@ -23,7 +23,7 @@ def test_splitmix64_on_arrays_matches_ints():
     ],
 )
 def test_rows_match_single_streams(seed, prefix, lanes, size):
-    rows = standard_normal_rows(seed, prefix, lanes, size)
+    rows = standard_normal_rows([seed], prefix, lanes, size)[0]
     assert rows.shape == (lanes, size)
     for j in range(lanes):
         expected = gaussian_stream(seed, *prefix, j + 1).standard_normal(size)
@@ -36,7 +36,7 @@ def test_rows_for_many_seeds_match_single_streams(prefix, lanes, size):
     rows = standard_normal_rows(seeds, prefix, lanes, size)
     assert rows.shape == (len(seeds), lanes, size)
     for s, seed in enumerate(seeds):
-        assert np.array_equal(rows[s], standard_normal_rows(seed, prefix, lanes, size))
+        assert np.array_equal(rows[s], standard_normal_rows([seed], prefix, lanes, size)[0])
         for j in range(lanes):
             expected = gaussian_stream(seed, *prefix, j + 1).standard_normal(size)
             assert np.array_equal(rows[s, j], expected)
