@@ -24,12 +24,13 @@ one solver call for the batch: a multi-right-hand-side SPD solve for heat,
 and for porous a masked damped Newton whose iterations each make one
 block-diagonal tridiagonal solve over the rows still iterating (the blocks
 are joined by zero couplings), each row keeping its own Armijo step length
-and iteration count. A batch of one row, and any row the batch could not
-finish, goes through the row kernel instead: the per-path step with its
-half-step retries. Each row's noise projection is one stacked
-vector-matrix product, (inc[:, k, None, :] @ basis)[:, 0], which gives the
-bits of the row kernel's gemv inc[k] @ basis; the plain matrix product
-inc[:, k] @ basis is a gemm and rounds differently. Every kernel works row
+and iteration count. A lone row, up to the step at which another path
+joins it, and any row the batch could not finish go through the row
+kernel instead: the per-path step with its half-step retries. Each row's
+noise projection is one stacked vector-matrix product,
+(inc[:, k, None, :] @ basis)[:, 0], which gives the bits of the row
+kernel's gemv inc[k] @ basis; the plain matrix product inc[:, k] @ basis
+is a gemm and rounds differently. Every kernel works row
 by row in the same floating-point operations, so a path's bits do not
 depend on its batch: on how many paths are stepped with it, in which
 order, or whether it is stepped alone.
@@ -496,9 +497,10 @@ def _march(problem, u, xi_rows, inc, dt, start, stop, cfg, stats):
     start = np.broadcast_to(start, len(u))
     live = np.ones(len(u), dtype=bool)
     live[list(stats.failed)] = False
-    for k in range(int(start.min()), stop):
+    k = int(start.min())
+    while k < stop:
         rows = np.flatnonzero(live & (start <= k))
-        redo = rows
+        redo, until = rows, k + 1
         if rows.size > 1:
             dw = (inc[rows, k, None, :] @ basis)[:, 0]
             uk, xk = u[rows, k], xi_rows[rows, k]
@@ -506,9 +508,14 @@ def _march(problem, u, xi_rows, inc, dt, start, stop, cfg, stats):
             u[rows[ok], k + 1] = v[ok]
             stats.newton_iterations[rows[ok]] += its[ok]
             redo = rows[~ok]
+        else:
+            # a lone row has no batch to wait for until the next path joins
+            later = start[start > k]
+            until = min(int(later.min()), stop) if later.size else stop
         for p in redo.tolist():
-            _march_row(problem, u[p], xi_rows[p], inc[p], dt, k, k + 1, cfg, stats, p)
+            _march_row(problem, u[p], xi_rows[p], inc[p], dt, k, until, cfg, stats, p)
             live[p] = p not in stats.failed
+        k = until
 
 
 def solve_frozen(

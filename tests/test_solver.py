@@ -546,6 +546,24 @@ class TestBatchedMarch:
                     backtracked |= "damping stalled" in str(exc)
             assert backtracked
 
+    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
+    def test_lone_row_marches_until_the_next_path_joins(self, grid, qspec, example):
+        # row 2 steps alone until row 0 joins it at step 1 and rows 1, 3 at 2
+        prob = ProblemSpec(example, qspec, zero_field(grid), m=2)
+        cfg = SolverConfig()
+        dt = 1e-3
+        u, xi, inc = (a[:4] for a in self.batch_inputs(grid, qspec, dt))
+        starts = np.array([1, 2, 0, 2])
+        want = u.copy()
+        records = row_kernel_march(prob, want, xi, inc, dt, starts, 4, cfg)
+        stats = solver._PathStats(len(u))
+        solver._march(prob, u, xi, inc, dt, starts, 4, cfg, stats)
+        assert not stats.failed
+        assert all(error is None for _, _, error in records)
+        assert stats.newton_iterations.tolist() == [its for its, _, _ in records]
+        assert stats.dt_retries.tolist() == [r for _, r, _ in records]
+        assert u.tobytes() == want.tobytes()
+
     def test_heat_batch_fails_only_the_non_finite_row(self, grid, qspec):
         prob = ProblemSpec("heat_sqrt_drift", qspec, zero_field(grid))
         cfg = SolverConfig()
