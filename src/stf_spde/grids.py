@@ -20,6 +20,18 @@ laplacian_values, inv_neg_laplacian_values, norm_values and TripleKind's
 function and a (..., N) array a batch of them. A batch gives each row the
 bits of that row alone, except that the Lp norm's final root, taken as an
 array power, may differ from the scalar one in the last bit.
+
+Every banded solve in the package goes through the seam below, one
+function per LAPACK routine of scipy.linalg.lapack: solve_banded (dgtsv,
+general tridiagonal), solveh_banded (dptsv, SPD tridiagonal),
+cho_solve_banded (dpbtrs, against a banded Cholesky factor) and
+solve_factor_transposed (dgbsv, lower bidiagonal). Each makes the call
+scipy.linalg's validating wrapper of the same name would make, so the
+bits are the wrapper's, at about a tenth of its cost per call. The seam
+keeps scipy's names because the benchmark's layer table wraps them where
+they are bound (solve_banded and solveh_banded in solver,
+cho_solve_banded here); its signatures are narrowed to what the callers
+pass, and none of them checks its input for finiteness.
 """
 
 from __future__ import annotations
@@ -28,7 +40,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dgbsv, dgtsv, dpbtrs, dptsv
 
 __all__ = [
     "SpatialGrid",
@@ -169,6 +183,75 @@ def discrete_laplacian(u: Field) -> Field:
     return Field(u.grid, laplacian_values(u.grid, np.asarray(u.values)))
 
 
+def _check_info(routine: str, info: int) -> None:
+    """Raise what scipy's wrappers raise on a nonzero LAPACK info."""
+    if info > 0:
+        raise LinAlgError(f"{routine}: singular or not positive definite (info {info})")
+    if info < 0:
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
+
+
+def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a general tridiagonal system by dgtsv.
+
+    Narrowed from scipy.linalg.solve_banded((1, 1), ab, b): ab is the
+    float (3, N) band in that layout with N >= 2, and b is (N,) or
+    (N, rows). Neither is modified.
+
+    Raises:
+        LinAlgError: the matrix is singular.
+    """
+    _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    _check_info("dgtsv", info)
+    return x
+
+
+def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve an SPD tridiagonal system by dptsv.
+
+    Narrowed from scipy.linalg.solveh_banded(ab, b): ab is the float
+    (2, N) upper band in that layout, and b is (N,) or (N, rows); an
+    (N, rows) right-hand side is one call. Neither is modified.
+
+    Raises:
+        LinAlgError: the matrix is not positive definite.
+    """
+    _, _, x, info = dptsv(ab[1], ab[0, 1:], b)
+    _check_info("dptsv", info)
+    return x
+
+
+def cho_solve_banded(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b by dpbtrs, given the upper banded Cholesky factor of A.
+
+    Narrowed from scipy.linalg.cho_solve_banded((cb, False), b): cb is
+    the factor cholesky_banded returns in its upper form (it may be
+    read-only), and b is (N,) or (N, rows). Neither is modified.
+    """
+    x, info = dpbtrs(cb, b)
+    _check_info("dpbtrs", info)
+    return x
+
+
+def solve_factor_transposed(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve R^T x = b by dgbsv, for an upper bidiagonal Cholesky factor R.
+
+    cb is R in cholesky_banded's (2, N) upper form, and b is (N,) or
+    (N, rows). R^T is lower bidiagonal; it is stored in the (3, N) array
+    scipy.linalg.solve_banded((1, 0), ...) hands to dgbsv, so the bits are
+    that call's. Neither input is modified.
+
+    Raises:
+        LinAlgError: R has a zero diagonal entry.
+    """
+    ab = np.zeros((3, cb.shape[1]))
+    ab[1] = cb[1]
+    ab[2, :-1] = cb[0, 1:]
+    _, _, x, info = dgbsv(1, 0, ab, b, overwrite_ab=True)
+    _check_info("dgbsv", info)
+    return x
+
+
 @functools.lru_cache(maxsize=32)
 def _neg_lap_cholesky(n_interior: int) -> np.ndarray:
     """Banded Cholesky factor of -Lap_h (SPD tridiagonal), upper form."""
@@ -206,9 +289,9 @@ def inv_neg_laplacian_values(grid: SpatialGrid, values: np.ndarray) -> np.ndarra
     # LAPACK solves the columns of an (N, rows) right-hand side; the
     # Fortran-order result transposes back to contiguous rows, on which
     # np.vecdot gives np.dot's bits
-    u = cho_solve_banded((cb, False), rows.T).T
+    u = cho_solve_banded(cb, rows.T).T
     resid = rows + laplacian_values(grid, u)
-    u += cho_solve_banded((cb, False), resid.T).T
+    u += cho_solve_banded(cb, resid.T).T
     return u.reshape(values.shape)
 
 

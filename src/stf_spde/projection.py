@@ -25,9 +25,16 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
 
-from .grids import Field, SpatialGrid, _implicit_band, _neg_lap_cholesky, norm_values
+from .grids import (
+    Field,
+    SpatialGrid,
+    _implicit_band,
+    _neg_lap_cholesky,
+    norm_values,
+    solve_factor_transposed,
+    solveh_banded,
+)
 
 __all__ = [
     "TimeGrid",
@@ -197,7 +204,8 @@ def smoothed_seed(u0: Field, n: int) -> Field:
     if n < 1:
         raise ValueError(f"smoothing level must be >= 1, got {n}")
     band = _implicit_band(u0.grid, 2.0**-n)
-    return Field(u0.grid, solveh_banded(band, np.asarray(u0.values)))
+    # the LAPACK seam takes non-finite input silently; a NaN datum raises here
+    return Field(u0.grid, solveh_banded(band, np.asarray_chkfinite(u0.values)))
 
 
 def _euclidean_embedding(grid: SpatialGrid, u: np.ndarray, kind: str) -> np.ndarray:
@@ -211,9 +219,9 @@ def _euclidean_embedding(grid: SpatialGrid, u: np.ndarray, kind: str) -> np.ndar
     if kind == "Hminus1":
         # -Lap_h = R^T R (banded Cholesky, R upper bidiagonal), so
         # |f|_Hminus1^2 = h f^T (R^T R)^{-1} f = |sqrt(h) R^{-T} f|_2^2.
-        cb = _neg_lap_cholesky(grid.n_interior)
-        lower = np.vstack([cb[1], np.append(cb[0, 1:], 0.0)])
-        x = solve_banded((1, 0), lower, u.T)
+        x = solve_factor_transposed(
+            _neg_lap_cholesky(grid.n_interior), np.asarray_chkfinite(u).T
+        )
         return np.sqrt(h) * x.T
     raise ValueError(f"unknown norm kind {kind!r}")
 

@@ -18,12 +18,17 @@ satisfies |F|_L2 <= newton_tol (1 + |rhs|_L2), otherwise NewtonDivergence
 is raised and the caller may retry with a halved step (the increment dW is
 split in half so its sum is preserved).
 
+Every tridiagonal solve goes straight to LAPACK through the seam in grids:
+dptsv for the heat step and dgtsv for each Newton iteration, with the bits
+of scipy's validating wrappers. They are bound here under scipy's names,
+solveh_banded and solve_banded.
+
 The march behind solve_frozen and every ensemble steps a whole batch of
 noise paths at once, its state stacked as (paths, rows, N). One step costs
-one solver call for the batch: a multi-right-hand-side SPD solve for heat,
+one solver call for the batch: one multi-right-hand-side dptsv for heat,
 and for porous a masked damped Newton whose iterations each make one
-block-diagonal tridiagonal solve over the rows still iterating (the blocks
-are joined by zero couplings), each row keeping its own Armijo step length
+block-diagonal dgtsv call over the rows still iterating (the blocks are
+joined by zero couplings), each row keeping its own Armijo step length
 and iteration count. A lone row, up to the step at which another path
 joins it, and any row the batch could not finish go through the row
 kernel instead: the per-path step with its half-step retries. Each row's
@@ -46,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
 
 from .grids import (
     Field,
@@ -56,6 +60,8 @@ from .grids import (
     laplacian_values,
     norm_values,
     signed_power_values,
+    solve_banded,
+    solveh_banded,
 )
 from .projection import Trajectory, _write_csv
 from .rng import gaussian_stream
@@ -189,7 +195,7 @@ def _heat_rows(grid, u, xi, dw, dt, sigma):
     """
     rhs = _step_rhs(u, xi, sigma * u * dw, dt)
     ok = np.all(np.isfinite(rhs), axis=-1)
-    return solveh_banded(_implicit_band(grid, dt), rhs.T, check_finite=False).T, ok
+    return solveh_banded(_implicit_band(grid, dt), rhs.T).T, ok
 
 
 def _heat_step(grid, u, xi, dw, dt, sigma):
@@ -246,7 +252,7 @@ def _newton_porous(grid, u_start, rhs, dt, m, config):
         # v and fv are finite: the starting guard and the rt < rn acceptance
         # below never let a non-finite residual through. A finite residual
         # bounds dt m |v|^(m-1) / h^2, so the band is finite as well.
-        delta = solve_banded((1, 1), ab, -fv, check_finite=False)
+        delta = solve_banded(ab, -fv)
         lam = 1.0
         for _ in range(config.newton_max_halvings + 1):
             trial = v + lam * delta
@@ -270,8 +276,8 @@ def _newton_rows(grid, u_start, rhs, dt, m, config):
 
     Each row runs the row kernel's iteration in the same floating-point
     operations, so it ends on that kernel's iterate and count, bit for
-    bit. One block-diagonal solve_banded call per iteration covers the
-    rows still above their target, and each of them backtracks with its
+    bit. One block-diagonal dgtsv call per iteration covers the rows
+    still above their target, and each of them backtracks with its
     own step length. A row on which _newton_porous raises (non-finite
     start, iteration budget or halvings spent) stops with ok False.
     """
@@ -299,9 +305,7 @@ def _newton_rows(grid, u_start, rhs, dt, m, config):
         # them zero, elimination leaves every block its own bits
         ab[0, :, 0] = 0.0
         ab[2, :, -1] = 0.0
-        delta = solve_banded(
-            (1, 1), ab.reshape(3, -1), -fv[active].ravel(), check_finite=False
-        ).reshape(d.shape)
+        delta = solve_banded(ab.reshape(3, -1), -fv[active].ravel()).reshape(d.shape)
         lam = np.ones(active.size)
         trial, ft = np.empty_like(delta), np.empty_like(delta)
         rt = np.empty(active.size)
