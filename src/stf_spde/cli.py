@@ -282,33 +282,51 @@ def _write_manifest(out_dir: str, command: str, cfg: RunConfig, outputs: list[st
         fh.write("\n")
 
 
+def _simulate_paths(problem, level, noises, solver_cfg):
+    """Every path's staircase fixed point and its re-solve, each in one batch.
+
+    Failures are reported as a path-by-path loop meets them. That loop
+    re-solves path q before it sweeps path q + 1, and a re-solve also
+    marches the last dyadic block, which the sweep never does. So when the
+    sweep fails at path p, the paths before p are re-solved before the
+    sweep's error is raised, and the first of them to fail is raised
+    instead.
+    """
+    try:
+        xi = staircase_construct(problem, level, noises, solver_cfg)
+    except NewtonDivergence as exc:
+        if exc.path:
+            earlier = noises[: exc.path]
+            xi = staircase_construct(problem, level, earlier, solver_cfg)
+            solve_frozen(problem, xi, earlier, solver_cfg)
+        raise
+    return xi, solve_frozen(problem, xi, noises, solver_cfg)
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     problem = cfg.problem()
     level = cfg.haar_level()
     tg = cfg.timegrid()
     solver_cfg = cfg.solver_config()
-    results = []
+    noises = [
+        sample_increments(problem.qwiener, tg, path_seed(cfg.master_seed, i))
+        for i in range(cfg.paths)
+    ]
     try:
-        for i in range(cfg.paths):
-            noise = sample_increments(
-                problem.qwiener, tg, path_seed(cfg.master_seed, i)
-            )
-            xi = staircase_construct(problem, level, noise, solver_cfg)
-            u = solve_frozen(problem, xi, noise, solver_cfg)
-            results.append((noise, xi, u))
+        xi, u = _simulate_paths(problem, level, noises, solver_cfg)
     except NewtonDivergence as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     outputs = []
-    for i, (noise, xi, u) in enumerate(results):
+    for i, noise in enumerate(noises):
         names = (
             f"noise_{i:03d}.bin",
             f"coefficient_{i:03d}.csv",
             f"solution_{i:03d}.csv",
         )
         save_noise_path(noise, os.path.join(out_dir, names[0]))
-        trajectory_to_csv(xi, os.path.join(out_dir, names[1]))
-        trajectory_to_csv(u, os.path.join(out_dir, names[2]))
+        trajectory_to_csv(xi.path(i), os.path.join(out_dir, names[1]))
+        trajectory_to_csv(u.path(i), os.path.join(out_dir, names[2]))
         outputs.extend(names)
     _write_manifest(out_dir, "simulate", cfg, outputs)
     print(f"wrote {len(outputs)} files for {cfg.paths} paths to {out_dir}")

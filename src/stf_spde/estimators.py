@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .grids import TripleKind
-from .projection import TimeGrid, Trajectory
+from .projection import TimeGrid, Trajectory, _one_path
 from .rng import path_seed
 # solve_frozen is bound here for bench/tests/test_bench_tracer.py, which
 # checks that the tracer wraps every module binding of it
@@ -66,6 +66,7 @@ def _sup_h_sq(grid, values, triple):
 
 def pathwise_sup_H(traj: Trajectory, triple: TripleKind) -> float:
     """max over the sample times of |w(t_k)|_H^2 (squared pivot norm)."""
+    _one_path(traj, "pathwise_sup_H")
     return float(_sup_h_sq(traj.grid, traj.values, triple))
 
 
@@ -80,6 +81,7 @@ def _v_power_integrals(grid, dt, values, triple, power):
 
 def integral_v_power(traj: Trajectory, triple: TripleKind, power: float) -> float:
     """Left-endpoint quadrature of int_0^T |w(t)|_V^power dt."""
+    _one_path(traj, "integral_v_power")
     if power <= 0:
         raise ValueError(f"power must be positive, got {power}")
     return float(

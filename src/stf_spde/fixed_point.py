@@ -17,10 +17,14 @@ from the old one. A converged path thus marches 7 + 7 + 6 + ... + 1 + 0
 blocks at level 3 instead of 9 full solves, with every iterate and
 diagnostic equal bit for bit to the plain loop proj_shifted(solve_frozen).
 
-Every ensemble here is marched as one batch: Picard's coupled paths (each
-joining the batch at its own restart row), the staircase sweep behind the
-energy and regularity probes, and the continuity probe's base and
-perturbed coefficients under all their noise paths. The solver's batched
+staircase_construct takes one NoisePath, giving a one-path Trajectory, or
+a sequence of them, as picard_iterate does, giving a Trajectory stacked
+as (paths, n_steps + 1, N); solve_frozen takes that stacked coefficient
+back with the same sequence. Every ensemble here is marched as one batch:
+Picard's coupled paths (each joining the batch at its own restart row),
+the staircase sweep of an ensemble and the one behind the energy and
+regularity probes, and the continuity probe's base and perturbed
+coefficients under all their noise paths. The solver's batched
 march gives each path the bits it gets when marched alone, so a path's
 bits do not depend on its batch, and a path that fails raises the error
 the path-by-path loop met first: that of the lowest-index failing path.
@@ -34,17 +38,18 @@ scaling near t = 0).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import _v_power_integrals, integral_v_power, mc_mean_stderr
 from .projection import HaarLevel, TimeGrid, Trajectory, fractional_seminorm
-from .projection import _block_average, _shifted_rows, _write_csv
+from .projection import _block_average, _one_path, _shifted_rows, _write_csv
 from .rng import path_seed
 # solve_frozen is bound here for bench/tests/test_bench_tracer.py, which
 # checks that the tracer wraps every module binding of it
-from .solver import ProblemSpec, SolverConfig, _march, _PathStats
+from .solver import ProblemSpec, SolverConfig, _march, _noise_rows, _PathStats
 from .solver import solve_frozen  # noqa: F401
 from .wiener import NoisePath, sample_increments_batch
 
@@ -68,6 +73,8 @@ def xnorm_power_distance(a: Trajectory, b: Trajectory, problem: ProblemSpec) -> 
     left-endpoint sum matches the V-integral quadrature used everywhere
     else.
     """
+    _one_path(a, "xnorm_power_distance")
+    _one_path(b, "xnorm_power_distance")
     if a.timegrid != b.timegrid:
         raise ValueError("trajectories live on different time grids")
     gap = Trajectory.from_matrix(a.timegrid, a.grid, a.values - b.values)
@@ -128,10 +135,8 @@ class FixedPointDiagnostics:
         )
 
 
-def _check_sweep(
-    problem: ProblemSpec, level: HaarLevel, timegrid: TimeGrid, n_modes: int
-) -> None:
-    """Reject noise (time grid, mode count) or a level a block sweep cannot march."""
+def _check_sweep(problem: ProblemSpec, level: HaarLevel, timegrid: TimeGrid) -> None:
+    """Reject a time grid or a level a block sweep cannot march."""
     blocks = 2**level.n
     if timegrid.n_steps % blocks != 0:
         raise ValueError(
@@ -140,10 +145,6 @@ def _check_sweep(
         )
     if level.seed_field.grid != problem.qwiener.grid:
         raise ValueError("seed field lives on a different spatial grid")
-    if n_modes != problem.qwiener.n_modes:
-        raise ValueError(
-            f"noise has {n_modes} modes, spec wants {problem.qwiener.n_modes}"
-        )
 
 
 def _first_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -189,15 +190,10 @@ def picard_iterate(
     Raises:
         NewtonDivergence: the lowest-index path that failed in a pass.
     """
-    if not noise_ensemble:
-        raise ValueError("need at least one noise path")
-    tg = noise_ensemble[0].timegrid
-    for noise in noise_ensemble:
-        # the iterates live on tg and the datum's grid, so this also pins
-        # the coefficient's time and spatial grids against every noise path
-        if noise.timegrid != tg:
-            raise ValueError("noise paths live on different time grids")
-        _check_sweep(problem, level, noise.timegrid, noise.n_modes)
+    # the iterates live on tg and the datum's grid, so this also pins the
+    # coefficient's time and spatial grids against every noise path
+    tg, inc = _noise_rows(problem, noise_ensemble)
+    _check_sweep(problem, level, tg)
     if max_iter is None:
         max_iter = 2**level.n + 1
     if max_iter < 1:
@@ -207,7 +203,6 @@ def picard_iterate(
     triple, power = problem.triple, problem.time_power
     s = tg.n_steps // 2**level.n
     stop = tg.n_steps - s
-    inc = np.stack([noise.increments for noise in noise_ensemble])
     stats = _PathStats(len(inc))
     # each path's solve rows and the coefficient rows they were marched under
     solves = np.empty((len(inc), stop + 1, grid.n_interior))
@@ -270,7 +265,7 @@ def _staircase_rows(problem, level, timegrid, inc, cfg, stats):
     last block, whose rows are left NaN, as are a failed path's rows past
     its failure.
     """
-    _check_sweep(problem, level, timegrid, inc.shape[-1])
+    _check_sweep(problem, level, timegrid)
     blocks = 2**level.n
     s = timegrid.n_steps // blocks
     shape = (len(inc), timegrid.n_steps + 1, problem.qwiener.grid.n_interior)
@@ -288,7 +283,7 @@ def _staircase_rows(problem, level, timegrid, inc, cfg, stats):
 def staircase_construct(
     problem: ProblemSpec,
     level: HaarLevel,
-    noise: NoisePath,
+    noise: NoisePath | Sequence[NoisePath],
     config: SolverConfig | None = None,
 ) -> Trajectory:
     """Build the pathwise fixed point in one sweep over the dyadic blocks.
@@ -299,14 +294,24 @@ def staircase_construct(
     coefficient on block k+1. The last block's noise is never read. The
     result equals the Picard limit bit for bit, and its fixed-point
     residual vanishes up to the Newton tolerance.
+
+    noise is one NoisePath, giving a one-path Trajectory, or a sequence of
+    them, as picard_iterate takes, giving every path's fixed point stacked
+    as (paths, n_steps + 1, N). All paths are swept in one batch, each with
+    the bits of its own one-path call. The inputs are checked before any
+    step is marched.
+
+    Raises:
+        NewtonDivergence: the error of the lowest-index failing path.
     """
+    tg, inc = _noise_rows(problem, noise)
     cfg = config if config is not None else SolverConfig()
-    stats = _PathStats(1)
-    xi, _ = _staircase_rows(
-        problem, level, noise.timegrid, noise.increments[None], cfg, stats
-    )
+    stats = _PathStats(len(inc))
+    xi, _ = _staircase_rows(problem, level, tg, inc, cfg, stats)
     stats.raise_first()
-    return Trajectory.from_matrix(noise.timegrid, problem.qwiener.grid, xi[0])
+    if isinstance(noise, NoisePath):
+        xi = xi[0]
+    return Trajectory.from_matrix(tg, problem.qwiener.grid, xi)
 
 
 def _staircase_solve(
@@ -378,6 +383,8 @@ def continuity_probe(
         raise ValueError("need at least 3 perturbation sizes for a slope")
     if np.any(eps <= 0) or np.unique(eps).size != eps.size:
         raise ValueError("perturbation sizes must be positive and distinct")
+    _one_path(base, "continuity_probe")
+    _one_path(perturbation, "continuity_probe")
     if base.timegrid != perturbation.timegrid:
         raise ValueError("base and perturbation live on different time grids")
     tg = base.timegrid

@@ -89,9 +89,13 @@ class Trajectory:
     """Path on a SpatialGrid sampled at the n_steps + 1 nodes of a TimeGrid.
 
     The samples live in one read-only (n_steps + 1, n_interior) float
-    array, values, whose row k is the sample at t_k. The constructor copies
-    its input once and checks the shape; from_matrix is the same
-    constructor under its documented name.
+    array, values, whose row k is the sample at t_k. An ensemble of paths
+    on the same grids stacks them on one leading path axis,
+    (paths, n_steps + 1, n_interior); path(p) takes path p out as a
+    one-path Trajectory, and the one-path readers (fields, the CSV writer,
+    the norms and estimators) raise ValueError on a stacked one. The
+    constructor copies its input once and checks the shape; from_matrix is
+    the same constructor under its documented name.
     """
 
     timegrid: TimeGrid
@@ -100,17 +104,30 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.timegrid.n_steps + 1, self.grid.n_interior):
+        rows = (self.timegrid.n_steps + 1, self.grid.n_interior)
+        if vals.shape[-2:] != rows or vals.ndim not in (2, 3) or vals.size == 0:
             raise ValueError(
-                f"matrix shape {vals.shape} does not match "
-                f"({self.timegrid.n_steps + 1}, {self.grid.n_interior})"
+                f"matrix shape {vals.shape} does not match {rows} "
+                f"or (paths,) + {rows} with at least one path"
             )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
+    def n_paths(self) -> int | None:
+        """Length of the leading path axis; None for a one-path trajectory."""
+        return len(self.values) if self.values.ndim == 3 else None
+
+    def path(self, p: int) -> "Trajectory":
+        """Path p of a stacked trajectory, as a one-path Trajectory."""
+        if self.n_paths is None:
+            raise ValueError("a one-path trajectory has no path axis to index")
+        return Trajectory(self.timegrid, self.grid, self.values[p])
+
+    @property
     def fields(self) -> tuple[Field, ...]:
         """The samples as Fields, built anew on every access."""
+        _one_path(self, "fields")
         return tuple(Field(self.grid, row) for row in self.values)
 
     def stacked(self) -> np.ndarray:
@@ -127,6 +144,15 @@ class Trajectory:
     def constant(cls, timegrid: TimeGrid, value: Field) -> "Trajectory":
         shape = (timegrid.n_steps + 1, value.grid.n_interior)
         return cls(timegrid, value.grid, np.broadcast_to(value.values, shape))
+
+
+def _one_path(traj: Trajectory, reader: str) -> None:
+    """Raise ValueError if traj stacks paths: reader reads one path only."""
+    if traj.n_paths is not None:
+        raise ValueError(
+            f"{reader} reads one path, but this trajectory stacks "
+            f"{traj.n_paths} on a leading path axis; take one with path(p)"
+        )
 
 
 @dataclass(frozen=True)
@@ -253,6 +279,7 @@ def fractional_seminorm(
     Returns:
         The norm value (nonnegative).
     """
+    _one_path(traj, "fractional_seminorm")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if p < 1:
@@ -293,6 +320,7 @@ def trajectory_lp_norm(
     spatial_p: float | None = None,
 ) -> float:
     """Left-Riemann time-Lp norm (sum_k dt |u(t_k)|^p_kind)^{1/p}."""
+    _one_path(traj, "trajectory_lp_norm")
     return _matrix_lp_norm(
         traj.grid, traj.values, traj.timegrid.dt, norm_kind, p, spatial_p
     )
@@ -362,6 +390,7 @@ def haar_rate_experiment(
         raise ValueError(f"rate fit needs at least 3 levels, got {len(levels)}")
     errors = np.empty((len(trajs), len(levels)))
     for i, traj in enumerate(trajs):
+        _one_path(traj, "haar_rate_experiment")
         u = traj.values
         start = Field(traj.grid, u[0])
         for j, n in enumerate(levels):
@@ -401,6 +430,7 @@ def _write_csv(path: str, header, row_format: str, rows) -> None:
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:
     """Write one row per time node: t, u(x_1), ..., u(x_N), 17 significant digits."""
+    _one_path(traj, "trajectory_to_csv")
     header = ["t"] + [f"u_{j}" for j in range(1, traj.grid.n_interior + 1)]
     rows = np.column_stack([traj.timegrid.times, traj.values]).tolist()
     _write_csv(path, header, ",".join(["%.17g"] * len(header)), rows)

@@ -40,6 +40,14 @@ by row in the same floating-point operations, so a path's bits do not
 depend on its batch: on how many paths are stepped with it, in which
 order, or whether it is stepped alone.
 
+solve_frozen has two forms. One coefficient Trajectory with one NoisePath
+gives one solution path. A coefficient stacked as (paths, n_steps + 1, N)
+with a sequence of as many noise paths gives every solution, stacked the
+same way, from one march over the whole ensemble; path p has the bits of
+the one-path call on (xi.path(p), noise[p]), and a failure raises the
+lowest-index failing path's NewtonDivergence, with that index in its
+path attribute.
+
 check_hypotheses measures, on random field pairs, the three structural
 inequalities the solves rest on: a monotonicity defect, a coercivity
 margin, and a growth ratio, each with an explicitly derived admissible
@@ -48,6 +56,7 @@ constant, and reports the smallest constants the data admits.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +98,11 @@ class NewtonDivergence(RuntimeError):
     """A step failed its contract.
 
     The damped Newton iteration missed its residual target, or a step met
-    non-finite input.
+    non-finite input. path is the batch index of the failing path, 0 for a
+    one-path call.
     """
+
+    path = 0
 
 
 @dataclass(frozen=True)
@@ -467,7 +479,9 @@ class _PathStats:
     def raise_first(self) -> None:
         """Raise the lowest failed path's error, the one a path loop meets first."""
         if self.failed:
-            raise self.failed[min(self.failed)]
+            first = min(self.failed)
+            self.failed[first].path = first
+            raise self.failed[first]
 
 
 def _march_row(problem, u, xi_rows, inc, dt, start, stop, cfg, stats, p):
@@ -522,10 +536,31 @@ def _march(problem, u, xi_rows, inc, dt, start, stop, cfg, stats):
         k = until
 
 
+def _noise_rows(problem, noise):
+    """Check a noise path or a sequence of them; returns (timegrid, inc).
+
+    inc stacks the increments as (paths, n_steps, n_modes), one path for a
+    lone NoisePath. Every path must share one time grid and carry the
+    spec's mode count.
+    """
+    paths = [noise] if isinstance(noise, NoisePath) else list(noise)
+    if not paths:
+        raise ValueError("need at least one noise path")
+    tg = paths[0].timegrid
+    for path in paths:
+        if path.timegrid != tg:
+            raise ValueError("noise paths live on different time grids")
+        if path.n_modes != problem.qwiener.n_modes:
+            raise ValueError(
+                f"noise has {path.n_modes} modes, spec wants {problem.qwiener.n_modes}"
+            )
+    return tg, np.stack([path.increments for path in paths])
+
+
 def solve_frozen(
     problem: ProblemSpec,
     xi: Trajectory,
-    noise: NoisePath,
+    noise: NoisePath | Sequence[NoisePath],
     config: SolverConfig | None = None,
     collect_stats: dict | None = None,
 ) -> Trajectory:
@@ -538,47 +573,59 @@ def solve_frozen(
     increment in half), at most config.dt_retries deep, before the error
     propagates.
 
+    The ensemble form takes a coefficient stacked as (paths, n_steps + 1,
+    N) and a sequence of as many noise paths, pairs coefficient p with
+    noise p, and marches every path in one batch. Path p of the result
+    equals the one-path call on (xi.path(p), noise[p]) bit for bit. All
+    inputs are checked before any step is marched.
+
     Args:
         problem: example problem.
-        xi: frozen trajectory on the same grids as the problem.
-        noise: mode increments on the same time grid as xi.
+        xi: frozen trajectory on the same grids as the problem, one path
+            or stacked paths.
+        noise: mode increments on the same time grid as xi: one NoisePath
+            for a one-path xi, a sequence of them for a stacked xi.
         config: Newton controls (defaults are fine for the examples).
         collect_stats: optional dict; filled with "newton_iterations"
-            (not tracked for heat) and "dt_retries".
+            (not tracked for heat) and "dt_retries", summed over paths.
 
     Returns:
-        Trajectory of the solution, n_steps + 1 samples.
+        Trajectory of the solution, n_steps + 1 samples, in xi's form.
 
     Raises:
-        NewtonDivergence: a step failed its contract after every retry.
+        NewtonDivergence: a step failed its contract after every retry;
+            for an ensemble, the error of the lowest-index failing path.
     """
     cfg = config if config is not None else SolverConfig()
     tg = xi.timegrid
     grid = problem.qwiener.grid
-    if noise.timegrid.n_steps != tg.n_steps or noise.timegrid.T != tg.T:
+    noise_tg, inc = _noise_rows(problem, noise)
+    noise_paths = None if isinstance(noise, NoisePath) else len(inc)
+    if xi.n_paths != noise_paths:
+        has = "has no path axis" if xi.n_paths is None else f"stacks {xi.n_paths} paths"
+        gets = "one NoisePath" if noise_paths is None else f"a sequence of {noise_paths}"
+        raise ValueError(
+            f"coefficient and noise paths do not pair up: the coefficient {has}, "
+            f"the noise is {gets}"
+        )
+    if noise_tg.n_steps != tg.n_steps or noise_tg.T != tg.T:
         raise ValueError("frozen trajectory and noise live on different time grids")
     if xi.grid != grid:
         raise ValueError("frozen trajectory lives on a different spatial grid")
-    if noise.n_modes != problem.qwiener.n_modes:
-        raise ValueError(
-            f"noise has {noise.n_modes} modes, spec wants {problem.qwiener.n_modes}"
-        )
     if not np.all(np.isfinite(xi.values)):
         raise ValueError("frozen trajectory contains non-finite values")
-    stats = _PathStats(1)
-    u = np.empty((1, tg.n_steps + 1, grid.n_interior))
-    u[0, 0] = problem.initial_datum.values
-    _march(
-        problem, u, xi.values[None], noise.increments[None], noise.timegrid.dt,
-        0, tg.n_steps, cfg, stats,
-    )
+    xi_rows = xi.values.reshape(len(inc), tg.n_steps + 1, grid.n_interior)
+    stats = _PathStats(len(inc))
+    u = np.empty(xi_rows.shape)
+    u[:, 0] = problem.initial_datum.values
+    _march(problem, u, xi_rows, inc, noise_tg.dt, 0, tg.n_steps, cfg, stats)
     stats.raise_first()
     if collect_stats is not None:
         collect_stats.update(
-            newton_iterations=int(stats.newton_iterations[0]),
-            dt_retries=int(stats.dt_retries[0]),
+            newton_iterations=int(stats.newton_iterations.sum()),
+            dt_retries=int(stats.dt_retries.sum()),
         )
-    return Trajectory.from_matrix(tg, grid, u[0])
+    return Trajectory.from_matrix(tg, grid, u.reshape(xi.values.shape))
 
 
 def _operator_values(problem, u_values, xi_values):

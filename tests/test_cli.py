@@ -7,6 +7,7 @@ the documented exit codes (0 ok, 1 failed check, 2 config, 3 solver,
 """
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,8 +19,11 @@ import pytest
 from stf_spde import cli
 from stf_spde.cli import ConfigError, RunConfig, main
 from stf_spde.grids import SpatialGrid, sine_field
-from stf_spde.projection import trajectory_from_csv
-from stf_spde.wiener import NoisePath
+from stf_spde.fixed_point import staircase_construct
+from stf_spde.projection import trajectory_from_csv, trajectory_to_csv
+from stf_spde.rng import path_seed
+from stf_spde.solver import KNOWN_EXAMPLES, NewtonDivergence, solve_frozen
+from stf_spde.wiener import NoisePath, save_noise_path
 
 
 def write_config(path, overrides=None, drop=None):
@@ -237,6 +241,129 @@ class TestSimulate:
         path = write_config(tmp_path / "run.ini", drop=[("run", "master_seed")])
         assert main(["simulate", "--config", path]) == 2
         assert "master_seed" in capsys.readouterr().err
+
+
+FIXTURE_SIZE = {
+    "discretization": {"grid_size": "31", "time_steps": "128", "dyadic_level": "3"},
+    "noise": {"n_modes": "16"},
+}
+
+
+def simulate_path_by_path(cfg, out_dir):
+    """cmd_simulate written out as a loop, one path at a time.
+
+    Returns the first NewtonDivergence the loop meets, or None after it
+    has written every output.
+    """
+    problem, level, tg = cfg.problem(), cfg.haar_level(), cfg.timegrid()
+    solver_cfg = cfg.solver_config()
+    outputs = []
+    for i in range(cfg.paths):
+        noise = cli.sample_increments(problem.qwiener, tg, path_seed(cfg.master_seed, i))
+        try:
+            xi = staircase_construct(problem, level, noise, solver_cfg)
+            u = solve_frozen(problem, xi, noise, solver_cfg)
+        except NewtonDivergence as exc:
+            return exc
+        names = (f"noise_{i:03d}.bin", f"coefficient_{i:03d}.csv", f"solution_{i:03d}.csv")
+        save_noise_path(noise, os.path.join(out_dir, names[0]))
+        trajectory_to_csv(xi, os.path.join(out_dir, names[1]))
+        trajectory_to_csv(u, os.path.join(out_dir, names[2]))
+        outputs.extend(names)
+    cli._write_manifest(out_dir, "simulate", cfg, outputs)
+    return None
+
+
+class TestSimulateBatch:
+    """simulate marches every path in one batch, with the path loop's bytes."""
+
+    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
+    def test_tree_matches_path_by_path_loop(self, tmp_path, example):
+        path = write_config(
+            tmp_path / "run.ini",
+            overrides={"problem": {"example": example}, **FIXTURE_SIZE},
+        )
+        batch, loop = tmp_path / "batch", tmp_path / "loop"
+        argv = ["simulate", "--config", path, "--out", str(batch), "--paths", "3"]
+        assert main(argv) == 0
+        cfg = dataclasses.replace(RunConfig.from_file(path), paths=3)
+        loop.mkdir()
+        assert simulate_path_by_path(cfg, str(loop)) is None
+        tree_batch, tree_loop = read_tree(batch), read_tree(loop)
+        assert len(tree_loop) == 10
+        assert tree_batch == tree_loop
+
+    @pytest.mark.parametrize("paths", ["1", "3"])
+    def test_one_staircase_and_one_solve_call_per_run(
+        self, tmp_path, monkeypatch, paths
+    ):
+        calls = {"staircase_construct": 0, "solve_frozen": 0}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        path = write_config(tmp_path / "run.ini")
+        argv = ["simulate", "--config", path, "--out", str(tmp_path), "--paths", paths]
+        assert main(argv) == 0
+        assert calls == {"staircase_construct": 1, "solve_frozen": 1}
+
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            # path 2 alone, early in the sweep
+            {2: (3, np.nan)},
+            # path 3 fails at step 3 of the sweep, path 1 later in the sweep
+            {1: (20, np.nan), 3: (3, np.inf)},
+            # path 1 fails only in the last block, which only the re-solve
+            # marches; the loop re-solves path 1 before it sweeps path 3
+            {1: (28, np.nan), 3: (3, np.inf)},
+        ],
+    )
+    def test_failure_is_the_path_loops_first(
+        self, tmp_path, monkeypatch, capsys, poison
+    ):
+        # on porous_sqrt_drift a NaN and an inf increment fail with
+        # different messages ("residual nan", "residual inf"); the lowest
+        # poisoned path gets the NaN, so the stderr tells the paths apart
+        path = write_config(
+            tmp_path / "run.ini",
+            overrides={
+                "problem": {"example": "porous_sqrt_drift"},
+                "run": {"paths": "4"},
+            },
+        )
+        cfg = RunConfig.from_file(path)
+        sample = cli.sample_increments
+        poisoned_seeds = {
+            path_seed(cfg.master_seed, p): step for p, step in poison.items()
+        }
+
+        def poisoned(spec, timegrid, seed):
+            noise = sample(spec, timegrid, seed)
+            if seed not in poisoned_seeds:
+                return noise
+            k, bad = poisoned_seeds[seed]
+            increments = noise.increments.copy()
+            increments[k, 0] = bad
+            return NoisePath(timegrid, increments, seed)
+
+        monkeypatch.setattr(cli, "sample_increments", poisoned)
+        loop = tmp_path / "loop"
+        loop.mkdir()
+        want = simulate_path_by_path(cfg, str(loop))
+        assert isinstance(want, NewtonDivergence)
+        assert "residual nan" in str(want)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"solver failure: {want}\n"
 
 
 class TestFixedPoint:

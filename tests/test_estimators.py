@@ -23,7 +23,7 @@ from stf_spde.estimators import (
 )
 from stf_spde.grids import Field, SpatialGrid, TripleKind, norm
 from stf_spde.projection import HaarLevel, TimeGrid, Trajectory, smoothed_seed
-from stf_spde.fixed_point import staircase_construct
+from stf_spde.fixed_point import staircase_construct, xnorm_power_distance
 from stf_spde.rng import gaussian_stream, path_seed
 from stf_spde.solver import (
     KNOWN_EXAMPLES,
@@ -142,6 +142,24 @@ class TestTrajectoryFunctionals:
         traj = Trajectory.constant(tg, Field(grid, np.zeros(grid.n_interior)))
         with pytest.raises(ValueError):
             integral_v_power(traj, TripleKind.heat(), 0)
+
+
+def test_functionals_reject_a_stacked_trajectory(grid, qspec, small_datum):
+    tg = TimeGrid(8)
+    rows = np.random.default_rng(6).standard_normal((2, 9, grid.n_interior))
+    stacked = Trajectory.from_matrix(tg, grid, rows)
+    problem = ProblemSpec("heat_sqrt_drift", qspec, small_datum)
+    one = stacked.path(0)
+    readers = [
+        ("pathwise_sup_H", lambda: pathwise_sup_H(stacked, TripleKind.heat())),
+        ("integral_v_power", lambda: integral_v_power(stacked, TripleKind.heat(), 2)),
+        ("xnorm_power_distance", lambda: xnorm_power_distance(stacked, one, problem)),
+        ("xnorm_power_distance", lambda: xnorm_power_distance(one, stacked, problem)),
+    ]
+    for name, read in readers:
+        # a ValueError, not an array of per-path values
+        with pytest.raises(ValueError, match=f"{name} reads one path"):
+            read()
 
 
 def plain_path_samples(problem, timegrid, level, seeds, config):

@@ -517,6 +517,65 @@ class TestStaircase:
         resolve = solve_frozen(prob, sweep, noise)
         assert u[0].tobytes() == resolve.values.tobytes()
 
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
+    def test_ensemble_rows_equal_single_calls(
+        self, qspec, small_datum, level, example, n_paths
+    ):
+        prob = ProblemSpec(example, qspec, small_datum, m=2)
+        tg = TimeGrid(128)
+        noises = [sample_increments(qspec, tg, path_seed(31, i)) for i in range(n_paths)]
+        sweep = staircase_construct(prob, level, noises)
+        assert sweep.n_paths == n_paths and sweep.timegrid == tg
+        for p, noise in enumerate(noises):
+            one = staircase_construct(prob, level, noise)
+            assert one.n_paths is None
+            assert sweep.values[p].tobytes() == one.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            ("empty", "need at least one noise path"),
+            ("time_grids", "noise paths live on different time grids"),
+            ("modes", "noise has 3 modes, spec wants 16"),
+        ],
+    )
+    def test_rejects_bad_ensembles_before_marching(
+        self, heat_problem, level, monkeypatch, defect, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a step was marched before the inputs were checked")
+
+        monkeypatch.setattr(fixed_point, "_march", never)
+        tg = TimeGrid(128)
+        noises = [NoisePath(tg, np.zeros((128, 16)), seed=0)]
+        if defect == "empty":
+            noises = []
+        elif defect == "time_grids":
+            noises.append(NoisePath(TimeGrid(128, T=2.0), np.zeros((128, 16)), seed=1))
+        else:
+            noises.append(NoisePath(tg, np.zeros((128, 3)), seed=1))
+        with pytest.raises(ValueError, match=message):
+            staircase_construct(heat_problem, level, noises)
+
+    def test_failure_is_the_lowest_failing_paths(self, qspec, small_datum, level):
+        # path 3 fails at step 2, path 1 at step 90: the sweep meets path
+        # 3's failure first, but a path loop meets path 1's
+        prob = ProblemSpec("porous_sqrt_drift", qspec, small_datum, m=2)
+        tg = TimeGrid(128)
+        noises = [sample_increments(qspec, tg, path_seed(31, i)) for i in range(4)]
+        for p, (k, bad) in {1: (90, np.inf), 3: (2, np.nan)}.items():
+            increments = noises[p].increments.copy()
+            increments[k, 0] = bad
+            noises[p] = NoisePath(tg, increments, seed=-1)
+        with pytest.raises(NewtonDivergence) as want:
+            staircase_construct(prob, level, noises[1])
+        with pytest.raises(NewtonDivergence) as got:
+            staircase_construct(prob, level, noises)
+        assert "inf" in str(want.value)
+        assert str(got.value) == str(want.value)
+        assert got.value.path == 1
+
     def test_rejects_indivisible_time_grid(self, heat_problem, level, qspec):
         noise = sample_increments(qspec, TimeGrid(12), 0)
         with pytest.raises(ValueError):

@@ -304,6 +304,41 @@ def test_trajectory_fields_are_derived_from_values():
         assert np.array_equal(a.values, stored)
 
 
+def test_trajectory_takes_one_leading_path_axis():
+    grid = SpatialGrid(4)
+    rows = np.random.default_rng(3).standard_normal((2, 3, 4))
+    stacked = Trajectory.from_matrix(TimeGrid(2), grid, rows)
+    assert stacked.n_paths == 2
+    assert stacked.values.shape == (2, 3, 4) and not stacked.values.flags.writeable
+    for p in range(2):
+        one = stacked.path(p)
+        assert one.n_paths is None and one.timegrid == stacked.timegrid
+        assert one.values.tobytes() == rows[p].tobytes()
+    with pytest.raises(ValueError, match="no path axis"):
+        stacked.path(0).path(0)
+    for bad in (np.zeros((0, 3, 4)), np.zeros((2, 2, 3, 4)), np.zeros((2, 4, 4))):
+        with pytest.raises(ValueError):
+            Trajectory.from_matrix(TimeGrid(2), grid, bad)
+
+
+def test_one_path_readers_reject_a_stacked_trajectory(tmp_path):
+    grid = SpatialGrid(4)
+    stacked = Trajectory.from_matrix(TimeGrid(4), grid, np.ones((2, 5, 4)))
+    readers = {
+        "fields": lambda: stacked.fields,
+        "trajectory_to_csv": lambda: trajectory_to_csv(stacked, str(tmp_path / "a.csv")),
+        "fractional_seminorm": lambda: fractional_seminorm(stacked, 0.5, 2.0),
+        "trajectory_lp_norm": lambda: trajectory_lp_norm(stacked, "L2", 2.0),
+        "haar_rate_experiment": lambda: haar_rate_experiment(
+            [stacked], range(1, 4), alpha=0.5, p=2.0
+        ),
+    }
+    for name, read in readers.items():
+        with pytest.raises(ValueError, match=f"{name} reads one path.*stacks 2"):
+            read()
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_smoothed_seed_eigenmode_closed_form():
     # sine modes diagonalize the smoothing solve: w = u0 / (1 + 2^{-n} mu_k)
     grid = SpatialGrid(63)

@@ -452,6 +452,116 @@ class TestSolveFrozen:
             solve_frozen(prob, xi, zero_noise(tg, 16))
 
 
+class TestSolveFrozenEnsemble:
+    """The ensemble form: a stacked coefficient and a sequence of noise paths."""
+
+    def ensemble(self, grid, qspec, n_paths, seed=8):
+        tg = TimeGrid(16)
+        rng = np.random.default_rng(seed)
+        xi = Trajectory.from_matrix(
+            tg, grid, np.abs(rng.standard_normal((n_paths, 17, grid.n_interior)))
+        )
+        noises = [sample_increments(qspec, tg, seed + i) for i in range(n_paths)]
+        return xi, noises
+
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
+    def test_rows_equal_single_calls(self, grid, qspec, example, n_paths):
+        prob = ProblemSpec(example, qspec, sine_field(grid, 1), m=2)
+        xi, noises = self.ensemble(grid, qspec, n_paths)
+        stats = {}
+        out = solve_frozen(prob, xi, noises, collect_stats=stats)
+        assert out.n_paths == n_paths and out.timegrid == xi.timegrid
+        sums = {"newton_iterations": 0, "dt_retries": 0}
+        for p, noise in enumerate(noises):
+            one = {}
+            want = solve_frozen(prob, xi.path(p), noise, collect_stats=one)
+            assert out.values[p].tobytes() == want.values.tobytes()
+            for key in sums:
+                sums[key] += one[key]
+        # the ensemble's counters are the sums of the one-path calls' counters
+        assert stats == sums
+        if prob.is_porous:
+            assert sums["newton_iterations"] > 0
+
+    def test_counters_sum_retries_over_paths(self):
+        # the state of test_dt_retry_recovers_from_divergence under two
+        # coefficients; each path splits one step in half
+        grid = SpatialGrid(63)
+        spec = QWienerSpec.power_decay(grid, n_modes=8, decay_exponent=1.0)
+        u0 = Field(
+            grid,
+            40.0 * np.sin(np.pi * grid.nodes) + 30.0 * np.sin(3 * np.pi * grid.nodes),
+        )
+        prob = ProblemSpec("porous_sqrt_drift", spec, u0, m=5)
+        tg = TimeGrid(4, T=2.0)
+        cfg = SolverConfig(newton_max_iter=20)
+        rows = np.zeros((2, 5, grid.n_interior))
+        rows[1] = 1.0
+        xi = Trajectory.from_matrix(tg, grid, rows)
+        noises = [zero_noise(tg, 8), zero_noise(tg, 8)]
+        stats = {}
+        solve_frozen(prob, xi, noises, cfg, collect_stats=stats)
+        per_path = []
+        for p, noise in enumerate(noises):
+            one = {}
+            solve_frozen(prob, xi.path(p), noise, cfg, collect_stats=one)
+            per_path.append(one)
+        assert stats["dt_retries"] == sum(c["dt_retries"] for c in per_path) == 2
+        assert stats["newton_iterations"] == sum(
+            c["newton_iterations"] for c in per_path
+        )
+
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            ("empty", "need at least one noise path"),
+            ("time_grids", "noise paths live on different time grids"),
+            ("path_count", "stacks 3 paths, the noise is a sequence of 2$"),
+            ("stacked_one_noise", "stacks 3 paths, the noise is one NoisePath$"),
+            ("one_path_many_noises", "has no path axis, the noise is a sequence of 3$"),
+        ],
+    )
+    def test_rejects_bad_ensembles_before_marching(
+        self, grid, qspec, monkeypatch, defect, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a step was marched before the inputs were checked")
+
+        monkeypatch.setattr(solver, "_march", never)
+        prob = ProblemSpec("porous_sqrt_drift", qspec, sine_field(grid, 1))
+        xi, noises = self.ensemble(grid, qspec, 3)
+        if defect == "empty":
+            noises = []
+        elif defect == "time_grids":
+            noises[1] = zero_noise(TimeGrid(16, T=2.0), 16)
+        elif defect == "path_count":
+            noises = noises[:2]
+        elif defect == "stacked_one_noise":
+            noises = noises[0]
+        else:
+            xi = xi.path(0)
+        with pytest.raises(ValueError, match=message):
+            solve_frozen(prob, xi, noises)
+
+    def test_failure_is_the_lowest_failing_paths(self, grid, qspec):
+        # path 2 fails at step 1 and path 1 at step 9: the batch meets
+        # path 2's failure first, but a path loop meets path 1's
+        prob = ProblemSpec("porous_sqrt_drift", qspec, sine_field(grid, 1), m=2)
+        xi, noises = self.ensemble(grid, qspec, 3)
+        for p, (k, bad) in {1: (9, np.inf), 2: (1, np.nan)}.items():
+            increments = noises[p].increments.copy()
+            increments[k, 0] = bad
+            noises[p] = NoisePath(xi.timegrid, increments, seed=-1)
+        with pytest.raises(NewtonDivergence) as want:
+            solve_frozen(prob, xi.path(1), noises[1])
+        with pytest.raises(NewtonDivergence) as got:
+            solve_frozen(prob, xi, noises)
+        assert "inf" in str(want.value)
+        assert str(got.value) == str(want.value)
+        assert got.value.path == 1
+
+
 def row_kernel_march(problem, u, xi_rows, inc, dt, starts, stop, cfg):
     """The path-by-path reference: _advance step by step on each row alone.
 
