@@ -15,24 +15,18 @@ from stf_spde.grids import (
     Field,
     SpatialGrid,
     TripleKind,
-    discrete_laplacian,
-    duality_pairing,
-    inverse_neg_laplacian,
     laplacian_eigenvalue,
     norm,
-    signed_power,
 )
 from stf_spde.wiener import (
     NoisePath,
     QWienerLCPath,
     QWienerSpec,
     ScalarBMPath,
-    assemble_field,
     haar_function,
     lc_q_wiener,
     lc_scalar_bm,
     load_noise_path,
-    mode_coefficients,
     sample_increments,
     sample_increments_batch,
     save_noise_path,
@@ -58,10 +52,7 @@ from stf_spde.solver import (
     ProblemSpec,
     SolverConfig,
     check_hypotheses,
-    gradient_noise_apply,
     solve_frozen,
-    step_heat,
-    step_porous,
 )
 from stf_spde.fixed_point import (
     ContinuityResult,

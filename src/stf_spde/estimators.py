@@ -202,7 +202,8 @@ def energy_report(
 
     power = problem.time_power
     q = 0.5 if problem.example == "heat_sqrt_drift" else 1.0 / (problem.m + 1)
-    u0_h_sq = problem.triple.h_norm(problem.initial_datum) ** 2
+    u0 = problem.initial_datum
+    u0_h_sq = problem.triple.h_norm_values(u0.grid, u0.values) ** 2
     horizon = timegrid.T
 
     cal_sup, cal_int, cal_energy = (np.array(col) for col in zip(*cal))

@@ -378,6 +378,8 @@ def continuity_probe(
         NewtonDivergence: the first failure in the order base, then each
             epsilon, path by path within each.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size < 3:
         raise ValueError("need at least 3 perturbation sizes for a slope")

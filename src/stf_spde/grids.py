@@ -14,12 +14,14 @@ triples are supported: the heat triple (V = H1_0, H = L2, V* = H^-1) and
 the porous triple with exponent m (V = L^{m+1}, H = H^-1,
 V* = L^{(m+1)/m}), whose duality pairing routes through (-Lap_h)^{-1}.
 
-All operations are pure functions; Field values are read-only arrays.
-laplacian_values, inv_neg_laplacian_values, norm_values and TripleKind's
-*_values methods act on the last axis: a 1-D array of nodal values is one
-function and a (..., N) array a batch of them. A batch gives each row the
-bits of that row alone, except that the Lp norm's final root, taken as an
-array power, may differ from the scalar one in the last bit.
+All operations are pure functions on raw nodal values. laplacian_values,
+inv_neg_laplacian_values, norm_values, signed_power_values and
+TripleKind's *_values methods act on the last axis: a 1-D array of nodal
+values is one function and a (..., N) array a batch of them. A batch gives
+each row the bits of that row alone, except that the Lp norm's final root,
+taken as an array power, may differ from the scalar one in the last bit.
+Field is the boundary type of initial data and seeds; norm, its one
+reader here, stays because the benchmark's layer table wraps it.
 
 Every banded solve in the package goes through the seam below, one
 function per LAPACK routine of scipy.linalg.lapack: solve_banded (dgtsv,
@@ -48,12 +50,12 @@ __all__ = [
     "SpatialGrid",
     "Field",
     "TripleKind",
-    "discrete_laplacian",
-    "inverse_neg_laplacian",
+    "laplacian_values",
+    "inv_neg_laplacian_values",
     "laplacian_eigenvalue",
+    "norm_values",
     "norm",
-    "signed_power",
-    "duality_pairing",
+    "signed_power_values",
     "sine_field",
 ]
 
@@ -136,31 +138,19 @@ class TripleKind:
         return norm_values(grid, values, "Lp", p=(self.m + 1) / self.m)
 
     def pairing_values(self, grid: SpatialGrid, f: np.ndarray, g: np.ndarray) -> float | np.ndarray:
-        """Duality pairing <f, g> along the last axis; see duality_pairing."""
+        """Duality pairing <f, g> between V* and V, along the last axis.
+
+        For the heat triple this is the plain L2 inner product
+        h * sum f_j g_j. For the porous triple, where H = H^-1 is the pivot
+        space, it is h * sum ((-Lap_h)^{-1} f)_j g_j.
+        """
         if self.name == "porous":
             f = inv_neg_laplacian_values(grid, f)
         return grid.h * np.vecdot(f, g)
 
-    def v_norm(self, u: "Field") -> float:
-        """|u|_V: H1_0 seminorm (heat) or L^{m+1} (porous)."""
-        return self.v_norm_values(u.grid, u.values)
-
-    def h_norm(self, u: "Field") -> float:
-        """|u|_H: L2 (heat) or H^-1 (porous)."""
-        return self.h_norm_values(u.grid, u.values)
-
-    def vstar_norm(self, u: "Field") -> float:
-        """|u|_V*: H^-1 (heat) or L^{(m+1)/m} (porous)."""
-        return self.vstar_norm_values(u.grid, u.values)
-
-
-def _check_same_grid(a: Field, b: Field) -> None:
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-
 
 def laplacian_values(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
-    """3-point Dirichlet Laplacian of raw nodal values, along the last axis."""
+    """(u_{j-1} - 2 u_j + u_{j+1}) / h^2 along the last axis, zero off the grid."""
     h2 = grid.h * grid.h
     out = -2.0 * values
     # .T puts the node axis first for 1-D and batched input alike
@@ -168,19 +158,6 @@ def laplacian_values(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     o[:-1] += v[1:]
     o[1:] += v[:-1]
     return out / h2
-
-
-def discrete_laplacian(u: Field) -> Field:
-    """Apply the 3-point Laplacian with zero Dirichlet boundary.
-
-    Args:
-        u: interior-node Field.
-
-    Returns:
-        Field with values (u_{j-1} - 2 u_j + u_{j+1}) / h^2, where the
-        off-grid neighbors are zero.
-    """
-    return Field(u.grid, laplacian_values(u.grid, np.asarray(u.values)))
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -282,7 +259,9 @@ def inv_neg_laplacian_values(grid: SpatialGrid, values: np.ndarray) -> np.ndarra
     Any leading shape is one multi-right-hand-side solve over all its
     rows. One step of iterative refinement keeps the residual near machine
     level even for smooth f aligned with the lowest mode, where the plain
-    solve's eps * cond(A) residual bound would bite at larger grids.
+    solve's eps * cond(A) residual bound would bite at larger grids:
+    laplacian_values(grid, u) = -f to roughly machine precision (max-norm,
+    relative to |f|); contract tolerance 1e-12.
     """
     cb = _neg_lap_cholesky(grid.n_interior)
     rows = values.reshape(-1, values.shape[-1])
@@ -293,19 +272,6 @@ def inv_neg_laplacian_values(grid: SpatialGrid, values: np.ndarray) -> np.ndarra
     resid = rows + laplacian_values(grid, u)
     u += cho_solve_banded(cb, resid.T).T
     return u.reshape(values.shape)
-
-
-def inverse_neg_laplacian(f: Field) -> Field:
-    """Solve (-Lap_h) u = f on the Dirichlet grid.
-
-    Args:
-        f: right-hand-side Field.
-
-    Returns:
-        Field u with discrete_laplacian(u) = -f to roughly machine
-        precision (max-norm, relative to |f|); contract tolerance 1e-12.
-    """
-    return Field(f.grid, inv_neg_laplacian_values(f.grid, np.asarray(f.values)))
 
 
 def laplacian_eigenvalue(grid: SpatialGrid, k: int) -> float:
@@ -352,7 +318,7 @@ def norm_values(
 
 
 def norm(u: Field, kind: str, p: float | None = None) -> float:
-    """Discrete norm of a Field.
+    """Discrete norm of a Field; norm_values on its values.
 
     Args:
         u: the Field.
@@ -366,31 +332,7 @@ def norm(u: Field, kind: str, p: float | None = None) -> float:
 
 
 def signed_power_values(values: np.ndarray, alpha: float) -> np.ndarray:
-    """|u|^(alpha-1) u on raw values, with 0 mapped to 0."""
+    """Odd power u^[alpha] = |u|^(alpha-1) u on raw values, with 0 mapped to 0."""
     if alpha <= 0:
         raise ValueError(f"signed power needs alpha > 0, got {alpha}")
     return np.sign(values) * np.abs(values) ** alpha
-
-
-def signed_power(u: Field, alpha: float) -> Field:
-    """Odd power u^[alpha] = |u|^(alpha-1) u, applied nodewise."""
-    return Field(u.grid, signed_power_values(np.asarray(u.values), alpha))
-
-
-def duality_pairing(f: Field, g: Field, triple: TripleKind) -> float:
-    """Duality pairing <f, g> between V* and V for the given triple.
-
-    For the heat triple this is the plain L2 inner product
-    h * sum f_j g_j. For the porous triple, where H = H^-1 is the pivot
-    space, it is h * sum ((-Lap_h)^{-1} f)_j g_j.
-
-    Args:
-        f: element of V* (heat: H^-1 realized on nodes; porous: L^{(m+1)/m}).
-        g: element of V.
-        triple: which Gelfand triple's pairing to use.
-
-    Returns:
-        The pairing value.
-    """
-    _check_same_grid(f, g)
-    return triple.pairing_values(f.grid, f.values, g.values)

@@ -92,10 +92,11 @@ class Trajectory:
     array, values, whose row k is the sample at t_k. An ensemble of paths
     on the same grids stacks them on one leading path axis,
     (paths, n_steps + 1, n_interior); path(p) takes path p out as a
-    one-path Trajectory, and the one-path readers (fields, the CSV writer,
-    the norms and estimators) raise ValueError on a stacked one. The
-    constructor copies its input once and checks the shape; from_matrix is
-    the same constructor under its documented name.
+    one-path Trajectory, and the one-path readers (the CSV writer, the
+    norms and estimators) raise ValueError on a stacked one. The
+    constructor copies its input once into C order, so equal values give
+    equal bits whatever the input's layout, and checks the shape;
+    from_matrix is the same constructor under its documented name.
     """
 
     timegrid: TimeGrid
@@ -103,7 +104,7 @@ class Trajectory:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float, order="C")
         rows = (self.timegrid.n_steps + 1, self.grid.n_interior)
         if vals.shape[-2:] != rows or vals.ndim not in (2, 3) or vals.size == 0:
             raise ValueError(
@@ -123,12 +124,6 @@ class Trajectory:
         if self.n_paths is None:
             raise ValueError("a one-path trajectory has no path axis to index")
         return Trajectory(self.timegrid, self.grid, self.values[p])
-
-    @property
-    def fields(self) -> tuple[Field, ...]:
-        """The samples as Fields, built anew on every access."""
-        _one_path(self, "fields")
-        return tuple(Field(self.grid, row) for row in self.values)
 
     def stacked(self) -> np.ndarray:
         """Samples as a writable copy of values."""

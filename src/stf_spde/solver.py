@@ -16,7 +16,9 @@ Newton iteration on F(v) = v - dt Lap_h v^{[m]} - rhs with the tridiagonal
 Jacobian I - dt Lap_h diag(m |v|^{m-1}); the returned iterate always
 satisfies |F|_L2 <= newton_tol (1 + |rhs|_L2), otherwise NewtonDivergence
 is raised and the caller may retry with a halved step (the increment dW is
-split in half so its sum is preserved).
+split in half so its sum is preserved). Every step kernel acts on raw
+nodal values; Field appears only as ProblemSpec.initial_datum and in
+check_hypotheses' explicit pairs.
 
 Every tridiagonal solve goes straight to LAPACK through the seam in grids:
 dptsv for the heat step and dgtsv for each Newton iteration, with the bits
@@ -81,9 +83,6 @@ __all__ = [
     "SolverConfig",
     "NewtonDivergence",
     "HypothesisReport",
-    "step_heat",
-    "step_porous",
-    "gradient_noise_apply",
     "solve_frozen",
     "check_hypotheses",
     "KNOWN_EXAMPLES",
@@ -186,20 +185,13 @@ class ProblemSpec:
         return 0.5
 
 
-def _check_step_inputs(u: Field, xi: Field, dw: Field, dt: float) -> None:
-    if u.grid != xi.grid or u.grid != dw.grid:
-        raise ValueError("step inputs live on different grids")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-
-
 def _step_rhs(u, xi, noise, dt):
     """Right-hand side u + dt xi^{[1/2]} + noise of every step, row-wise."""
     return u + dt * signed_power_values(xi, 0.5) + noise
 
 
 def _heat_rows(grid, u, xi, dw, dt, sigma):
-    """Heat step on one row or a (rows, N) batch, in one solve; see step_heat.
+    """Heat step on one row or a (rows, N) batch, in one solve; see _heat_step.
 
     Returns (v, ok). LAPACK solves the columns of the (N, rows) right-hand
     side one by one, so each row gets the one-row bits; a row whose
@@ -211,27 +203,19 @@ def _heat_rows(grid, u, xi, dw, dt, sigma):
 
 
 def _heat_step(grid, u, xi, dw, dt, sigma):
-    """Heat step on one row of raw nodal values; see step_heat."""
-    v, ok = _heat_rows(grid, u, xi, dw, dt, sigma)
-    if not ok:
-        raise NewtonDivergence(f"non-finite heat right-hand side (dt {dt:.3e})")
-    return v
+    """One semi-implicit heat step on one row of raw nodal values.
 
-
-def step_heat(u_k: Field, xi_k: Field, dw_k: Field, dt: float, sigma: float = 0.1) -> Field:
-    """One semi-implicit heat step.
-
-    Solves (I - dt Lap_h) u = u_k + dt xi_k^{[1/2]} + sigma u_k dw_k; the
-    Laplacian is implicit (one SPD tridiagonal solve) and the drift and
-    noise are explicit.
+    Solves (I - dt Lap_h) v = u + dt xi^{[1/2]} + sigma u dw; the Laplacian
+    is implicit (one SPD tridiagonal solve) and the drift and noise are
+    explicit.
 
     Raises:
         NewtonDivergence: the right-hand side is not finite.
     """
-    _check_step_inputs(u_k, xi_k, dw_k, dt)
-    return Field(
-        u_k.grid, _heat_step(u_k.grid, u_k.values, xi_k.values, dw_k.values, dt, sigma)
-    )
+    v, ok = _heat_rows(grid, u, xi, dw, dt, sigma)
+    if not ok:
+        raise NewtonDivergence(f"non-finite heat right-hand side (dt {dt:.3e})")
+    return v
 
 
 def _porous_residual(grid, v, dt, m, rhs):
@@ -340,45 +324,6 @@ def _newton_rows(grid, u_start, rhs, dt, m, config):
     return v, iterations, ok
 
 
-def _porous_step(grid, u, xi, noise, dt, m, config):
-    """Porous step on raw nodal values; returns (v, Newton iterations)."""
-    return _newton_porous(grid, u, _step_rhs(u, xi, noise, dt), dt, m, config)
-
-
-def step_porous(
-    u_k: Field,
-    xi_k: Field,
-    dw_k: Field,
-    dt: float,
-    m: int,
-    config: SolverConfig | None = None,
-    sigma: float = 0.1,
-    noise_term: Field | None = None,
-) -> Field:
-    """One implicit porous-medium step by damped Newton.
-
-    Solves u - dt Lap_h u^{[m]} = u_k + dt xi_k^{[1/2]} + noise, where the
-    noise contribution is sigma * u_k * dw_k unless an assembled
-    noise_term Field is supplied (the gradient-noise example). With m = 1
-    the system is linear and reproduces step_heat.
-
-    Raises:
-        NewtonDivergence: residual contract unmet; retry with smaller dt.
-    """
-    _check_step_inputs(u_k, xi_k, dw_k, dt)
-    if int(m) != m or m < 1:
-        raise ValueError(f"porous exponent must be an integer >= 1, got {m}")
-    if noise_term is None:
-        noise = sigma * u_k.values * dw_k.values
-    else:
-        if noise_term.grid != u_k.grid:
-            raise ValueError("noise term lives on a different grid")
-        noise = noise_term.values
-    cfg = config if config is not None else SolverConfig()
-    v, _ = _porous_step(u_k.grid, u_k.values, xi_k.values, noise, dt, m, cfg)
-    return Field(u_k.grid, v)
-
-
 def _one_sided_centered_diff(grid, g):
     """Centered difference inside, first-order one-sided at the two ends.
 
@@ -395,27 +340,16 @@ def _one_sided_centered_diff(grid, g):
 
 
 def _gradient_noise(grid, xi, dw, form):
-    """Gradient-coupled noise on raw nodal values; see gradient_noise_apply.
+    """Gradient-coupled noise increment D_h(xi^{[1/2]} dW) on raw nodal values.
 
-    dw may also be a (rows, N) stack, such as the Q-basis, under the one xi.
+    The "divergence" form differences the product; the "pointwise" form
+    multiplies the differenced xi^{[1/2]} by the increment instead. dw may
+    also be a (rows, N) stack, such as the Q-basis, under the one xi.
     """
     root = signed_power_values(xi, 0.5)
     if form == "divergence":
         return _one_sided_centered_diff(grid, root * dw)
     return _one_sided_centered_diff(grid, root) * dw
-
-
-def gradient_noise_apply(xi_k: Field, dw_k: Field, form: str = "divergence") -> Field:
-    """Gradient-coupled noise increment D_h(xi^{[1/2]} dW).
-
-    The "divergence" form differences the product; the "pointwise" form
-    multiplies the differenced xi^{[1/2]} by the increment instead.
-    """
-    if xi_k.grid != dw_k.grid:
-        raise ValueError("fields live on different grids")
-    if form not in _NOISE_FORMS:
-        raise ValueError(f"form must be one of {_NOISE_FORMS}, got {form!r}")
-    return Field(xi_k.grid, _gradient_noise(xi_k.grid, xi_k.values, dw_k.values, form))
 
 
 def _porous_noise(problem, u, xi_k, dw):
@@ -437,8 +371,8 @@ def _advance(problem, u, xi_k, dw, dt, cfg, stats, depth):
     try:
         if problem.example == "heat_sqrt_drift":
             return _heat_step(grid, u, xi_k, dw, dt, problem.sigma)
-        noise = _porous_noise(problem, u, xi_k, dw)
-        v, its = _porous_step(grid, u, xi_k, noise, dt, problem.m, cfg)
+        rhs = _step_rhs(u, xi_k, _porous_noise(problem, u, xi_k, dw), dt)
+        v, its = _newton_porous(grid, u, rhs, dt, problem.m, cfg)
         stats["newton_iterations"] += its
         return v
     except NewtonDivergence:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, SpatialGrid
+from .grids import SpatialGrid
 from .projection import TimeGrid, Trajectory
 from .rng import derive_key, gaussian_stream, standard_normal_rows
 
@@ -46,8 +46,6 @@ __all__ = [
     "sample_increments",
     "sample_increments_batch",
     "tail_bound_probe",
-    "assemble_field",
-    "mode_coefficients",
     "save_noise_path",
     "load_noise_path",
 ]
@@ -125,21 +123,6 @@ class QWienerSpec:
     @property
     def trace(self) -> float:
         return float(np.sum(self.eigenvalues))
-
-
-def assemble_field(spec: QWienerSpec, coeffs: np.ndarray) -> Field:
-    """Field sum_i coeffs_i psi_i from modal coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (spec.n_modes,):
-        raise ValueError(f"expected {spec.n_modes} coefficients, got {coeffs.shape}")
-    return Field(spec.grid, coeffs @ spec.basis)
-
-
-def mode_coefficients(spec: QWienerSpec, u: Field) -> np.ndarray:
-    """Discrete L2 projections h * sum_j u(x_j) psi_i(x_j), i = 1..n_modes."""
-    if u.grid != spec.grid:
-        raise ValueError("field lives on a different grid than the noise modes")
-    return spec.grid.h * (spec.basis @ np.asarray(u.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,21 +321,15 @@ def lc_scalar_bm(level: int, seed: int) -> ScalarBMPath:
 
 @dataclass(frozen=True, eq=False)
 class QWienerLCPath:
-    """Mode-wise midpoint-displacement paths assembled into Field values."""
+    """Mode-wise midpoint-displacement paths of one Q-Wiener path."""
 
     spec: QWienerSpec
     level: int
     seed: int
     mode_paths: tuple[ScalarBMPath, ...]
 
-    def field_at(self, j: int) -> Field:
-        """W(t_j) = sum_i sqrt(lambda_i) psi_i B_i(t_j) at dyadic node j."""
-        coeffs = np.sqrt(self.spec.eigenvalues) * np.array(
-            [p.values[j] for p in self.mode_paths]
-        )
-        return assemble_field(self.spec, coeffs)
-
     def trajectory(self) -> Trajectory:
+        """W(t_j) = sum_i sqrt(lambda_i) psi_i B_i(t_j) at every dyadic node j."""
         scaled = np.sqrt(self.spec.eigenvalues)[:, None] * np.array(
             [p.values for p in self.mode_paths]
         )

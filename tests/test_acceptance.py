@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from stf_spde import cli, projection
 from stf_spde.cli import (
     main,
     suite_continuity,
@@ -34,7 +35,7 @@ from stf_spde.grids import (
     inv_neg_laplacian_values,
     laplacian_eigenvalue,
     laplacian_values,
-    norm,
+    norm_values,
     signed_power_values,
 )
 from stf_spde.projection import HaarLevel, TimeGrid, Trajectory, proj_shifted, smoothed_seed
@@ -78,6 +79,22 @@ def test_criterion_01_wiener_covariance():
     )
 
 
+def test_criterion_01_fails_on_inflated_eigenvalues(monkeypatch):
+    # negative control: a sampler drawing with every eigenvalue scaled by
+    # 1.1 must break the covariance checks at the suite's full size
+    original = cli.sample_increments_batch
+
+    def inflated(spec, timegrid, seeds):
+        scaled = QWienerSpec(spec.grid, 1.1 * spec.eigenvalues, spec.decay_exponent)
+        return original(scaled, timegrid, seeds)
+
+    monkeypatch.setattr(cli, "sample_increments_batch", inflated)
+    checks = suite_wiener()
+    assert not all(c["pass"] for c in checks)
+    cov = [c for c in checks if c["name"].startswith("wiener_cov_mode1")]
+    assert cov and not any(c["pass"] for c in cov)
+
+
 def test_criterion_02_lc_refinement(lc_checks):
     consistency, decay = lc_checks[0], lc_checks[1]
     ok = consistency["pass"] and decay["pass"]
@@ -117,6 +134,22 @@ def test_criterion_05_adapted_contraction(haar_checks):
         f"future-perturbation violations={adapted['value']:g}/100, "
         f"zero-seed norm excess {contraction['value']:.3g} <= 0 on 100 trajectories",
     )
+
+
+def test_criterion_05_fails_on_current_block_average(monkeypatch):
+    # negative control: a projection that averages the current block
+    # instead of the previous one reads the future and must fail the
+    # adaptedness check at the suite's full size
+    original = projection._shifted_rows
+
+    def current_block(u, level, s):
+        # block k - 1 of the rows from node s on is block k of u
+        return original(u[..., s:, :], level, s)
+
+    monkeypatch.setattr(projection, "_shifted_rows", current_block)
+    checks = {c["name"]: c for c in suite_haar()}
+    adapted = checks["haar_adapted_future_blind"]
+    assert adapted["pass"] is False and adapted["value"] > 0
 
 
 def test_criterion_06_monotone_pairing():
@@ -164,7 +197,7 @@ def test_criterion_07_deterministic_heat():
             for k, c in modes.items()
         )
         oracle_err = max(
-            oracle_err, np.max(np.abs(np.asarray(u.fields[j].values) - exact))
+            oracle_err, np.max(np.abs(u.values[j] - exact))
         )
 
     # with a frozen drift the implicit stepping should be first order in dt
@@ -181,16 +214,7 @@ def test_criterion_07_deterministic_heat():
     errs, dts = [], []
     for n_steps in (32, 64, 128):
         sol = run(n_steps)
-        errs.append(
-            norm(
-                Field(
-                    grid,
-                    np.asarray(sol.fields[-1].values)
-                    - np.asarray(ref.fields[-1].values),
-                ),
-                "L2",
-            )
-        )
+        errs.append(norm_values(grid, sol.values[-1] - ref.values[-1], "L2"))
         dts.append(horizon / n_steps)
     order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     ok = oracle_err <= 1e-10 and order >= 0.9

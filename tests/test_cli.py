@@ -157,7 +157,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
         solution = trajectory_from_csv(str(out / "solution_000.csv"))
-        assert all(np.all(f.values == 0.0) for f in solution.fields)
+        assert np.all(solution.values == 0.0)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert len(manifest["path_seeds"]) == 2

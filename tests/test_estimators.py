@@ -21,7 +21,7 @@ from stf_spde.estimators import (
     mc_mean_stderr,
     pathwise_sup_H,
 )
-from stf_spde.grids import Field, SpatialGrid, TripleKind, norm
+from stf_spde.grids import Field, SpatialGrid, TripleKind, norm_values
 from stf_spde.projection import HaarLevel, TimeGrid, Trajectory, smoothed_seed
 from stf_spde.fixed_point import staircase_construct, xnorm_power_distance
 from stf_spde.rng import gaussian_stream, path_seed
@@ -95,19 +95,17 @@ class TestTrajectoryFunctionals:
 
     def test_ramp_sup_attained_at_endpoint(self, grid):
         tg = TimeGrid(8, T=1.0)
-        v = Field(grid, np.sin(2 * np.pi * grid.nodes))
-        traj = Trajectory.from_matrix(
-            tg, grid, [t * np.asarray(v.values) for t in tg.times]
-        )
+        v = np.sin(2 * np.pi * grid.nodes)
+        traj = Trajectory.from_matrix(tg, grid, [t * v for t in tg.times])
         for triple in (TripleKind.heat(), TripleKind.porous(2)):
             assert pathwise_sup_H(traj, triple) == pytest.approx(
-                triple.h_norm(v) ** 2, rel=1e-13
+                triple.h_norm_values(grid, v) ** 2, rel=1e-13
             )
 
     def test_sup_matches_brute_force(self, grid):
         tg = TimeGrid(16)
         traj = random_traj(grid, tg, np.random.default_rng(5))
-        brute = max(norm(f, "L2") ** 2 for f in traj.fields)
+        brute = max(norm_values(grid, row, "L2") ** 2 for row in traj.values)
         assert pathwise_sup_H(traj, TripleKind.heat()) == brute
 
     def test_integral_constant_field(self, grid):
@@ -115,7 +113,7 @@ class TestTrajectoryFunctionals:
         c = Field(grid, 0.7 * np.ones(grid.n_interior))
         traj = Trajectory.constant(tg, c)
         triple = TripleKind.porous(2)
-        expected = 0.5 * triple.v_norm(c) ** 3
+        expected = 0.5 * triple.v_norm_values(grid, c.values) ** 3
         assert integral_v_power(traj, triple, 3) == pytest.approx(expected, rel=1e-13)
 
     def test_integral_uses_left_endpoints(self, grid):
@@ -134,7 +132,9 @@ class TestTrajectoryFunctionals:
         tg = TimeGrid(8)
         traj = random_traj(grid, tg, np.random.default_rng(13))
         triple = TripleKind.heat()
-        oracle = tg.dt * sum(norm(f, "V_H1") ** 2 for f in traj.fields[:-1])
+        oracle = tg.dt * sum(
+            norm_values(grid, row, "V_H1") ** 2 for row in traj.values[:-1]
+        )
         assert integral_v_power(traj, triple, 2) == pytest.approx(oracle, rel=1e-14)
 
     def test_integral_rejects_bad_power(self, grid):

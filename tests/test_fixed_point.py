@@ -106,11 +106,8 @@ class TestDistance:
         b = random_traj(grid, tg, rng)
         triple = heat_problem.triple
         oracle = tg.dt * sum(
-            triple.v_norm(
-                Field(grid, np.asarray(fa.values) - np.asarray(fb.values))
-            )
-            ** 2
-            for fa, fb in zip(a.fields[:-1], b.fields[:-1])
+            triple.v_norm_values(grid, ra - rb) ** 2
+            for ra, rb in zip(a.values[:-1], b.values[:-1])
         )
         assert xnorm_power_distance(a, b, heat_problem) == pytest.approx(
             oracle, rel=1e-14
@@ -133,7 +130,7 @@ class TestPicard:
         assert diag.converged
         assert diag.residual == 0.0
         assert diag.energy_functional == 0.0
-        assert all(np.all(f.values == 0.0) for f in iterates[0].fields)
+        assert np.all(iterates[0].values == 0.0)
 
     def test_exact_fixed_point_within_block_count(self, heat_picard):
         _, _, diag = heat_picard
@@ -158,10 +155,7 @@ class TestPicard:
         noises, iterates, _ = heat_picard
         again, _ = picard_iterate(heat_problem, level, noises)
         for a, b in zip(again, iterates):
-            assert all(
-                np.array_equal(fa.values, fb.values)
-                for fa, fb in zip(a.fields, b.fields)
-            )
+            assert np.array_equal(a.values, b.values)
 
     def test_max_iter_cap_reports_not_converged(self, heat_problem, level, qspec):
         noise = sample_increments(qspec, TimeGrid(128), path_seed(17, 0))
@@ -433,10 +427,7 @@ class TestStaircase:
         noises, iterates, _ = heat_picard
         for noise, limit in zip(noises, iterates):
             sweep = staircase_construct(heat_problem, level, noise)
-            assert all(
-                np.array_equal(fa.values, fb.values)
-                for fa, fb in zip(sweep.fields, limit.fields)
-            )
+            assert np.array_equal(sweep.values, limit.values)
 
     @pytest.mark.parametrize(
         "example,n_paths",
@@ -455,10 +446,7 @@ class TestStaircase:
         assert diag.residual == 0.0
         for noise, limit in zip(noises, iterates):
             sweep = staircase_construct(prob, level, noise)
-            assert all(
-                np.array_equal(fa.values, fb.values)
-                for fa, fb in zip(sweep.fields, limit.fields)
-            )
+            assert np.array_equal(sweep.values, limit.values)
 
     def test_residual_vanishes(self, heat_problem, level, heat_picard):
         noises, _, _ = heat_picard
@@ -471,7 +459,7 @@ class TestStaircase:
         prob = ProblemSpec("heat_sqrt_drift", qspec, zero)
         noise = sample_increments(qspec, TimeGrid(64), 5)
         out = staircase_construct(prob, HaarLevel(3, zero), noise)
-        assert all(np.all(f.values == 0.0) for f in out.fields)
+        assert np.all(out.values == 0.0)
 
     def test_output_ignores_future_noise(self, heat_problem, level, heat_picard):
         # zeroing increments from step 64 (block 4) onward must leave
@@ -485,12 +473,8 @@ class TestStaircase:
         full_out = staircase_construct(heat_problem, level, noise)
         cut_out = staircase_construct(heat_problem, level, truncated)
         for k in range(80):
-            assert np.array_equal(
-                full_out.fields[k].values, cut_out.fields[k].values
-            )
-        assert not np.array_equal(
-            full_out.fields[80].values, cut_out.fields[80].values
-        )
+            assert np.array_equal(full_out.values[k], cut_out.values[k])
+        assert not np.array_equal(full_out.values[80], cut_out.values[80])
 
     def test_last_block_noise_is_never_read(self, heat_problem, level, heat_picard):
         # no coefficient block reads the solve on the last block (steps
@@ -679,6 +663,19 @@ class TestContinuityProbe:
                 heat_problem, base, pert, [1e-2, 1e-2, 1e-1], n_paths=2
             )
 
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_rejects_no_paths_before_drawing_noise(
+        self, heat_problem, coeff_pair, monkeypatch, n_paths
+    ):
+        base, pert = coeff_pair
+
+        def no_draws(*args):
+            raise AssertionError("noise drawn before the input check")
+
+        monkeypatch.setattr(fixed_point, "sample_increments_batch", no_draws)
+        with pytest.raises(ValueError, match="n_paths"):
+            continuity_probe(heat_problem, base, pert, [1e-2, 1e-1, 1.0], n_paths=n_paths)
+
     def test_rejects_mismatched_perturbation(
         self, heat_problem, coeff_pair, grid
     ):
@@ -837,7 +834,9 @@ class TestInvarianceChain:
         tg = TimeGrid(128)
         rep = energy_report(heat_problem, level, tg, n_paths=32, seed_base=11)
         assert rep.c_hat == pytest.approx(0.01680942286730822, rel=1e-6)
-        u0_energy = heat_problem.triple.h_norm(small_datum) ** 2
+        u0_energy = (
+            heat_problem.triple.h_norm_values(small_datum.grid, small_datum.values) ** 2
+        )
         r_star = invariance_radius(rep.c_hat, u0_energy, tg.T, 0.5)
         assert r_star == pytest.approx(0.03023635459216774, rel=1e-6)
         noises = [

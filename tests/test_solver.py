@@ -20,10 +20,9 @@ from stf_spde.grids import (
     Field,
     SpatialGrid,
     TripleKind,
-    duality_pairing,
     laplacian_eigenvalue,
     laplacian_values,
-    norm,
+    norm_values,
     sine_field,
     signed_power_values,
 )
@@ -35,18 +34,22 @@ from stf_spde.solver import (
     ProblemSpec,
     SolverConfig,
     _gradient_noise,
+    _heat_step,
     _hs_norm_sq,
+    _newton_porous,
+    _step_rhs,
     check_hypotheses,
-    gradient_noise_apply,
     solve_frozen,
-    step_heat,
-    step_porous,
 )
 from stf_spde.wiener import NoisePath, QWienerSpec, sample_increments
 
 
+def random_values(grid, rng, scale=1.0):
+    return scale * rng.standard_normal(grid.n_interior)
+
+
 def random_field(grid, rng, scale=1.0):
-    return Field(grid, scale * rng.standard_normal(grid.n_interior))
+    return Field(grid, random_values(grid, rng, scale))
 
 
 def zero_field(grid):
@@ -68,7 +71,13 @@ def dense_laplacian(grid):
 
 
 def values_gap(a, b):
-    return float(np.max(np.abs(np.asarray(a.values) - np.asarray(b.values))))
+    return float(np.max(np.abs(a - b)))
+
+
+def porous_step(grid, u, xi, noise, dt, m, config=None):
+    """One porous step on raw nodal values through the row kernel."""
+    cfg = config if config is not None else SolverConfig()
+    return _newton_porous(grid, u, _step_rhs(u, xi, noise, dt), dt, m, cfg)[0]
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +92,9 @@ def qspec(grid):
 
 class TestHeatStep:
     def test_zero_state_stays_zero(self, grid):
-        z = zero_field(grid)
-        out = step_heat(z, z, z, 0.01)
-        assert np.all(out.values == 0.0)
+        z = np.zeros(grid.n_interior)
+        out = _heat_step(grid, z, z, z, 0.01, 0.1)
+        assert np.all(out == 0.0)
 
     def test_eigenmode_recursion(self, grid, qspec):
         # with zero drift and noise the step is diagonal on sine modes:
@@ -98,44 +107,39 @@ class TestHeatStep:
         )
         mu1 = laplacian_eigenvalue(grid, 1)
         expect = np.asarray(u0.values) / (1.0 + tg.dt * mu1) ** 16
-        assert np.max(np.abs(traj.fields[-1].values - expect)) < 1e-10
+        assert np.max(np.abs(traj.values[-1] - expect)) < 1e-10
 
     def test_constant_drift_matches_dense_solve(self, grid):
         # xi = 4 contributes dt * sqrt(4) = 2 dt to the right-hand side
-        z = zero_field(grid)
-        xi = Field(grid, np.full(grid.n_interior, 4.0))
-        out = step_heat(z, xi, z, 0.1)
+        z = np.zeros(grid.n_interior)
+        xi = np.full(grid.n_interior, 4.0)
+        out = _heat_step(grid, z, xi, z, 0.1, 0.1)
         mat = np.eye(grid.n_interior) - 0.1 * dense_laplacian(grid)
         oracle = np.linalg.solve(mat, np.full(grid.n_interior, 0.2))
-        assert np.max(np.abs(out.values - oracle)) < 1e-13
+        assert np.max(np.abs(out - oracle)) < 1e-13
 
     def test_full_step_matches_dense_solve(self, grid):
         rng = np.random.default_rng(11)
-        u = random_field(grid, rng)
-        xi = random_field(grid, rng)
-        dw = random_field(grid, rng, scale=0.05)
+        u = random_values(grid, rng)
+        xi = random_values(grid, rng)
+        dw = random_values(grid, rng, scale=0.05)
         dt, sigma = 0.02, 0.3
-        out = step_heat(u, xi, dw, dt, sigma=sigma)
-        rhs = (
-            np.asarray(u.values)
-            + dt * signed_power_values(np.asarray(xi.values), 0.5)
-            + sigma * np.asarray(u.values) * np.asarray(dw.values)
-        )
+        out = _heat_step(grid, u, xi, dw, dt, sigma)
+        rhs = u + dt * signed_power_values(xi, 0.5) + sigma * u * dw
         mat = np.eye(grid.n_interior) - dt * dense_laplacian(grid)
-        assert np.max(np.abs(out.values - np.linalg.solve(mat, rhs))) < 1e-13
+        assert np.max(np.abs(out - np.linalg.solve(mat, rhs))) < 1e-13
 
     def test_energy_identity_exact(self, grid):
         # (I - dt Lap) u+ = u pairs with 2 u+ to give
         # |u+|^2 - |u|^2 + 2 dt |u+|_V^2 = -|u+ - u|^2
         rng = np.random.default_rng(7)
         for _ in range(5):
-            u = random_field(grid, rng)
-            z = zero_field(grid)
-            up = step_heat(u, z, z, 0.02)
-            gap = Field(grid, np.asarray(up.values) - np.asarray(u.values))
-            lhs = norm(up, "L2") ** 2 - norm(u, "L2") ** 2
-            lhs += 2 * 0.02 * norm(up, "V_H1") ** 2
-            assert abs(lhs + norm(gap, "L2") ** 2) < 1e-12
+            u = random_values(grid, rng)
+            z = np.zeros(grid.n_interior)
+            up = _heat_step(grid, u, z, z, 0.02, 0.1)
+            lhs = norm_values(grid, up, "L2") ** 2 - norm_values(grid, u, "L2") ** 2
+            lhs += 2 * 0.02 * norm_values(grid, up, "V_H1") ** 2
+            assert abs(lhs + norm_values(grid, up - u, "L2") ** 2) < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -143,10 +147,10 @@ class TestHeatStep:
         # drift-free, noise-free: the implicit step never grows the L2 norm
         grid = SpatialGrid(17)
         rng = np.random.default_rng(seed)
-        u = random_field(grid, rng, scale=10.0 ** rng.uniform(-2, 2))
-        z = zero_field(grid)
-        up = step_heat(u, z, z, 10.0 ** rng.uniform(-4, 1))
-        assert norm(up, "L2") <= norm(u, "L2") * (1 + 1e-12)
+        u = random_values(grid, rng, scale=10.0 ** rng.uniform(-2, 2))
+        z = np.zeros(grid.n_interior)
+        up = _heat_step(grid, u, z, z, 10.0 ** rng.uniform(-4, 1), 0.1)
+        assert norm_values(grid, up, "L2") <= norm_values(grid, u, "L2") * (1 + 1e-12)
 
 
 class TestPorousStep:
@@ -155,43 +159,39 @@ class TestPorousStep:
     def test_m1_reduces_to_heat(self, seed):
         grid = SpatialGrid(17)
         rng = np.random.default_rng(seed)
-        u = random_field(grid, rng)
-        xi = random_field(grid, rng)
-        dw = random_field(grid, rng, scale=0.05)
-        a = step_heat(u, xi, dw, 0.02)
-        b = step_porous(u, xi, dw, 0.02, m=1)
+        u = random_values(grid, rng)
+        xi = random_values(grid, rng)
+        dw = random_values(grid, rng, scale=0.05)
+        a = _heat_step(grid, u, xi, dw, 0.02, 0.1)
+        b = porous_step(grid, u, xi, 0.1 * u * dw, 0.02, m=1)
         assert values_gap(a, b) < 1e-12
 
     def test_newton_converges_quickly_m2(self, grid):
         # typical smooth state at dt = 0.02: seven iterations measured;
         # the residual is re-evaluated here with a dense Laplacian
         rng = np.random.default_rng(7)
-        u = random_field(grid, rng)
-        xi = random_field(grid, rng)
-        z = zero_field(grid)
+        u = random_values(grid, rng)
+        xi = random_values(grid, rng)
+        z = np.zeros(grid.n_interior)
         cfg = SolverConfig(newton_max_iter=8)
-        out = step_porous(u, xi, z, 0.02, m=2, config=cfg, sigma=0.0)
-        v = np.asarray(out.values)
-        rhs = np.asarray(u.values) + 0.02 * signed_power_values(
-            np.asarray(xi.values), 0.5
-        )
+        v = porous_step(grid, u, xi, z, 0.02, m=2, config=cfg)
+        rhs = u + 0.02 * signed_power_values(xi, 0.5)
         res = v - 0.02 * dense_laplacian(grid) @ signed_power_values(v, 2) - rhs
-        target = 1e-10 * (1.0 + norm(Field(grid, rhs), "L2"))
-        assert norm(Field(grid, res), "L2") <= target
+        target = 1e-10 * (1.0 + norm_values(grid, rhs, "L2"))
+        assert norm_values(grid, res, "L2") <= target
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_energy_identity(self, grid, m):
         # |u+|_{H^-1}^2 - |u|_{H^-1}^2 + 2 dt |u+|_{L^{m+1}}^{m+1}
         # = -|u+ - u|_{H^-1}^2, up to the Newton residual
         rng = np.random.default_rng(m)
-        u = random_field(grid, rng)
-        z = zero_field(grid)
-        up = step_porous(u, z, z, 0.02, m=m)
-        gap = Field(grid, np.asarray(up.values) - np.asarray(u.values))
-        lhs = norm(up, "Hminus1") ** 2 - norm(u, "Hminus1") ** 2
-        lhs += 2 * 0.02 * norm(up, "Lp", p=m + 1) ** (m + 1)
-        scale = norm(u, "Hminus1") ** 2
-        assert abs(lhs + norm(gap, "Hminus1") ** 2) < 1e-8 * scale
+        u = random_values(grid, rng)
+        z = np.zeros(grid.n_interior)
+        up = porous_step(grid, u, z, z, 0.02, m=m)
+        lhs = norm_values(grid, up, "Hminus1") ** 2 - norm_values(grid, u, "Hminus1") ** 2
+        lhs += 2 * 0.02 * norm_values(grid, up, "Lp", p=m + 1) ** (m + 1)
+        scale = norm_values(grid, u, "Hminus1") ** 2
+        assert abs(lhs + norm_values(grid, up - u, "Hminus1") ** 2) < 1e-8 * scale
 
     def test_manufactured_solution_reproduced(self, grid, qspec):
         # freeze xi so the scheme's own update equation has a known exact
@@ -201,50 +201,37 @@ class TestPorousStep:
         tg = TimeGrid(16, T=1.0)
         phi = np.sin(np.pi * grid.nodes)
         bump = 0.2 * np.sin(2 * np.pi * grid.nodes)
-        target = [
-            Field(grid, (0.5 + 0.5 * t) * phi + bump * t * (1 - t))
-            for t in tg.times
-        ]
-        xi_fields = []
+        target = [(0.5 + 0.5 * t) * phi + bump * t * (1 - t) for t in tg.times]
+        xi_rows = []
         for k in range(tg.n_steps):
-            g = (
-                np.asarray(target[k + 1].values) - np.asarray(target[k].values)
-            ) / tg.dt - laplacian_values(
-                grid, signed_power_values(np.asarray(target[k + 1].values), 2)
+            g = (target[k + 1] - target[k]) / tg.dt - laplacian_values(
+                grid, signed_power_values(target[k + 1], 2)
             )
-            xi_fields.append(Field(grid, signed_power_values(g, 2.0)))
-        xi_fields.append(xi_fields[-1])
-        prob = ProblemSpec("porous_sqrt_drift", qspec, target[0], m=2, sigma=0.0)
-        xi = Trajectory.from_matrix(tg, grid, [f.values for f in xi_fields])
+            xi_rows.append(signed_power_values(g, 2.0))
+        xi_rows.append(xi_rows[-1])
+        u0 = Field(grid, target[0])
+        prob = ProblemSpec("porous_sqrt_drift", qspec, u0, m=2, sigma=0.0)
+        xi = Trajectory.from_matrix(tg, grid, xi_rows)
         out = solve_frozen(prob, xi, zero_noise(tg, 16))
-        worst = max(values_gap(out.fields[k], target[k]) for k in range(17))
+        worst = max(values_gap(out.values[k], target[k]) for k in range(17))
         assert worst < 1e-9
 
     def test_divergence_raised_when_budget_tiny(self):
         grid = SpatialGrid(63)
-        u = Field(
-            grid,
-            40.0 * np.sin(np.pi * grid.nodes) + 30.0 * np.sin(3 * np.pi * grid.nodes),
-        )
-        z = zero_field(grid)
+        u = 40.0 * np.sin(np.pi * grid.nodes) + 30.0 * np.sin(3 * np.pi * grid.nodes)
+        z = np.zeros(grid.n_interior)
         cfg = SolverConfig(newton_max_iter=2)
         with pytest.raises(NewtonDivergence):
-            step_porous(u, z, z, 0.5, m=5, config=cfg)
-
-    def test_rejects_bad_exponent(self, grid):
-        z = zero_field(grid)
-        with pytest.raises(ValueError):
-            step_porous(z, z, z, 0.01, m=0)
+            porous_step(grid, u, z, z, 0.5, m=5, config=cfg)
 
     @pytest.mark.parametrize("bad_input", ["u", "dw"])
     def test_non_finite_residual_raises(self, grid, bad_input):
-        z = zero_field(grid)
-        values = np.sin(np.pi * grid.nodes)
-        values[4] = np.nan if bad_input == "u" else np.inf
-        bad = Field(grid, values)
-        u, dw = (bad, z) if bad_input == "u" else (sine_field(grid, 1), bad)
+        z = np.zeros(grid.n_interior)
+        bad = np.sin(np.pi * grid.nodes)
+        bad[4] = np.nan if bad_input == "u" else np.inf
+        u, dw = (bad, z) if bad_input == "u" else (sine_field(grid, 1).values, bad)
         with pytest.raises(NewtonDivergence, match="non-finite"):
-            step_porous(u, z, dw, 0.01, m=2)
+            porous_step(grid, u, z, 0.1 * u * dw, 0.01, m=2)
 
 
 class TestGradientNoise:
@@ -252,9 +239,9 @@ class TestGradientNoise:
         # xi = 1 makes the product trivial; compare against the dense
         # one-sided/centered difference matrix assembled from unit vectors
         rng = np.random.default_rng(3)
-        dw = random_field(grid, rng)
-        ones = Field(grid, np.ones(grid.n_interior))
-        out = gradient_noise_apply(ones, dw)
+        dw = random_values(grid, rng)
+        ones = np.ones(grid.n_interior)
+        out = _gradient_noise(grid, ones, dw, "divergence")
         n, h = grid.n_interior, grid.h
         mat = np.zeros((n, n))
         for j in range(n):
@@ -265,31 +252,33 @@ class TestGradientNoise:
             col[0] = (e[1] - e[0]) / h
             col[-1] = (e[-1] - e[-2]) / h
             mat[:, j] = col
-        assert np.max(np.abs(out.values - mat @ np.asarray(dw.values))) == 0.0
+        assert np.max(np.abs(out - mat @ dw)) == 0.0
 
     def test_zero_xi_gives_zero(self, grid):
         rng = np.random.default_rng(4)
-        dw = random_field(grid, rng)
-        out = gradient_noise_apply(zero_field(grid), dw)
-        assert np.all(out.values == 0.0)
+        dw = random_values(grid, rng)
+        out = _gradient_noise(grid, np.zeros(grid.n_interior), dw, "divergence")
+        assert np.all(out == 0.0)
 
     def test_pointwise_form(self, grid):
         rng = np.random.default_rng(5)
-        xi = random_field(grid, rng)
-        dw = random_field(grid, rng)
-        out = gradient_noise_apply(xi, dw, form="pointwise")
-        root = signed_power_values(np.asarray(xi.values), 0.5)
+        xi = random_values(grid, rng)
+        dw = random_values(grid, rng)
+        out = _gradient_noise(grid, xi, dw, "pointwise")
+        root = signed_power_values(xi, 0.5)
         diffed = np.empty_like(root)
         h = grid.h
         diffed[1:-1] = (root[2:] - root[:-2]) / (2 * h)
         diffed[0] = (root[1] - root[0]) / h
         diffed[-1] = (root[-1] - root[-2]) / h
-        assert np.max(np.abs(out.values - diffed * np.asarray(dw.values))) == 0.0
+        assert np.max(np.abs(out - diffed * dw)) == 0.0
 
-    def test_rejects_unknown_form(self, grid):
-        z = zero_field(grid)
-        with pytest.raises(ValueError):
-            gradient_noise_apply(z, z, form="weak")
+    def test_rejects_unknown_form(self, grid, qspec):
+        # the form is checked once, where the problem is built
+        with pytest.raises(ValueError, match="gradient_noise_form"):
+            ProblemSpec(
+                "porous_gradient_noise", qspec, zero_field(grid), gradient_noise_form="weak"
+            )
 
     def test_hminus1_bound_with_boundary_remainder(self, grid):
         # pairing D_h g against a test function and summing by parts leaves
@@ -301,16 +290,14 @@ class TestGradientNoise:
         h = grid.h
         for trial in range(300):
             rng = np.random.default_rng(100 + trial)
-            xi = random_field(grid, rng, scale=10.0 ** rng.uniform(-2, 1))
-            dw = random_field(grid, rng)
-            g = signed_power_values(np.asarray(xi.values), 0.5) * np.asarray(
-                dw.values
-            )
-            out = gradient_noise_apply(xi, dw)
-            bound = norm(Field(grid, g), "L2") + np.sqrt(h) * (
+            xi = random_values(grid, rng, scale=10.0 ** rng.uniform(-2, 1))
+            dw = random_values(grid, rng)
+            g = signed_power_values(xi, 0.5) * dw
+            out = _gradient_noise(grid, xi, dw, "divergence")
+            bound = norm_values(grid, g, "L2") + np.sqrt(h) * (
                 abs(g[0]) + abs(g[-1]) + (abs(g[1]) + abs(g[-2])) / 2
             )
-            assert norm(out, "Hminus1") <= bound + 1e-12
+            assert norm_values(grid, out, "Hminus1") <= bound + 1e-12
 
 
 class TestSolveFrozen:
@@ -322,7 +309,7 @@ class TestSolveFrozen:
             prob, Trajectory.constant(tg, zero_field(grid)), zero_noise(tg, 16)
         )
         assert out.timegrid == tg
-        assert np.array_equal(out.fields[0].values, u0.values)
+        assert np.array_equal(out.values[0], u0.values)
 
     @pytest.mark.parametrize(
         "example,kind,slope",
@@ -347,14 +334,7 @@ class TestSolveFrozen:
                 prob, Trajectory.constant(fine_tg, xi_field), zero_noise(fine_tg, 16)
             )
             return max(
-                norm(
-                    Field(
-                        grid,
-                        np.asarray(coarse.fields[k].values)
-                        - np.asarray(fine.fields[16 * k].values),
-                    ),
-                    kind,
-                )
+                norm_values(grid, coarse.values[k] - fine.values[16 * k], kind)
                 for k in range(n + 1)
             )
 
@@ -376,8 +356,8 @@ class TestSolveFrozen:
         out_a = solve_frozen(prob, xi, noise)
         out_b = solve_frozen(prob, xi, NoisePath(tg, bumped, seed=-1))
         for j in range(k + 1):
-            assert np.array_equal(out_a.fields[j].values, out_b.fields[j].values)
-        assert values_gap(out_a.fields[k + 1], out_b.fields[k + 1]) > 0
+            assert np.array_equal(out_a.values[j], out_b.values[j])
+        assert values_gap(out_a.values[k + 1], out_b.values[k + 1]) > 0
 
     @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
     def test_deterministic_replay(self, grid, qspec, example):
@@ -389,8 +369,8 @@ class TestSolveFrozen:
         noise = sample_increments(qspec, tg, seed=5)
         out_a = solve_frozen(prob, xi, noise)
         out_b = solve_frozen(prob, xi, noise)
-        for a, b in zip(out_a.fields, out_b.fields):
-            assert np.array_equal(a.values, b.values)
+        for a, b in zip(out_a.values, out_b.values):
+            assert np.array_equal(a, b)
 
     def test_dt_retry_recovers_from_divergence(self):
         # at dt = 0.5 this state needs 21 Newton iterations, at dt = 0.25
@@ -415,7 +395,7 @@ class TestSolveFrozen:
             prob, xi, noise, SolverConfig(newton_max_iter=20), collect_stats=stats
         )
         assert stats["dt_retries"] >= 1
-        assert len(out.fields) == 5
+        assert len(out.values) == 5
         assert np.all(np.isfinite(out.stacked()))
 
     def test_rejects_mismatched_inputs(self, grid, qspec):
@@ -765,15 +745,12 @@ class TestHypothesisChecks:
         triple = TripleKind.porous(3)
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            u1 = random_field(grid, rng, scale=10.0 ** rng.uniform(-2, 2))
-            u2 = random_field(grid, rng, scale=10.0 ** rng.uniform(-2, 2))
-            gap = Field(grid, np.asarray(u1.values) - np.asarray(u2.values))
-            a_gap = Field(
-                grid,
-                laplacian_values(grid, signed_power_values(np.asarray(u1.values), 3))
-                - laplacian_values(grid, signed_power_values(np.asarray(u2.values), 3)),
+            u1 = random_values(grid, rng, scale=10.0 ** rng.uniform(-2, 2))
+            u2 = random_values(grid, rng, scale=10.0 ** rng.uniform(-2, 2))
+            a_gap = laplacian_values(grid, signed_power_values(u1, 3)) - laplacian_values(
+                grid, signed_power_values(u2, 3)
             )
-            pairing = duality_pairing(a_gap, gap, triple)
+            pairing = triple.pairing_values(grid, a_gap, u1 - u2)
             assert pairing <= 1e-9 * (1.0 + abs(pairing))
 
     def test_equal_pair_has_zero_defect(self, grid, qspec):
@@ -804,12 +781,12 @@ class TestHypothesisChecks:
         )
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            xi = random_field(grid, rng, scale=10.0 ** rng.uniform(-3, 2))
+            xi = random_values(grid, rng, scale=10.0 ** rng.uniform(-3, 2))
             expected = 0.0
             for lam, psi in zip(qspec.eigenvalues, qspec.basis):
-                image = gradient_noise_apply(xi, Field(grid, psi), form=form)
-                expected += lam * norm(image, "Hminus1") ** 2
-            images = _gradient_noise(grid, np.asarray(xi.values), qspec.basis, form)
+                image = _gradient_noise(grid, xi, psi, form)
+                expected += lam * norm_values(grid, image, "Hminus1") ** 2
+            images = _gradient_noise(grid, xi, qspec.basis, form)
             assert images.shape == qspec.basis.shape
             got = _hs_norm_sq(prob, images)
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -819,8 +796,8 @@ class TestHypothesisChecks:
     def test_batched_check_matches_pair_loop(
         self, grid, qspec, example, form, monkeypatch
     ):
-        # the pair-by-pair measurement through the Field API, against the
-        # one array pass, which evaluates the operator once per argument
+        # the pair-by-pair measurement, one row at a time, against the one
+        # array pass, which evaluates the operator once per argument
         prob = ProblemSpec(
             example, qspec, zero_field(grid), m=2, gradient_noise_form=form
         )
@@ -832,7 +809,7 @@ class TestHypothesisChecks:
         c_growth = solver._growth_constant(prob)
 
         def hs_norm_sq(images):
-            sq = [triple.h_norm(Field(grid, row)) ** 2 for row in images]
+            sq = [triple.h_norm_values(grid, row) ** 2 for row in images]
             return np.dot(qspec.eigenvalues, sq)
 
         original = solver._operator_values
@@ -845,7 +822,7 @@ class TestHypothesisChecks:
         monkeypatch.setattr(solver, "_operator_values", counted)
 
         def op(u, xi):
-            return Field(grid, original(prob, u.values, xi.values))
+            return original(prob, u, xi)
 
         for seed in range(3):
             # the draws of check_hypotheses, in its order
@@ -855,37 +832,36 @@ class TestHypothesisChecks:
                 amp = 10.0 ** stream.uniform(-3.0, 2.0, size=3)
                 pairs.append([Field(grid, a * stream.standard_normal(31)) for a in amp])
             defects, margins, ratios = [], [], []
-            for u1, u2, xi in pairs:
-                du = Field(grid, u1.values - u2.values)
+            for pair in pairs:
+                u1, u2, xi = (f.values for f in pair)
+                du = u1 - u2
                 full_op = op(u1, xi)
-                a_gap = Field(grid, full_op.values - op(u2, xi).values)
+                a_gap = full_op - op(u2, xi)
                 if example == "porous_gradient_noise":
                     hs_gap = 0.0
-                    images = [
-                        gradient_noise_apply(xi, Field(grid, psi), form).values
-                        for psi in qspec.basis
-                    ]
+                    images = [_gradient_noise(grid, xi, psi, form) for psi in qspec.basis]
                 else:
-                    hs_gap = hs_norm_sq(prob.sigma * du.values * qspec.basis)
-                    images = prob.sigma * u1.values * qspec.basis
-                h_gap_sq = triple.h_norm(du) ** 2
+                    hs_gap = hs_norm_sq(prob.sigma * du * qspec.basis)
+                    images = prob.sigma * u1 * qspec.basis
+                h_gap_sq = triple.h_norm_values(grid, du) ** 2
                 defects.append(
-                    2.0 * duality_pairing(a_gap, du, triple)
+                    2.0 * triple.pairing_values(grid, a_gap, du)
                     + hs_gap
                     - c_mono * h_gap_sq
                 )
                 if prob.is_porous:
-                    f_xi = norm(xi, "Lp", p=3) ** 3
+                    f_xi = norm_values(grid, xi, "Lp", p=3) ** 3
                 else:
-                    f_xi = grid.h * np.sum(np.abs(xi.values))
-                v_pow = triple.v_norm(u1) ** power
+                    f_xi = grid.h * np.sum(np.abs(xi))
+                v_pow = triple.v_norm_values(grid, u1) ** power
                 base = (
-                    2.0 * duality_pairing(full_op, u1, triple)
+                    2.0 * triple.pairing_values(grid, full_op, u1)
                     + hs_norm_sq(images)
                     + theta * v_pow
                 )
-                margins.append(base - c_coer * (triple.h_norm(u1) ** 2 + 1.0 + f_xi))
-                growth = triple.vstar_norm(full_op) ** dual_q
+                h_sq = triple.h_norm_values(grid, u1) ** 2
+                margins.append(base - c_coer * (h_sq + 1.0 + f_xi))
+                growth = triple.vstar_norm_values(grid, full_op) ** dual_q
                 ratios.append(growth / (c_growth * (v_pow + 1.0 + f_xi)))
             operator_calls.clear()
             report = check_hypotheses(prob, n_pairs=100, seed=seed)

@@ -6,25 +6,28 @@ import threading
 import numpy as np
 import pytest
 
-from stf_spde.grids import SpatialGrid, norm
+from stf_spde.grids import SpatialGrid, norm_values
 from stf_spde.projection import TimeGrid
 from stf_spde.rng import gaussian_stream, path_seed
 from stf_spde.wiener import (
     NoisePath,
     QWienerSpec,
     ScalarBMPath,
-    assemble_field,
     haar_function,
     lc_q_wiener,
     lc_scalar_bm,
     load_noise_path,
-    mode_coefficients,
     sample_increments,
     sample_increments_batch,
     save_noise_path,
     schauder_function,
     tail_bound_probe,
 )
+
+
+def mode_projection(spec, values):
+    """Discrete L2 projections h * sum_j u(x_j) psi_i(x_j), i = 1..n_modes."""
+    return spec.grid.h * (spec.basis @ values)
 
 
 def all_members(max_level):
@@ -211,30 +214,30 @@ def test_assemble_and_project_round_trip():
     spec = QWienerSpec.power_decay(grid, 5, 1.0)
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(5)
-    field = assemble_field(spec, coeffs)
-    assert np.allclose(mode_coefficients(spec, field), coeffs, rtol=1e-12, atol=1e-14)
-    with pytest.raises(ValueError):
-        assemble_field(spec, np.ones(4))
-    other = QWienerSpec.power_decay(SpatialGrid(7), 3, 1.0)
-    with pytest.raises(ValueError):
-        mode_coefficients(other, field)
+    values = coeffs @ spec.basis
+    assert np.allclose(mode_projection(spec, values), coeffs, rtol=1e-12, atol=1e-14)
 
 
 def test_lc_q_wiener_pathwise_identities():
     grid = SpatialGrid(15)
     spec = QWienerSpec.power_decay(grid, 3, 1.0)
     w = lc_q_wiener(spec, 2, 7)
-    assert np.array_equal(w.field_at(0).values, np.zeros(15))
+    traj = w.trajectory()
+    assert np.array_equal(traj.values[0], np.zeros(15))
     for j in (1, 3, 4):
-        coeffs = mode_coefficients(spec, w.field_at(j))
+        coeffs = mode_projection(spec, traj.values[j])
         direct = np.sqrt(spec.eigenvalues) * np.array(
             [p.values[j] for p in w.mode_paths]
         )
         assert np.allclose(coeffs, direct, rtol=1e-10, atol=1e-13)
-    traj = w.trajectory()
     assert traj.timegrid.n_steps == 4
     assert traj.timegrid.dyadic_level == 2
-    assert np.allclose(traj.fields[3].values, w.field_at(3).values)
+    # W(t_3) = sum_i sqrt(lambda_i) B_i(t_3) psi_i, assembled mode by mode
+    direct = sum(
+        np.sqrt(lam) * p.values[3] * psi
+        for lam, p, psi in zip(spec.eigenvalues, w.mode_paths, spec.basis)
+    )
+    assert np.allclose(traj.values[3], direct)
 
 
 def test_lc_increments_path_refines_consistently():
@@ -273,7 +276,7 @@ def test_lc_q_wiener_second_moments_monte_carlo():
     c2 = np.empty(n_paths)
     for i in range(n_paths):
         w = lc_q_wiener(spec, 2, path_seed(202, i))
-        coeffs = mode_coefficients(spec, w.field_at(3))  # t = 0.75
+        coeffs = mode_projection(spec, w.trajectory().values[3])  # t = 0.75
         c1[i], c2[i] = coeffs[0], coeffs[1]
     sq = c1**2
     target = 0.75 * spec.eigenvalues[0]
@@ -306,8 +309,8 @@ def test_sample_increments_statistics():
 
 
 def test_sample_increments_trace_identity():
-    # |DW|_L2^2 assembled as a Field sums the squared mode increments, so
-    # its mean is trace(Q) dt
+    # |DW|_L2^2 of the assembled nodal values sums the squared mode
+    # increments, so its mean is trace(Q) dt
     grid = SpatialGrid(15)
     spec = QWienerSpec.power_decay(grid, 3, 1.0)
     timegrid = TimeGrid(50, T=2.0)
@@ -315,7 +318,7 @@ def test_sample_increments_trace_identity():
     for i in range(500):
         noise = sample_increments(spec, timegrid, path_seed(304, i))
         for k in range(0, 50, 5):
-            sq.append(norm(assemble_field(spec, noise.increments[k]), "L2") ** 2)
+            sq.append(norm_values(grid, noise.increments[k] @ spec.basis, "L2") ** 2)
     sq = np.asarray(sq)
     target = spec.trace * timegrid.dt
     se = sq.std(ddof=1) / np.sqrt(sq.size)
