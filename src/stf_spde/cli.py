@@ -46,6 +46,7 @@ from .projection import (
     HaarLevel,
     TimeGrid,
     Trajectory,
+    _check_dyadic,
     haar_rate_experiment,
     proj_shifted,
     smoothed_seed,
@@ -183,10 +184,10 @@ class RunConfig:
         if self.paths < 1:
             raise ConfigError(f"paths must be >= 1, got {self.paths}")
         try:
-            # building the objects runs every library-side invariant
+            # building the objects, and the block check every sweep makes,
+            # runs every library-side invariant
             self.problem()
-            self.timegrid()
-            self.haar_level()
+            _check_dyadic(self.timegrid(), self.haar_level(), self.grid())
             self.solver_config()
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -200,7 +201,7 @@ class RunConfig:
         )
 
     def timegrid(self) -> TimeGrid:
-        return TimeGrid(self.time_steps, T=self.horizon, dyadic_level=self.dyadic_level)
+        return TimeGrid(self.time_steps, T=self.horizon)
 
     def initial_datum(self) -> Field:
         return _build_datum(self.grid(), self.datum, self.amplitude)
@@ -355,9 +356,9 @@ def cmd_fixed_point(cfg: RunConfig, out_dir: str) -> int:
         return EXIT_SOLVER
     outputs = ["picard_diagnostics.csv"]
     diag.to_csv(os.path.join(out_dir, outputs[0]))
-    for i, xi in enumerate(iterates):
+    for i in range(iterates.n_paths):
         name = f"fixed_point_{i:03d}.csv"
-        trajectory_to_csv(xi, os.path.join(out_dir, name))
+        trajectory_to_csv(iterates.path(i), os.path.join(out_dir, name))
         outputs.append(name)
     _write_manifest(out_dir, "fixed-point", cfg, outputs)
     print(
@@ -612,8 +613,7 @@ def suite_regularity() -> list[dict]:
         problem = ProblemSpec(example, qspec, datum, m=2)
         _, u, stats = _staircase_solve(problem, level, tg, inc)
         stats.raise_first()
-        ensemble = [Trajectory.from_matrix(tg, grid, rows) for rows in u]
-        table = time_regularity_probe(problem, ensemble, alphas=(0.2,))
+        table = time_regularity_probe(problem, Trajectory(tg, grid, u), alphas=(0.2,))
         checks.append(
             _check(
                 f"regularity_increment_{example}",
@@ -635,7 +635,7 @@ def suite_regularity() -> list[dict]:
             noise = lc_q_wiener(qspec, lvl, 21).increments_path()
             xi = Trajectory.constant(noise.timegrid, zero)
             u = solve_frozen(problem, xi, noise)
-            table = time_regularity_probe(problem, [u], alphas=(0.2,))
+            table = time_regularity_probe(problem, u, alphas=(0.2,))
             values.append(table.seminorm_means[0])
         worst_ratio = max(b / a for a, b in zip(values, values[1:]))
         checks.append(

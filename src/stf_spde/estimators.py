@@ -16,7 +16,7 @@ check the bound on an independent hold-out ensemble.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,14 +109,6 @@ class EnergyReport:
     holds: bool
     n_failures: int
 
-    def csv_row(self) -> str:
-        # one cell per field, in field order
-        return ("%s,%d,%d," + "%.17g," * 10 + "%d,%d") % astuple(self)
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(f.name for f in fields(EnergyReport))
-
     def summary(self) -> str:
         verdict = "holds" if self.holds else "VIOLATED"
         return (
@@ -134,12 +126,13 @@ def _bound_rhs(c, u0_h_sq, radius, q, horizon):
 
 
 def _path_samples(problem, timegrid, level, seeds, config):
-    """Per-path (sup_H^2, int_V^power, coefficient energy) triples.
+    """Samples (sup_H^2, int_V^power, coefficient energy) and the failure count.
 
     Each path builds the dyadic fixed point for its own noise, then
     evaluates the energy functionals of the solution driven by that fixed
-    coefficient; all paths are swept in one batch. Failed paths (Newton
-    divergence surviving all retries) are recorded as None.
+    coefficient; all paths are swept in one batch. The three sample arrays
+    hold the surviving paths in seed order; failed paths (Newton divergence
+    surviving all retries) are left out and counted.
     """
     from .fixed_point import _staircase_solve
 
@@ -150,15 +143,12 @@ def _path_samples(problem, timegrid, level, seeds, config):
     xi_star, u, stats = _staircase_solve(problem, level, timegrid, inc, config)
     kept = [p for p in range(len(inc)) if p not in stats.failed]
     xi_star, u = xi_star[kept], u[kept]
-    samples = zip(
-        _sup_h_sq(grid, u, triple).tolist(),
-        _v_power_integrals(grid, timegrid.dt, u, triple, power).tolist(),
-        _v_power_integrals(grid, timegrid.dt, xi_star, triple, power).tolist(),
+    return (
+        _sup_h_sq(grid, u, triple),
+        _v_power_integrals(grid, timegrid.dt, u, triple, power),
+        _v_power_integrals(grid, timegrid.dt, xi_star, triple, power),
+        len(stats.failed),
     )
-    out = [None] * len(inc)
-    for p, sample in zip(kept, samples):
-        out[p] = sample
-    return out
 
 
 def energy_report(
@@ -188,16 +178,18 @@ def energy_report(
         raise ValueError(f"need at least 16 paths per ensemble, got {n_paths}")
     cal_seeds = [path_seed(seed_base, i) for i in range(n_paths)]
     hold_seeds = [path_seed(seed_base, n_paths + i) for i in range(n_paths)]
-    cal = _path_samples(problem, timegrid, level, cal_seeds, config)
-    hold = _path_samples(problem, timegrid, level, hold_seeds, config)
-    n_failures = sum(1 for r in cal + hold if r is None)
+    cal_sup, cal_int, cal_energy, cal_failed = _path_samples(
+        problem, timegrid, level, cal_seeds, config
+    )
+    hold_sup, hold_int, _, hold_failed = _path_samples(
+        problem, timegrid, level, hold_seeds, config
+    )
+    n_failures = cal_failed + hold_failed
     if n_failures > 0.05 * (2 * n_paths):
         raise EstimateInvalid(
             f"{n_failures} of {2 * n_paths} paths failed to solve"
         )
-    cal = [r for r in cal if r is not None]
-    hold = [r for r in hold if r is not None]
-    if len(cal) < 2 or len(hold) < 2:
+    if len(cal_sup) < 2 or len(hold_sup) < 2:
         raise EstimateInvalid("not enough surviving paths to estimate")
 
     power = problem.time_power
@@ -206,7 +198,6 @@ def energy_report(
     u0_h_sq = problem.triple.h_norm_values(u0.grid, u0.values) ** 2
     horizon = timegrid.T
 
-    cal_sup, cal_int, cal_energy = (np.array(col) for col in zip(*cal))
     sup_mean, sup_stderr = mc_mean_stderr(cal_sup)
     int_mean, int_stderr = mc_mean_stderr(cal_int)
     lhs_mean, lhs_stderr = mc_mean_stderr(cal_sup + 4.0 * cal_int)
@@ -230,7 +221,6 @@ def energy_report(
         c_hat = float(brentq(gap, 0.0, c_hi, xtol=1e-12, rtol=1e-12))
     bound = float(_bound_rhs(c_hat, u0_h_sq, radius, q, horizon))
 
-    hold_sup, hold_int, _ = (np.array(col) for col in zip(*hold))
     hold_mean, hold_stderr = mc_mean_stderr(hold_sup + 4.0 * hold_int)
 
     return EnergyReport(

@@ -17,10 +17,12 @@ from the old one. A converged path thus marches 7 + 7 + 6 + ... + 1 + 0
 blocks at level 3 instead of 9 full solves, with every iterate and
 diagnostic equal bit for bit to the plain loop proj_shifted(solve_frozen).
 
-staircase_construct takes one NoisePath, giving a one-path Trajectory, or
-a sequence of them, as picard_iterate does, giving a Trajectory stacked
-as (paths, n_steps + 1, N); solve_frozen takes that stacked coefficient
-back with the same sequence. Every ensemble here is marched as one batch:
+An ensemble of paths is one Trajectory stacked as (paths, n_steps + 1,
+N). staircase_construct takes one NoisePath, giving a one-path
+Trajectory, or a sequence of them, as picard_iterate does, giving the
+stacked form, which picard_iterate also returns; solve_frozen takes it
+back with the same sequence, and time_regularity_probe reads either form.
+Every ensemble here is marched as one batch:
 Picard's coupled paths (each joining the batch at its own restart row),
 the staircase sweep of an ensemble and the one behind the energy and
 regularity probes, and the continuity probe's base and perturbed
@@ -45,7 +47,8 @@ import numpy as np
 
 from .estimators import _v_power_integrals, integral_v_power, mc_mean_stderr
 from .projection import HaarLevel, TimeGrid, Trajectory, fractional_seminorm
-from .projection import _block_average, _one_path, _shifted_rows, _write_csv
+from .projection import _block_average, _check_dyadic, _one_path, _shifted_rows
+from .projection import _write_csv
 from .rng import path_seed
 # solve_frozen is bound here for bench/tests/test_bench_tracer.py, which
 # checks that the tracer wraps every module binding of it
@@ -135,18 +138,6 @@ class FixedPointDiagnostics:
         )
 
 
-def _check_sweep(problem: ProblemSpec, level: HaarLevel, timegrid: TimeGrid) -> None:
-    """Reject a time grid or a level a block sweep cannot march."""
-    blocks = 2**level.n
-    if timegrid.n_steps % blocks != 0:
-        raise ValueError(
-            f"n_steps={timegrid.n_steps} is not divisible by the 2^{level.n} "
-            "dyadic blocks"
-        )
-    if level.seed_field.grid != problem.qwiener.grid:
-        raise ValueError("seed field lives on a different spatial grid")
-
-
 def _first_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Per path, the first row where old and new differ in any bit.
 
@@ -161,11 +152,11 @@ def _first_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 def picard_iterate(
     problem: ProblemSpec,
     level: HaarLevel,
-    noise_ensemble: list[NoisePath],
+    noise_ensemble: Sequence[NoisePath],
     config: SolverConfig | None = None,
     tol: float = 0.0,
     max_iter: int | None = None,
-) -> tuple[list[Trajectory], FixedPointDiagnostics]:
+) -> tuple[Trajectory, FixedPointDiagnostics]:
     """Iterate coefficient -> projected solve, coupled to fixed noise paths.
 
     Every path keeps its own noise across all iterations (the composed
@@ -185,7 +176,8 @@ def picard_iterate(
     restart row. The inputs are checked here, before any step is marched.
 
     Returns:
-        (final iterate per path, FixedPointDiagnostics).
+        (the final iterates stacked as (paths, n_steps + 1, N), path p
+        driven by noise_ensemble[p]; FixedPointDiagnostics).
 
     Raises:
         NewtonDivergence: the lowest-index path that failed in a pass.
@@ -193,7 +185,7 @@ def picard_iterate(
     # the iterates live on tg and the datum's grid, so this also pins the
     # coefficient's time and spatial grids against every noise path
     tg, inc = _noise_rows(problem, noise_ensemble)
-    _check_sweep(problem, level, tg)
+    _check_dyadic(tg, level, problem.qwiener.grid)
     if max_iter is None:
         max_iter = 2**level.n + 1
     if max_iter < 1:
@@ -254,7 +246,7 @@ def picard_iterate(
         converged=converged,
         n_iterations=n_iterations,
     )
-    return [Trajectory.from_matrix(tg, grid, xi) for xi in iterates], diagnostics
+    return Trajectory.from_matrix(tg, grid, iterates), diagnostics
 
 
 def _staircase_rows(problem, level, timegrid, inc, cfg, stats):
@@ -265,7 +257,7 @@ def _staircase_rows(problem, level, timegrid, inc, cfg, stats):
     last block, whose rows are left NaN, as are a failed path's rows past
     its failure.
     """
-    _check_sweep(problem, level, timegrid)
+    _check_dyadic(timegrid, level, problem.qwiener.grid)
     blocks = 2**level.n
     s = timegrid.n_steps // blocks
     shape = (len(inc), timegrid.n_steps + 1, problem.qwiener.grid.n_interior)
@@ -347,14 +339,6 @@ class ContinuityResult:
     input_distances: tuple
     output_distances: tuple
 
-    def to_csv(self, path: str) -> None:
-        _write_csv(
-            path,
-            ["epsilon", "input_dist", "output_dist"],
-            "%.17g,%.17g,%.17g",
-            zip(self.epsilons, self.input_distances, self.output_distances),
-        )
-
 
 def continuity_probe(
     problem: ProblemSpec,
@@ -393,11 +377,9 @@ def continuity_probe(
     grid = base.grid
     if grid != problem.qwiener.grid:
         raise ValueError("frozen trajectory lives on a different spatial grid")
-    shifted = [
-        Trajectory.from_matrix(tg, grid, base.values + e * perturbation.values)
-        for e in eps
-    ]
-    coeffs = np.stack([base.values] + [xi.values for xi in shifted])
+    coeffs = np.concatenate(
+        [base.values[None], base.values + eps[:, None, None] * perturbation.values]
+    )
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("frozen trajectory contains non-finite values")
     cfg = config if config is not None else SolverConfig()
@@ -416,14 +398,14 @@ def continuity_probe(
     )
     stats.raise_first()
     solutions = u.reshape(len(coeffs), n_paths, *u.shape[1:])
-    gaps = solutions[1:] - solutions[0]
     triple, power = problem.triple, problem.time_power
-    input_dists = [xnorm_power_distance(xi, base, problem) for xi in shifted]
-    output_dists = np.mean(
-        _v_power_integrals(grid, tg.dt, gaps, triple, power), axis=-1
+    # xnorm_power_distance of each perturbed coefficient from the base, and
+    # its mean over the noise paths for the solutions
+    x_raw = _v_power_integrals(grid, tg.dt, coeffs[1:] - coeffs[0], triple, power)
+    y_raw = np.mean(
+        _v_power_integrals(grid, tg.dt, solutions[1:] - solutions[0], triple, power),
+        axis=-1,
     )
-    x_raw = np.asarray(input_dists)
-    y_raw = np.asarray(output_dists)
     if np.any(x_raw <= 0) or np.any(y_raw <= 0):
         raise ValueError("degenerate regression: zero distance at some epsilon")
     x = np.log(x_raw)
@@ -438,8 +420,8 @@ def continuity_probe(
         gamma_hat=float(slope),
         half_width=float(half_width),
         epsilons=tuple(float(e) for e in eps),
-        input_distances=tuple(float(v) for v in input_dists),
-        output_distances=tuple(float(v) for v in output_dists),
+        input_distances=tuple(float(v) for v in x_raw),
+        output_distances=tuple(float(v) for v in y_raw),
     )
 
 
@@ -457,28 +439,29 @@ class RegularityTable:
 
 def time_regularity_probe(
     problem: ProblemSpec,
-    ensemble: list[Trajectory],
+    ensemble: Trajectory,
     alphas,
     n_increment_times: int = 6,
 ) -> RegularityTable:
     """Estimate fractional seminorms and early-time increment growth.
 
-    For each alpha the ensemble mean of the squared-integrable fractional
+    ensemble is one path or paths stacked as (paths, n_steps + 1, N). For
+    each alpha the ensemble mean of the squared-integrable fractional
     seminorm is computed in the H^-1 distance (the dual norm V* for the
     heat triple and the pivot norm H for the porous triples coincide
-    there). The increment fit regresses log E[sup_{s<=t}|w(s)-w(0)|_H^2]
-    on log t over dyadic times t = T/2, T/4, ...
+    there), one fractional_seminorm call per path. The increment fit
+    regresses log E[sup_{s<=t}|w(s)-w(0)|_H^2] on log t over dyadic times
+    t = T/2, T/4, ...
     """
-    if not ensemble:
-        raise ValueError("need at least one trajectory")
     alphas = tuple(float(a) for a in alphas)
-    tg = ensemble[0].timegrid
-    triple = problem.triple
+    tg, grid = ensemble.timegrid, ensemble.grid
+    rows = ensemble.values.reshape(-1, tg.n_steps + 1, grid.n_interior)
+    paths = [Trajectory(tg, grid, u) for u in rows]
     seminorm_means, seminorm_stderrs = [], []
     for alpha in alphas:
         vals = [
             fractional_seminorm(traj, alpha, p=2, norm_kind="Hminus1")
-            for traj in ensemble
+            for traj in paths
         ]
         mean, stderr = _ensemble_mean_stderr(vals)
         seminorm_means.append(mean)
@@ -489,11 +472,11 @@ def time_regularity_probe(
         raise ValueError("time grid too coarse for an increment fit")
     ks = [max(tg.n_steps >> j, 1) for j in range(depth, 0, -1)]
     times = [k * tg.dt for k in ks]
-    running = []
-    for traj in ensemble:
-        gaps = triple.h_norm_values(traj.grid, traj.values - traj.values[0]) ** 2
-        running.append(np.maximum.accumulate(gaps)[ks])
-    means = np.mean(np.asarray(running), axis=0)
+    gaps = problem.triple.h_norm_values(grid, rows - rows[:, :1]) ** 2
+    # np.take keeps each path's row contiguous; [..., ks] would give an
+    # F-ordered array, whose mean over the paths adds them in another order
+    running = np.take(np.maximum.accumulate(gaps, axis=-1), ks, axis=-1)
+    means = np.mean(running, axis=0)
     if np.any(means <= 0):
         raise ValueError("degenerate increment fit: zero supremum")
     slope = float(np.polyfit(np.log(times), np.log(means), 1)[0])

@@ -1,8 +1,8 @@
 """Backward block averaging of trajectories on dyadic time partitions.
 
 A Trajectory holds a path as one (n_steps + 1, N) array sampled on a
-uniform mesh of [0, T] that is nested in a dyadic partition with 2^n
-blocks. proj_shifted replaces the path on each dyadic block by a constant:
+uniform mesh of [0, T]; a level n cuts that mesh into 2^n dyadic blocks of
+equal length. proj_shifted replaces the path on each block by a constant:
 a prescribed seed field on block 0 and, on block k >= 1, the trapezoid
 average of the path over block k-1. Averaging only ever looks backward, so
 the output on [0, t) is determined by the input on [0, t] alone; this is
@@ -55,25 +55,16 @@ _HILBERT_KINDS = ("L2", "V_H1", "Hminus1")
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform mesh of [0, T] with n_steps steps, optionally dyadically nested."""
+    """Uniform mesh of [0, T] with n_steps steps."""
 
     n_steps: int
     T: float = 1.0
-    dyadic_level: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if not self.T > 0:
             raise ValueError(f"horizon T must be positive, got {self.T}")
-        if self.dyadic_level is not None:
-            if self.dyadic_level < 0:
-                raise ValueError(f"dyadic_level must be >= 0, got {self.dyadic_level}")
-            if self.n_steps % 2**self.dyadic_level != 0:
-                raise ValueError(
-                    f"n_steps={self.n_steps} is not divisible by "
-                    f"2^{self.dyadic_level} blocks"
-                )
 
     @property
     def dt(self) -> float:
@@ -162,6 +153,17 @@ class HaarLevel:
             raise ValueError(f"dyadic level must be >= 1, got {self.n}")
 
 
+def _check_dyadic(timegrid: TimeGrid, level: HaarLevel, grid: SpatialGrid) -> None:
+    """Reject a mesh the level's 2^n blocks do not divide, or a seed off grid."""
+    if timegrid.n_steps % 2**level.n != 0:
+        raise ValueError(
+            f"n_steps={timegrid.n_steps} is not divisible by the 2^{level.n} "
+            "dyadic blocks"
+        )
+    if level.seed_field.grid != grid:
+        raise ValueError("seed field lives on a different spatial grid")
+
+
 def _block_average(u: np.ndarray, k: int, s: int) -> np.ndarray:
     """Trapezoid average of the samples u over block k of s fine steps.
 
@@ -203,15 +205,8 @@ def proj_shifted(traj: Trajectory, level: HaarLevel) -> Trajectory:
         Trajectory that is constant within every dyadic block.
     """
     tg = traj.timegrid
-    blocks = 2**level.n
-    if tg.n_steps % blocks != 0:
-        raise ValueError(
-            f"n_steps={tg.n_steps} is not divisible by the 2^{level.n} "
-            "dyadic blocks"
-        )
-    if level.seed_field.grid != traj.grid:
-        raise ValueError("seed field lives on a different spatial grid")
-    out = _shifted_rows(traj.values, level, tg.n_steps // blocks)
+    _check_dyadic(tg, level, traj.grid)
+    out = _shifted_rows(traj.values, level, tg.n_steps // 2**level.n)
     return Trajectory.from_matrix(tg, traj.grid, out)
 
 
@@ -371,7 +366,8 @@ def haar_rate_experiment(
     log2(error) against n.
 
     Args:
-        trajs: family of trajectories sharing compatible time grids.
+        trajs: family of one-path trajectories; a sequence, since a
+            stacked copy of a large family would add to the peak memory.
         levels: at least three dyadic depths n.
         alpha: fractional order the decay is compared against (recorded).
         p: time integrability exponent of the error norm.
@@ -431,12 +427,11 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
     _write_csv(path, header, ",".join(["%.17g"] * len(header)), rows)
 
 
-def trajectory_from_csv(path: str, dyadic_level: int | None = None) -> Trajectory:
+def trajectory_from_csv(path: str) -> Trajectory:
     """Read a trajectory written by trajectory_to_csv.
 
     The horizon is recovered from the last time entry and the spatial grid
-    from the column count; pass dyadic_level to restore the dyadic nesting
-    annotation (it is not stored in the file).
+    from the column count.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -445,6 +440,6 @@ def trajectory_from_csv(path: str, dyadic_level: int | None = None) -> Trajector
     if len(header) < 3 or header[0] != "t":
         raise ValueError(f"{path} is not a trajectory file")
     data = np.asarray(rows)
-    timegrid = TimeGrid(data.shape[0] - 1, T=data[-1, 0], dyadic_level=dyadic_level)
+    timegrid = TimeGrid(data.shape[0] - 1, T=data[-1, 0])
     grid = SpatialGrid(data.shape[1] - 1)
     return Trajectory.from_matrix(timegrid, grid, data[:, 1:])

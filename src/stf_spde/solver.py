@@ -74,7 +74,7 @@ from .grids import (
     solve_banded,
     solveh_banded,
 )
-from .projection import Trajectory, _write_csv
+from .projection import Trajectory
 from .rng import gaussian_stream
 from .wiener import NoisePath, QWienerSpec
 
@@ -179,11 +179,6 @@ class ProblemSpec:
         """Exponent of the time-Lp norm natural to the example's V space."""
         return self.m + 1 if self.is_porous else 2
 
-    @property
-    def drift_power(self) -> float:
-        """The frozen drift is always xi^{[1/2]}."""
-        return 0.5
-
 
 def _step_rhs(u, xi, noise, dt):
     """Right-hand side u + dt xi^{[1/2]} + noise of every step, row-wise."""
@@ -222,9 +217,19 @@ def _porous_residual(grid, v, dt, m, rhs):
     return v - dt * laplacian_values(grid, signed_power_values(v, m)) - rhs
 
 
+def _jacobian_band(grid, v, dt, m):
+    """Band (3,) + v.shape of I - dt Lap_h diag(m |v|^{m-1}), per row of v."""
+    h2 = grid.h * grid.h
+    d = m * np.abs(v) ** (m - 1)
+    ab = np.empty((3,) + d.shape)
+    ab[0] = -dt * d / h2
+    ab[1] = 1.0 + 2.0 * dt * d / h2
+    ab[2] = -dt * d / h2
+    return ab
+
+
 def _newton_porous(grid, u_start, rhs, dt, m, config):
     """Damped Newton for v - dt Lap_h v^{[m]} = rhs; returns (v, iterations)."""
-    h2 = grid.h * grid.h
     v = u_start.copy()
     fv = _porous_residual(grid, v, dt, m, rhs)
     rn = norm_values(grid, fv, "L2")
@@ -240,15 +245,10 @@ def _newton_porous(grid, u_start, rhs, dt, m, config):
                 f"no convergence in {config.newton_max_iter} iterations "
                 f"(residual {rn:.3e}, target {target:.3e}, dt {dt:.3e})"
             )
-        d = m * np.abs(v) ** (m - 1)
-        ab = np.empty((3, grid.n_interior))
-        ab[0] = -dt * d / h2
-        ab[1] = 1.0 + 2.0 * dt * d / h2
-        ab[2] = -dt * d / h2
         # v and fv are finite: the starting guard and the rt < rn acceptance
         # below never let a non-finite residual through. A finite residual
         # bounds dt m |v|^(m-1) / h^2, so the band is finite as well.
-        delta = solve_banded(ab, -fv)
+        delta = solve_banded(_jacobian_band(grid, v, dt, m), -fv)
         lam = 1.0
         for _ in range(config.newton_max_halvings + 1):
             trial = v + lam * delta
@@ -277,7 +277,6 @@ def _newton_rows(grid, u_start, rhs, dt, m, config):
     own step length. A row on which _newton_porous raises (non-finite
     start, iteration budget or halvings spent) stops with ok False.
     """
-    h2 = grid.h * grid.h
     v = u_start.copy()
     fv = _porous_residual(grid, v, dt, m, rhs)
     rn = norm_values(grid, fv, "L2")
@@ -292,16 +291,13 @@ def _newton_rows(grid, u_start, rhs, dt, m, config):
         active = active[~spent]
         if not active.size:
             break
-        d = m * np.abs(v[active]) ** (m - 1)
-        ab = np.empty((3,) + d.shape)
-        ab[0] = -dt * d / h2
-        ab[1] = 1.0 + 2.0 * dt * d / h2
-        ab[2] = -dt * d / h2
+        ab = _jacobian_band(grid, v[active], dt, m)
         # the entries that would couple consecutive rows' blocks; with
         # them zero, elimination leaves every block its own bits
         ab[0, :, 0] = 0.0
         ab[2, :, -1] = 0.0
-        delta = solve_banded(ab.reshape(3, -1), -fv[active].ravel()).reshape(d.shape)
+        delta = solve_banded(ab.reshape(3, -1), -fv[active].ravel())
+        delta = delta.reshape(ab.shape[1:])
         lam = np.ones(active.size)
         trial, ft = np.empty_like(delta), np.empty_like(delta)
         rt = np.empty(active.size)
@@ -542,7 +538,7 @@ def solve_frozen(
             f"coefficient and noise paths do not pair up: the coefficient {has}, "
             f"the noise is {gets}"
         )
-    if noise_tg.n_steps != tg.n_steps or noise_tg.T != tg.T:
+    if noise_tg != tg:
         raise ValueError("frozen trajectory and noise live on different time grids")
     if xi.grid != grid:
         raise ValueError("frozen trajectory lives on a different spatial grid")
@@ -552,7 +548,7 @@ def solve_frozen(
     stats = _PathStats(len(inc))
     u = np.empty(xi_rows.shape)
     u[:, 0] = problem.initial_datum.values
-    _march(problem, u, xi_rows, inc, noise_tg.dt, 0, tg.n_steps, cfg, stats)
+    _march(problem, u, xi_rows, inc, tg.dt, 0, tg.n_steps, cfg, stats)
     stats.raise_first()
     if collect_stats is not None:
         collect_stats.update(
@@ -677,14 +673,6 @@ class HypothesisReport:
             np.all(self.defects <= tol)
             and np.all(self.margins <= tol)
             and np.all(self.ratios <= 1.0 + 1e-12)
-        )
-
-    def to_csv(self, path: str) -> None:
-        _write_csv(
-            path,
-            ["pair_id", "defect_a", "margin_b", "ratio_c"],
-            "%d,%.17g,%.17g,%.17g",
-            zip(range(self.n_pairs), self.defects, self.margins, self.ratios),
         )
 
 

@@ -188,9 +188,7 @@ def save_noise_path(noise: NoisePath, path: str) -> None:
         fh.write(np.ascontiguousarray(noise.increments).tobytes())
 
 
-def load_noise_path(
-    path: str, T: float = 1.0, dyadic_level: int | None = None
-) -> NoisePath:
+def load_noise_path(path: str, T: float = 1.0) -> NoisePath:
     """Read a file written by save_noise_path; the horizon is not stored."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -204,7 +202,7 @@ def load_noise_path(
             f"{path} holds {len(body)} payload bytes, expected {expected}"
         )
     inc = np.frombuffer(body, dtype="<f8").reshape(n_steps, n_modes)
-    return NoisePath(TimeGrid(n_steps, T=T, dyadic_level=dyadic_level), inc, seed)
+    return NoisePath(TimeGrid(n_steps, T=T), inc, seed)
 
 
 def _check_haar_args(k: int, n: int, t: np.ndarray) -> None:
@@ -333,7 +331,7 @@ class QWienerLCPath:
         scaled = np.sqrt(self.spec.eigenvalues)[:, None] * np.array(
             [p.values for p in self.mode_paths]
         )
-        timegrid = TimeGrid(2**self.level, T=1.0, dyadic_level=self.level)
+        timegrid = TimeGrid(2**self.level, T=1.0)
         return Trajectory.from_matrix(
             timegrid, self.spec.grid, scaled.T @ self.spec.basis
         )
@@ -348,7 +346,7 @@ class QWienerLCPath:
         """
         values = np.stack([p.values for p in self.mode_paths], axis=1)
         inc = np.diff(values, axis=0) * np.sqrt(self.spec.eigenvalues)
-        timegrid = TimeGrid(2**self.level, T=1.0, dyadic_level=self.level)
+        timegrid = TimeGrid(2**self.level, T=1.0)
         return NoisePath(timegrid, inc, seed=self.seed)
 
 

@@ -19,11 +19,16 @@ import pytest
 from stf_spde import cli
 from stf_spde.cli import ConfigError, RunConfig, main
 from stf_spde.grids import SpatialGrid, sine_field
-from stf_spde.fixed_point import staircase_construct
+from stf_spde.fixed_point import staircase_construct, xnorm_power_distance
 from stf_spde.projection import trajectory_from_csv, trajectory_to_csv
 from stf_spde.rng import path_seed
 from stf_spde.solver import KNOWN_EXAMPLES, NewtonDivergence, solve_frozen
-from stf_spde.wiener import NoisePath, save_noise_path
+from stf_spde.wiener import (
+    NoisePath,
+    load_noise_path,
+    sample_increments,
+    save_noise_path,
+)
 
 
 def write_config(path, overrides=None, drop=None):
@@ -184,6 +189,23 @@ class TestSimulate:
             assert tree_one[name] == tree_three[name]
         # the other paths are driven by other noise
         assert tree_three["solution_001.csv"] != tree_three["solution_000.csv"]
+
+    def test_reloaded_noise_sweeps_with_a_fresh_draw(self, tmp_path):
+        # a TimeGrid is only its mesh, so a noise file reloaded with the
+        # config's horizon lives on cfg.timegrid() and joins its ensembles
+        path = write_config(tmp_path / "run.ini")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        cfg = RunConfig.from_file(path)
+        problem, level, tg = cfg.problem(), cfg.haar_level(), cfg.timegrid()
+        reloaded = load_noise_path(str(out / "noise_000.bin"), cfg.horizon)
+        fresh = sample_increments(problem.qwiener, tg, path_seed(cfg.master_seed, 1))
+        both = staircase_construct(problem, level, [reloaded, fresh])
+        fresh_xi = staircase_construct(problem, level, fresh)
+        assert both.values[1].tobytes() == fresh_xi.values.tobytes()
+        assert xnorm_power_distance(both.path(0), fresh_xi, problem) > 0.0
+        written = trajectory_from_csv(str(out / "coefficient_000.csv"))
+        assert both.path(0).values.tobytes() == written.values.tobytes()
 
     def test_non_finite_noise_exits_with_solver_code(
         self, tmp_path, monkeypatch, capsys

@@ -1,7 +1,9 @@
 """The package's export surface: every advertised name resolves."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -51,3 +53,19 @@ def test_field_wrappers_are_gone():
         assert not hasattr(stf_spde.TripleKind, attr)
     assert not hasattr(stf_spde.Trajectory, "fields")
     assert not hasattr(stf_spde.QWienerLCPath, "field_at")
+
+
+def test_stacked_ensemble_leftovers_are_gone():
+    # the writers nothing called, and the dyadic annotation of TimeGrid
+    # with the parameters that only set it
+    assert [f.name for f in dataclasses.fields(stf_spde.TimeGrid)] == ["n_steps", "T"]
+    for cls, attr in (
+        (stf_spde.ContinuityResult, "to_csv"),
+        (stf_spde.HypothesisReport, "to_csv"),
+        (stf_spde.EnergyReport, "csv_row"),
+        (stf_spde.EnergyReport, "csv_header"),
+        (stf_spde.ProblemSpec, "drift_power"),
+    ):
+        assert not hasattr(cls, attr), (cls.__name__, attr)
+    for func in (stf_spde.load_noise_path, stf_spde.trajectory_from_csv):
+        assert "dyadic_level" not in inspect.signature(func).parameters

@@ -16,7 +16,6 @@ import pytest
 from stf_spde import fixed_point, solver
 from stf_spde.estimators import energy_report, integral_v_power, mc_mean_stderr
 from stf_spde.fixed_point import (
-    ContinuityResult,
     FixedPointDiagnostics,
     continuity_probe,
     invariance_radius,
@@ -30,6 +29,7 @@ from stf_spde.projection import (
     HaarLevel,
     TimeGrid,
     Trajectory,
+    fractional_seminorm,
     proj_shifted,
     smoothed_seed,
 )
@@ -130,7 +130,7 @@ class TestPicard:
         assert diag.converged
         assert diag.residual == 0.0
         assert diag.energy_functional == 0.0
-        assert np.all(iterates[0].values == 0.0)
+        assert iterates.n_paths == 1 and np.all(iterates.values == 0.0)
 
     def test_exact_fixed_point_within_block_count(self, heat_picard):
         _, _, diag = heat_picard
@@ -154,8 +154,7 @@ class TestPicard:
     def test_replay_is_bitwise(self, heat_problem, level, heat_picard):
         noises, iterates, _ = heat_picard
         again, _ = picard_iterate(heat_problem, level, noises)
-        for a, b in zip(again, iterates):
-            assert np.array_equal(a.values, b.values)
+        assert again.values.tobytes() == iterates.values.tobytes()
 
     def test_max_iter_cap_reports_not_converged(self, heat_problem, level, qspec):
         noise = sample_increments(qspec, TimeGrid(128), path_seed(17, 0))
@@ -191,14 +190,11 @@ class TestPicard:
         capped, diag = picard_iterate(heat_problem, level, noises, max_iter=3)
         # passes of 112, 112 and 96 steps, then a residual pass of 80
         assert steps == {noise.seed: 400 for noise in noises}
-        residuals = [
-            xnorm_power_distance(
-                proj_shifted(solve_frozen(heat_problem, xi, noise), level),
-                xi,
-                heat_problem,
-            )
-            for xi, noise in zip(capped, noises)
-        ]
+        residuals = []
+        for p, noise in enumerate(noises):
+            xi = capped.path(p)
+            resolve = proj_shifted(solve_frozen(heat_problem, xi, noise), level)
+            residuals.append(xnorm_power_distance(resolve, xi, heat_problem))
         assert diag.residual == float(np.mean(residuals))
         assert diag.residual > 0.0
 
@@ -248,7 +244,7 @@ class TestPicard:
         iterates, diag = picard_iterate(heat_problem, level, [nan_tail])
         assert diag.converged and diag.residual == 0.0
         sweep = staircase_construct(heat_problem, level, noise)
-        assert np.array_equal(iterates[0].values, sweep.values)
+        assert np.array_equal(iterates.path(0).values, sweep.values)
 
     def test_diagnostics_reject_negative_distance(self):
         with pytest.raises(ValueError):
@@ -396,8 +392,12 @@ class TestPicardOracle:
         assert diag.converged == (max_iter == 9)
         # repr spells every float field out to its last bit
         assert repr(diag) == repr(want)
-        for got, expected in zip(iterates, want_iterates):
-            assert got.values.tobytes() == expected.values.tobytes()
+        assert iterates.n_paths == len(want_iterates)
+        for p, expected in enumerate(want_iterates):
+            assert iterates.path(p).values.tobytes() == expected.values.tobytes()
+            if diag.converged:
+                sweep = staircase_construct(prob, level, noises[p])
+                assert iterates.path(p).values.tobytes() == sweep.values.tobytes()
 
     @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
     def test_permuted_noise_permutes_iterates(self, qspec, small_datum, level, example):
@@ -407,8 +407,8 @@ class TestPicardOracle:
         order = [3, 0, 4, 1, 2]
         iterates, _ = picard_iterate(prob, level, noises)
         permuted, _ = picard_iterate(prob, level, [noises[i] for i in order])
-        for got, i in zip(permuted, order):
-            assert got.values.tobytes() == iterates[i].values.tobytes()
+        for p, i in enumerate(order):
+            assert permuted.values[p].tobytes() == iterates.values[i].tobytes()
 
     def test_failure_is_the_plain_loops_first(self, qspec, small_datum, level):
         prob, config = failing_problem(qspec, small_datum)
@@ -425,9 +425,9 @@ class TestPicardOracle:
 class TestStaircase:
     def test_matches_picard_limit_bitwise(self, heat_problem, level, heat_picard):
         noises, iterates, _ = heat_picard
-        for noise, limit in zip(noises, iterates):
+        for p, noise in enumerate(noises):
             sweep = staircase_construct(heat_problem, level, noise)
-            assert np.array_equal(sweep.values, limit.values)
+            assert np.array_equal(sweep.values, iterates.path(p).values)
 
     @pytest.mark.parametrize(
         "example,n_paths",
@@ -444,9 +444,9 @@ class TestStaircase:
         iterates, diag = picard_iterate(prob, level, noises)
         assert diag.converged
         assert diag.residual == 0.0
-        for noise, limit in zip(noises, iterates):
+        for p, noise in enumerate(noises):
             sweep = staircase_construct(prob, level, noise)
-            assert np.array_equal(sweep.values, limit.values)
+            assert np.array_equal(sweep.values, iterates.path(p).values)
 
     def test_residual_vanishes(self, heat_problem, level, heat_picard):
         noises, _, _ = heat_picard
@@ -686,40 +686,33 @@ class TestContinuityProbe:
         with pytest.raises(ValueError):
             continuity_probe(heat_problem, base, pert, [1e-2, 1e-1, 1.0])
 
-    def test_csv_round_trip(self, tmp_path, csv_reference, extreme_floats):
-        result = ContinuityResult(
-            gamma_hat=0.5,
-            half_width=0.1,
-            epsilons=(0.1, 0.2, 0.4),
-            input_distances=(1.0, 2.0, 4.0),
-            output_distances=(0.5, 0.7, 1.1),
-        )
-        path = tmp_path / "continuity.csv"
-        result.to_csv(str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["epsilon", "input_dist", "output_dist"]
-        assert [float(r[0]) for r in rows[1:]] == [0.1, 0.2, 0.4]
-        assert [float(r[2]) for r in rows[1:]] == [0.5, 0.7, 1.1]
-        extreme = ContinuityResult(
-            gamma_hat=0.5,
-            half_width=0.1,
-            epsilons=extreme_floats[0::3],
-            input_distances=extreme_floats[1::3],
-            output_distances=extreme_floats[2::3],
-        )
-        for written in (result, extreme):
-            written.to_csv(str(path))
-            expected = csv_reference(
-                rows[0],
-                zip(
-                    written.epsilons,
-                    written.input_distances,
-                    written.output_distances,
-                ),
-            )
-            with open(path, newline="") as fh:
-                assert fh.read() == expected
+
+def regularity_ensemble(problem, level, qspec):
+    """Solutions driven by 16 staircase fixed points, stacked."""
+    tg = TimeGrid(128)
+    noises = [sample_increments(qspec, tg, path_seed(29, i)) for i in range(16)]
+    return solve_frozen(problem, staircase_construct(problem, level, noises), noises)
+
+
+def plain_regularity(problem, stacked, alphas, depth, paths=None):
+    """time_regularity_probe's means written out, one path at a time."""
+    paths = range(stacked.n_paths) if paths is None else paths
+    trajs = [stacked.path(p) for p in paths]
+    seminorms = []
+    for alpha in alphas:
+        vals = [fractional_seminorm(u, alpha, p=2, norm_kind="Hminus1") for u in trajs]
+        seminorms.append(float(np.mean(vals)) if len(vals) > 1 else vals[0])
+    n = stacked.timegrid.n_steps
+    ks = [n >> j for j in range(depth, 0, -1)]
+    sups = []
+    for u in trajs:
+        gaps = [
+            problem.triple.h_norm_values(u.grid, row - u.values[0]) ** 2
+            for row in u.values
+        ]
+        sups.append(np.maximum.accumulate(gaps)[ks])
+    increments = np.mean(np.asarray(sups), axis=0)
+    return tuple(seminorms), tuple(float(v) for v in increments)
 
 
 class TestRegularityProbe:
@@ -730,7 +723,7 @@ class TestRegularityProbe:
         xi = Trajectory.constant(tg, Field(grid, np.zeros(grid.n_interior)))
         silent = NoisePath(tg, np.zeros((tg.n_steps, qspec.n_modes)), seed=0)
         u = solve_frozen(heat_problem, xi, silent)
-        table = time_regularity_probe(heat_problem, [u], alphas=(0.5, 0.9))
+        table = time_regularity_probe(heat_problem, u, alphas=(0.5, 0.9))
         assert table.seminorm_means[0] == pytest.approx(
             0.026536914837789964, rel=1e-12
         )
@@ -751,7 +744,7 @@ class TestRegularityProbe:
             noise = lc_q_wiener(qspec, lvl, seed).increments_path()
             xi = Trajectory.constant(noise.timegrid, zero)
             u = solve_frozen(heat_problem, xi, noise)
-            table = time_regularity_probe(heat_problem, [u], alphas=(0.2,))
+            table = time_regularity_probe(heat_problem, u, alphas=(0.2,))
             values.append(table.seminorm_means[0])
         assert all(v > 0 for v in values)
         for coarse, fine in zip(values, values[1:]):
@@ -768,12 +761,7 @@ class TestRegularityProbe:
         self, qspec, small_datum, level, example, target, frozen
     ):
         prob = ProblemSpec(example, qspec, small_datum, m=2)
-        tg = TimeGrid(128)
-        ensemble = []
-        for i in range(16):
-            noise = sample_increments(qspec, tg, path_seed(29, i))
-            xi = staircase_construct(prob, level, noise)
-            ensemble.append(solve_frozen(prob, xi, noise))
+        ensemble = regularity_ensemble(prob, level, qspec)
         table = time_regularity_probe(prob, ensemble, alphas=(0.2, 0.35))
         assert table.increment_exponent == pytest.approx(frozen, rel=1e-9)
         assert table.increment_exponent >= target
@@ -783,9 +771,21 @@ class TestRegularityProbe:
         )
         assert all(v > 0 for v in table.increment_means)
 
-    def test_rejects_empty_ensemble(self, heat_problem):
-        with pytest.raises(ValueError):
-            time_regularity_probe(heat_problem, [], alphas=(0.5,))
+    @pytest.mark.parametrize("example", ["heat_sqrt_drift", "porous_sqrt_drift"])
+    def test_stacked_matches_plain_loop_bitwise(
+        self, qspec, small_datum, level, example
+    ):
+        prob = ProblemSpec(example, qspec, small_datum, m=2)
+        ensemble = regularity_ensemble(prob, level, qspec)
+        table = time_regularity_probe(prob, ensemble, alphas=(0.2, 0.35))
+        seminorms, increments = plain_regularity(prob, ensemble, (0.2, 0.35), 6)
+        # repr spells every float out to its last bit
+        assert repr(table.seminorm_means) == repr(seminorms)
+        assert repr(table.increment_means) == repr(increments)
+        one = time_regularity_probe(prob, ensemble.path(5), alphas=(0.2,))
+        seminorm, increment = plain_regularity(prob, ensemble, (0.2,), 6, paths=[5])
+        assert repr(one.seminorm_means) == repr(seminorm)
+        assert repr(one.increment_means) == repr(increment)
 
     def test_rejects_too_coarse_grid(self, heat_problem, grid, qspec):
         tg = TimeGrid(2)
@@ -793,7 +793,7 @@ class TestRegularityProbe:
         silent = NoisePath(tg, np.zeros((tg.n_steps, qspec.n_modes)), seed=0)
         u = solve_frozen(heat_problem, xi, silent)
         with pytest.raises(ValueError):
-            time_regularity_probe(heat_problem, [u], alphas=(0.5,))
+            time_regularity_probe(heat_problem, u, alphas=(0.5,))
 
 
 class TestInvarianceRadius:

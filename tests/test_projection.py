@@ -259,10 +259,6 @@ def test_timegrid_and_trajectory_validation():
         TimeGrid(0)
     with pytest.raises(ValueError):
         TimeGrid(8, T=0.0)
-    with pytest.raises(ValueError):
-        TimeGrid(6, dyadic_level=2)
-    with pytest.raises(ValueError):
-        TimeGrid(8, dyadic_level=-1)
     grid = SpatialGrid(4)
     with pytest.raises(ValueError):
         Trajectory.from_matrix(TimeGrid(3), grid, np.zeros((3, 4)))
@@ -270,6 +266,9 @@ def test_timegrid_and_trajectory_validation():
         Trajectory.from_matrix(TimeGrid(1), grid, np.zeros((2, 5)))
     with pytest.raises(ValueError):
         Trajectory.from_matrix(TimeGrid(4), grid, np.zeros((4, 4)))
+    # an ensemble is a stacked Trajectory, and it cannot be empty
+    with pytest.raises(ValueError, match="at least one path"):
+        Trajectory(TimeGrid(1), grid, np.zeros((0, 2, 4)))
 
 
 def test_trajectory_values_are_read_only():
@@ -544,11 +543,9 @@ def test_csv_round_trip(tmp_path, csv_reference, extreme_floats):
             assert fh.read() == csv_reference(header, rows)
         assert np.array_equal(trajectory_from_csv(path).values, written.values)
     path = str(tmp_path / "traj_0.csv")
-    back = trajectory_from_csv(path, dyadic_level=3)
+    back = trajectory_from_csv(path)
     assert np.array_equal(back.stacked(), traj.stacked())
-    assert back.timegrid.n_steps == 24
-    assert back.timegrid.T == traj.timegrid.T
-    assert back.timegrid.dyadic_level == 3
+    assert back.timegrid == traj.timegrid
     with pytest.raises(ValueError):
         bad = str(tmp_path / "bad.csv")
         with open(bad, "w") as fh:

@@ -722,7 +722,6 @@ class TestProblemSpec:
     def test_defaults_and_derived(self, grid, qspec):
         prob = ProblemSpec("porous_sqrt_drift", qspec, zero_field(grid), m=3)
         assert prob.sigma == 0.1
-        assert prob.drift_power == 0.5
         assert prob.time_power == 4
         assert prob.triple == TripleKind.porous(3)
         heat = ProblemSpec("heat_sqrt_drift", qspec, zero_field(grid))
@@ -926,39 +925,3 @@ class TestHypothesisChecks:
             assert report.c_monotone_min <= report.c_monotone + 1e-12
             assert report.c_coercive_min <= report.c_coercive + 1e-12
             assert report.c_growth_min <= report.c_growth
-
-    def test_csv_round_trip(
-        self, grid, qspec, tmp_path, csv_reference, extreme_floats
-    ):
-        prob = ProblemSpec("heat_sqrt_drift", qspec, zero_field(grid))
-        report = check_hypotheses(prob, n_pairs=5, seed=2)
-        path = tmp_path / "hypotheses.csv"
-        report.to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "pair_id,defect_a,margin_b,ratio_c"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert int(first[0]) == 0
-        assert float(first[1]) == report.defects[0]
-        assert float(first[2]) == report.margins[0]
-        assert float(first[3]) == report.ratios[0]
-        extreme = dataclasses.replace(
-            report,
-            n_pairs=4,
-            defects=np.asarray(extreme_floats[0::3]),
-            margins=np.asarray(extreme_floats[1::3]),
-            ratios=np.asarray(extreme_floats[2::3]),
-        )
-        for written in (report, extreme):
-            written.to_csv(str(path))
-            expected = csv_reference(
-                lines[0].split(","),
-                zip(
-                    range(written.n_pairs),
-                    written.defects,
-                    written.margins,
-                    written.ratios,
-                ),
-            )
-            with open(path, newline="") as fh:
-                assert fh.read() == expected

@@ -231,7 +231,7 @@ def test_lc_q_wiener_pathwise_identities():
         )
         assert np.allclose(coeffs, direct, rtol=1e-10, atol=1e-13)
     assert traj.timegrid.n_steps == 4
-    assert traj.timegrid.dyadic_level == 2
+    assert traj.timegrid == TimeGrid(4)
     # W(t_3) = sum_i sqrt(lambda_i) B_i(t_3) psi_i, assembled mode by mode
     direct = sum(
         np.sqrt(lam) * p.values[3] * psi
@@ -246,7 +246,7 @@ def test_lc_increments_path_refines_consistently():
     coarse = lc_q_wiener(spec, 5, 13).increments_path()
     fine = lc_q_wiener(spec, 6, 13).increments_path()
     assert coarse.timegrid.n_steps == 32
-    assert coarse.timegrid.dyadic_level == 5
+    assert coarse.timegrid == TimeGrid(32)
     # coarse increment k telescopes the two fine increments it spans
     paired = fine.increments[0::2] + fine.increments[1::2]
     assert np.allclose(paired, coarse.increments, rtol=1e-12, atol=1e-15)
