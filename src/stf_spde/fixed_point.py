@@ -180,8 +180,11 @@ def picard_iterate(
         driven by noise_ensemble[p]; FixedPointDiagnostics).
 
     Raises:
+        ValueError: noise_ensemble is a lone NoisePath, not a sequence.
         NewtonDivergence: the lowest-index path that failed in a pass.
     """
+    if isinstance(noise_ensemble, NoisePath):
+        raise ValueError("picard_iterate takes a sequence of noise paths, not one NoisePath")
     # the iterates live on tg and the datum's grid, so this also pins the
     # coefficient's time and spatial grids against every noise path
     tg, inc = _noise_rows(problem, noise_ensemble)

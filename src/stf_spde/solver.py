@@ -13,10 +13,10 @@ interval with Dirichlet boundary:
 
 The heat step is one SPD tridiagonal solve. The porous step runs a damped
 Newton iteration on F(v) = v - dt Lap_h v^{[m]} - rhs with the tridiagonal
-Jacobian I - dt Lap_h diag(m |v|^{m-1}); the returned iterate always
-satisfies |F|_L2 <= newton_tol (1 + |rhs|_L2), otherwise NewtonDivergence
-is raised and the caller may retry with a halved step (the increment dW is
-split in half so its sum is preserved). Every step kernel acts on raw
+Jacobian I - dt Lap_h diag(m |v|^{m-1}); a returned iterate always
+satisfies |F|_L2 <= newton_tol (1 + |rhs|_L2), and a step that cannot is
+retried on two half steps (the increment dW is split in half so its sum is
+preserved) before NewtonDivergence is raised. Every step kernel acts on raw
 nodal values; Field appears only as ProblemSpec.initial_datum and in
 check_hypotheses' explicit pairs.
 
@@ -25,22 +25,18 @@ dptsv for the heat step and dgtsv for each Newton iteration, with the bits
 of scipy's validating wrappers. They are bound here under scipy's names,
 solveh_banded and solve_banded.
 
-The march behind solve_frozen and every ensemble steps a whole batch of
-noise paths at once, its state stacked as (paths, rows, N). One step costs
-one solver call for the batch: one multi-right-hand-side dptsv for heat,
-and for porous a masked damped Newton whose iterations each make one
-block-diagonal dgtsv call over the rows still iterating (the blocks are
-joined by zero couplings), each row keeping its own Armijo step length
-and iteration count. A lone row, up to the step at which another path
-joins it, and any row the batch could not finish go through the row
-kernel instead: the per-path step with its half-step retries. Each row's
-noise projection is one stacked vector-matrix product,
-(inc[:, k, None, :] @ basis)[:, 0], which gives the bits of the row
-kernel's gemv inc[k] @ basis; the plain matrix product inc[:, k] @ basis
-is a gemm and rounds differently. Every kernel works row
-by row in the same floating-point operations, so a path's bits do not
-depend on its batch: on how many paths are stepped with it, in which
-order, or whether it is stepped alone.
+There is one step kernel, and it steps a batch: the march behind
+solve_frozen and every ensemble stacks the paths' state as (paths, rows, N),
+one path or many, and makes one solver call per step. Heat is one
+multi-right-hand-side dptsv; porous is a damped Newton whose iterations each
+make one block-diagonal dgtsv call over the rows still iterating, each row
+keeping its own step length and count. The rows whose step fails march its
+two half steps together. Each row's noise projection is the stacked gemv
+(inc[:, k, None, :] @ basis)[:, 0]; the plain inc[:, k] @ basis is a gemm
+and rounds differently. Every kernel works row by row in the same
+floating-point operations, so a path's bits do not depend on its batch: how
+many paths share it, their order, or whether it is alone. The tests pin
+this against a path-by-path oracle.
 
 solve_frozen has two forms. One coefficient Trajectory with one NoisePath
 gives one solution path. A coefficient stacked as (paths, n_steps + 1, N)
@@ -114,8 +110,9 @@ class SolverConfig:
     dt_retries: int = 3
 
     def __post_init__(self) -> None:
-        if self.newton_tol <= 0:
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
+        # a NaN tolerance skips every Newton iteration, and inf accepts any residual
+        if not 0 < self.newton_tol < np.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be >= 1")
         if self.newton_max_halvings < 0:
@@ -156,8 +153,8 @@ class ProblemSpec:
                 raise ValueError(
                     f"porous examples need an integer exponent m >= 2, got {self.m}"
                 )
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.gradient_noise_form not in _NOISE_FORMS:
             raise ValueError(
                 f"gradient_noise_form must be one of {_NOISE_FORMS}, "
@@ -185,97 +182,35 @@ def _step_rhs(u, xi, noise, dt):
     return u + dt * signed_power_values(xi, 0.5) + noise
 
 
-def _heat_rows(grid, u, xi, dw, dt, sigma):
-    """Heat step on one row or a (rows, N) batch, in one solve; see _heat_step.
-
-    Returns (v, ok). LAPACK solves the columns of the (N, rows) right-hand
-    side one by one, so each row gets the one-row bits; a row whose
-    right-hand side is not finite comes back with ok False.
-    """
-    rhs = _step_rhs(u, xi, sigma * u * dw, dt)
-    ok = np.all(np.isfinite(rhs), axis=-1)
-    return solveh_banded(_implicit_band(grid, dt), rhs.T).T, ok
-
-
-def _heat_step(grid, u, xi, dw, dt, sigma):
-    """One semi-implicit heat step on one row of raw nodal values.
-
-    Solves (I - dt Lap_h) v = u + dt xi^{[1/2]} + sigma u dw; the Laplacian
-    is implicit (one SPD tridiagonal solve) and the drift and noise are
-    explicit.
-
-    Raises:
-        NewtonDivergence: the right-hand side is not finite.
-    """
-    v, ok = _heat_rows(grid, u, xi, dw, dt, sigma)
-    if not ok:
-        raise NewtonDivergence(f"non-finite heat right-hand side (dt {dt:.3e})")
-    return v
-
-
 def _porous_residual(grid, v, dt, m, rhs):
     return v - dt * laplacian_values(grid, signed_power_values(v, m)) - rhs
 
 
 def _jacobian_band(grid, v, dt, m):
-    """Band (3,) + v.shape of I - dt Lap_h diag(m |v|^{m-1}), per row of v."""
+    """Band (3, rows * N) of I - dt Lap_h diag(m |v|^{m-1}), one block per row of v.
+
+    Consecutive blocks are not coupled, so each keeps its own bits.
+    """
     h2 = grid.h * grid.h
-    d = m * np.abs(v) ** (m - 1)
-    ab = np.empty((3,) + d.shape)
+    d = m * np.abs(v.ravel()) ** (m - 1)
+    ab = np.empty((3, d.size))
     ab[0] = -dt * d / h2
     ab[1] = 1.0 + 2.0 * dt * d / h2
-    ab[2] = -dt * d / h2
+    ab[2] = ab[0]
+    n = v.shape[-1]
+    ab[0, ::n] = ab[2, n - 1 :: n] = 0.0
     return ab
 
 
 def _newton_porous(grid, u_start, rhs, dt, m, config):
-    """Damped Newton for v - dt Lap_h v^{[m]} = rhs; returns (v, iterations)."""
-    v = u_start.copy()
-    fv = _porous_residual(grid, v, dt, m, rhs)
-    rn = norm_values(grid, fv, "L2")
-    target = config.newton_tol * (1.0 + norm_values(grid, rhs, "L2"))
-    # a NaN residual compares false against the target and would skip the
-    # loop, returning a state that breaks the residual contract
-    if not np.isfinite(rn):
-        raise NewtonDivergence(f"non-finite starting residual {rn} (dt {dt:.3e})")
-    iterations = 0
-    while rn > target:
-        if iterations >= config.newton_max_iter:
-            raise NewtonDivergence(
-                f"no convergence in {config.newton_max_iter} iterations "
-                f"(residual {rn:.3e}, target {target:.3e}, dt {dt:.3e})"
-            )
-        # v and fv are finite: the starting guard and the rt < rn acceptance
-        # below never let a non-finite residual through. A finite residual
-        # bounds dt m |v|^(m-1) / h^2, so the band is finite as well.
-        delta = solve_banded(_jacobian_band(grid, v, dt, m), -fv)
-        lam = 1.0
-        for _ in range(config.newton_max_halvings + 1):
-            trial = v + lam * delta
-            ft = _porous_residual(grid, trial, dt, m, rhs)
-            rt = norm_values(grid, ft, "L2")
-            if rt < rn:
-                break
-            lam *= 0.5
-        else:
-            raise NewtonDivergence(
-                f"damping stalled after {config.newton_max_halvings} halvings "
-                f"(residual {rn:.3e}, dt {dt:.3e})"
-            )
-        v, fv, rn = trial, ft, rt
-        iterations += 1
-    return v, iterations
+    """Damped Newton for v - dt Lap_h v^{[m]} = rhs on each row of a (rows, N) batch.
 
-
-def _newton_rows(grid, u_start, rhs, dt, m, config):
-    """_newton_porous on a (rows, N) batch; returns (v, iterations, ok).
-
-    Each row runs the row kernel's iteration in the same floating-point
-    operations, so it ends on that kernel's iterate and count, bit for
-    bit. One block-diagonal dgtsv call per iteration covers the rows
-    still above their target, and each of them backtracks with its
-    own step length. A row on which _newton_porous raises (non-finite
-    start, iteration budget or halvings spent) stops with ok False.
+    Returns (v, iterations, errors): errors maps each row that fails (a
+    non-finite start, the iteration budget or the halvings spent) to its
+    message, and v is undefined and iterations 0 on it. The rows still
+    iterating stay compacted, uncopied until one stops, and share one
+    block-diagonal dgtsv call per iteration. Only the rows whose full step
+    does not lower their residual backtrack.
     """
     v = u_start.copy()
     fv = _porous_residual(grid, v, dt, m, rhs)
@@ -283,41 +218,68 @@ def _newton_rows(grid, u_start, rhs, dt, m, config):
     target = config.newton_tol * (1.0 + norm_values(grid, rhs, "L2"))
     iterations = np.zeros(len(v), dtype=np.int64)
     # a NaN residual would compare false against its target: fail it
-    ok = np.isfinite(rn)
-    active = np.flatnonzero(ok & (rn > target))
-    while active.size:
-        spent = iterations[active] >= config.newton_max_iter
-        ok[active[spent]] = False
-        active = active[~spent]
-        if not active.size:
+    moved, errors = np.isfinite(rn), {}
+    for i in np.flatnonzero(~moved).tolist():
+        errors[i] = f"non-finite starting residual {rn[i]} (dt {dt:.3e})"
+    going = moved & (rn > target)
+    rows, it, halvings = np.arange(len(v)), 0, config.newton_max_halvings
+    v_a, f_a, r_a = v, fv, rn
+    while True:
+        # all(mask.tolist()): on a step's few-row masks, cheaper than mask.all()
+        if not all(going.tolist()):
+            stop = moved & ~going
+            if rows.size == len(v) and all(stop.tolist()):
+                # the whole batch stops at once: its iterate is the result
+                iterations[:] = it
+                return v_a, iterations, errors
+            v[rows[stop]] = v_a[stop]
+            iterations[rows[stop]] = it
+            rows = rows[going]
+            v_a, f_a, r_a, target, rhs = (a[going] for a in (v_a, f_a, r_a, target, rhs))
+        if not rows.size or it == config.newton_max_iter:
             break
-        ab = _jacobian_band(grid, v[active], dt, m)
-        # the entries that would couple consecutive rows' blocks; with
-        # them zero, elimination leaves every block its own bits
-        ab[0, :, 0] = 0.0
-        ab[2, :, -1] = 0.0
-        delta = solve_banded(ab.reshape(3, -1), -fv[active].ravel())
-        delta = delta.reshape(ab.shape[1:])
-        lam = np.ones(active.size)
-        trial, ft = np.empty_like(delta), np.empty_like(delta)
-        rt = np.empty(active.size)
-        searching = np.ones(active.size, dtype=bool)
-        for _ in range(config.newton_max_halvings + 1):
-            rows = active[searching]
-            trial[searching] = v[rows] + lam[searching, None] * delta[searching]
-            ft[searching] = _porous_residual(grid, trial[searching], dt, m, rhs[rows])
-            rt[searching] = norm_values(grid, ft[searching], "L2")
-            searching &= ~(rt < rn[active])
-            if not searching.any():
-                break
-            lam[searching] *= 0.5
-        ok[active[searching]] = False
-        moved = ~searching
-        rows = active[moved]
-        v[rows], fv[rows], rn[rows] = trial[moved], ft[moved], rt[moved]
-        iterations[rows] += 1
-        active = rows[rn[rows] > target[rows]]
-    return v, iterations, ok
+        it += 1
+        # v_a and f_a are finite: the starting guard and the rt < r_a
+        # acceptance never let a non-finite residual through. A finite
+        # residual bounds dt m |v|^(m-1) / h^2, so the band is finite too.
+        delta = solve_banded(_jacobian_band(grid, v_a, dt, m), -f_a.ravel())
+        delta = delta.reshape(v_a.shape)
+        trial = v_a + delta
+        ft = _porous_residual(grid, trial, dt, m, rhs)
+        rt = norm_values(grid, ft, "L2")
+        moved = rt < r_a
+        if all(moved.tolist()):
+            going = rt > target
+        else:
+            # the rows whose full step failed try step length 2^-j on
+            # halving j, until their residual drops
+            back = np.flatnonzero(~moved)
+            v_b, d_b, rhs_b, r_b = v_a[back], delta[back], rhs[back], r_a[back]
+            for j in range(1, halvings + 1):
+                t = v_b + 0.5**j * d_b
+                f = _porous_residual(grid, t, dt, m, rhs_b)
+                r = norm_values(grid, f, "L2")
+                ok = r < r_b
+                if all(ok.tolist()):
+                    trial[back], ft[back], rt[back], moved[back] = t, f, r, True
+                    break
+                got, keep = back[ok], ~ok
+                trial[got], ft[got], rt[got], moved[got] = t[ok], f[ok], r[ok], True
+                back, v_b, d_b, rhs_b, r_b = (a[keep] for a in (back, v_b, d_b, rhs_b, r_b))
+            else:
+                for j in back.tolist():
+                    errors[int(rows[j])] = (
+                        f"damping stalled after {halvings} halvings "
+                        f"(residual {r_a[j]:.3e}, dt {dt:.3e})"
+                    )
+            going = moved & (rt > target)
+        v_a, f_a, r_a = trial, ft, rt
+    for j, i in enumerate(rows.tolist()):
+        errors[i] = (
+            f"no convergence in {config.newton_max_iter} iterations "
+            f"(residual {r_a[j]:.3e}, target {target[j]:.3e}, dt {dt:.3e})"
+        )
+    return v, iterations, errors
 
 
 def _one_sided_centered_diff(grid, g):
@@ -357,48 +319,49 @@ def _porous_noise(problem, u, xi_k, dw):
     )
 
 
-def _advance(problem, u, xi_k, dw, dt, cfg, stats, depth):
-    """One step of the problem on raw nodal values (rows u, xi_k, dw).
+def _advance(problem, u, xi_k, dw, dt, cfg, stats, paths, depth):
+    """One step of a (rows, N) batch, row i on path paths[i]; returns (v, lost).
 
-    The inputs were checked once by the caller: every row lives on the
-    problem's grid, dt is positive and ProblemSpec fixed the exponent.
-    """
-    grid = problem.qwiener.grid
-    try:
-        if problem.example == "heat_sqrt_drift":
-            return _heat_step(grid, u, xi_k, dw, dt, problem.sigma)
-        rhs = _step_rhs(u, xi_k, _porous_noise(problem, u, xi_k, dw), dt)
-        v, its = _newton_porous(grid, u, rhs, dt, problem.m, cfg)
-        stats["newton_iterations"] += its
-        return v
-    except NewtonDivergence:
-        if depth >= cfg.dt_retries:
-            raise
-        stats["dt_retries"] += 1
-        half = 0.5 * dw
-        mid = _advance(problem, u, xi_k, half, 0.5 * dt, cfg, stats, depth + 1)
-        return _advance(problem, mid, xi_k, half, 0.5 * dt, cfg, stats, depth + 1)
-
-
-def _advance_rows(problem, u, xi_k, dw, dt, cfg):
-    """One full step of a (rows, N) batch; returns (v, Newton iterations, ok).
-
-    A row with ok False was not finished: _advance raises on it at depth
-    0, so it is left for the row kernel and its half-step retries.
+    The rows whose step fails retry it as two half steps, each on half the
+    increment, marched together as a sub-batch at depth + 1. A row that
+    fails at depth cfg.dt_retries goes into stats.failed and, in order,
+    into lost; v is undefined on it.
     """
     grid = problem.qwiener.grid
     if problem.example == "heat_sqrt_drift":
-        v, ok = _heat_rows(grid, u, xi_k, dw, dt, problem.sigma)
-        return v, np.zeros(len(u), dtype=np.int64), ok
-    rhs = _step_rhs(u, xi_k, _porous_noise(problem, u, xi_k, dw), dt)
-    return _newton_rows(grid, u, rhs, dt, problem.m, cfg)
+        rhs = _step_rhs(u, xi_k, problem.sigma * u * dw, dt)
+        v, errors = solveh_banded(_implicit_band(grid, dt), rhs.T).T, {}
+        if not np.isfinite(rhs).all():
+            bad = np.flatnonzero(~np.isfinite(rhs).all(axis=-1)).tolist()
+            errors = dict.fromkeys(bad, f"non-finite heat right-hand side (dt {dt:.3e})")
+    else:
+        rhs = _step_rhs(u, xi_k, _porous_noise(problem, u, xi_k, dw), dt)
+        v, its, errors = _newton_porous(grid, u, rhs, dt, problem.m, cfg)
+        stats.newton_iterations[paths] += its
+    if not errors:
+        return v, []
+    bad = np.array(sorted(errors))
+    if depth >= cfg.dt_retries:
+        for i in bad.tolist():
+            stats.failed[int(paths[i])] = NewtonDivergence(errors[i])
+        return v, bad.tolist()
+    stats.dt_retries[paths[bad]] += 1
+    keep, w, half = bad, u[bad], 0.5 * dw[bad]
+    for _ in range(2):  # a row that fails its first half step stops there
+        if keep.size:
+            w, lost = _advance(
+                problem, w, xi_k[keep], half, 0.5 * dt, cfg, stats, paths[keep], depth + 1
+            )
+            keep, w, half = (np.delete(a, lost, axis=0) for a in (keep, w, half))
+    v[keep] = w
+    return v, np.setdiff1d(bad, keep).tolist()
 
 
 class _PathStats:
-    """Solver counters of a batched march, per path, and the failed paths.
+    """Per-path counters of a march, and the errors of the paths that failed.
 
-    A failed path maps to the NewtonDivergence its row kernel raised after
-    every retry; the march leaves it where it stopped.
+    newton_iterations counts the iterations of a path's finished steps and
+    half steps, and dt_retries its steps split in two.
     """
 
     def __init__(self, paths: int) -> None:
@@ -414,56 +377,37 @@ class _PathStats:
             raise self.failed[first]
 
 
-def _march_row(problem, u, xi_rows, inc, dt, start, stop, cfg, stats, p):
-    """The row kernel over steps start .. stop - 1 of path p's own rows."""
-    basis = problem.qwiener.basis
-    counts = {"newton_iterations": 0, "dt_retries": 0}
-    try:
-        for k in range(start, stop):
-            u[k + 1] = _advance(
-                problem, u[k], xi_rows[k], inc[k] @ basis, dt, cfg, counts, 0
-            )
-    except NewtonDivergence as exc:
-        stats.failed[p] = exc
-    stats.newton_iterations[p] += counts["newton_iterations"]
-    stats.dt_retries[p] += counts["dt_retries"]
-
-
 def _march(problem, u, xi_rows, inc, dt, start, stop, cfg, stats):
     """Fill rows start + 1 .. stop of every path's solve u, in place.
 
     u and xi_rows are stacked per path as (paths, rows, N), inc as
-    (paths, n_steps, n_modes). Step k freezes path p's coefficient at
-    xi_rows[p, k] and takes its increment inc[p, k]. start is one row for
-    every path or one row per path: a path joins the batch at its own
-    start. A path already in stats.failed is skipped; one that fails after
-    every retry is added there and marched no further. solve_frozen,
-    staircase_construct and Picard share this loop, so the Picard limit
-    and the staircase stay equal bit for bit.
+    (paths, n_steps, n_modes); step k freezes path p's coefficient at
+    xi_rows[p, k] and takes inc[p, k]. start is one row, or one per path at
+    which it joins. Each step is one _advance over the live paths (a slice
+    while all are), found again only when a path joins or fails. A failed
+    path is skipped. solve_frozen, staircase_construct and Picard share this
+    loop, so the Picard limit and the staircase stay equal bit for bit.
     """
     basis = problem.qwiener.basis
     start = np.broadcast_to(start, len(u))
-    live = np.ones(len(u), dtype=bool)
-    live[list(stats.failed)] = False
-    k = int(start.min())
-    while k < stop:
-        rows = np.flatnonzero(live & (start <= k))
-        redo, until = rows, k + 1
-        if rows.size > 1:
-            dw = (inc[rows, k, None, :] @ basis)[:, 0]
-            uk, xk = u[rows, k], xi_rows[rows, k]
-            v, its, ok = _advance_rows(problem, uk, xk, dw, dt, cfg)
-            u[rows[ok], k + 1] = v[ok]
-            stats.newton_iterations[rows[ok]] += its[ok]
-            redo = rows[~ok]
+    joins, failed = set(start.tolist()), None
+    for k in range(int(start.min()), stop):
+        if k in joins or len(stats.failed) != failed:
+            failed = len(stats.failed)
+            live = start <= k
+            live[list(stats.failed)] = False
+            paths = np.flatnonzero(live)
+            rows = slice(None) if paths.size == len(u) else paths
+        if not paths.size:
+            continue
+        dw = (inc[rows, k, None, :] @ basis)[:, 0]
+        v, lost = _advance(
+            problem, u[rows, k], xi_rows[rows, k], dw, dt, cfg, stats, paths, 0
+        )
+        if lost:
+            u[np.delete(paths, lost), k + 1] = np.delete(v, lost, axis=0)
         else:
-            # a lone row has no batch to wait for until the next path joins
-            later = start[start > k]
-            until = min(int(later.min()), stop) if later.size else stop
-        for p in redo.tolist():
-            _march_row(problem, u[p], xi_rows[p], inc[p], dt, k, until, cfg, stats, p)
-            live[p] = p not in stats.failed
-        k = until
+            u[rows, k + 1] = v
 
 
 def _noise_rows(problem, noise):

@@ -97,6 +97,7 @@ class TestRunConfig:
             {"initial": {"datum": "sawtooth(2)"}},
             {"run": {"paths": "0"}},
             {"discretization": {"time_steps": "ten"}},
+            {"problem": {"sigma": "nan"}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, overrides):
@@ -263,6 +264,21 @@ class TestSimulate:
         path = write_config(tmp_path / "run.ini", drop=[("run", "master_seed")])
         assert main(["simulate", "--config", path]) == 2
         assert "master_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_newton_tol_is_a_config_error(self, tmp_path, capsys, tol):
+        # nan once ran to exit 0 with every porous step left at the datum
+        path = write_config(
+            tmp_path / "run.ini",
+            overrides={
+                "problem": {"example": "porous_sqrt_drift"},
+                "tolerances": {"newton_tol": tol},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert "newton_tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 FIXTURE_SIZE = {

@@ -209,6 +209,7 @@ class TestPicard:
             ("indivisible", "n_steps=12 is not divisible"),
             ("time_grids", "noise paths live on different time grids"),
             ("seed_grid", "seed field lives on a different spatial grid"),
+            ("lone_path", "takes a sequence of noise paths, not one NoisePath"),
         ],
     )
     def test_rejects_bad_inputs_before_marching(
@@ -227,6 +228,9 @@ class TestPicard:
             noises = [NoisePath(TimeGrid(12), np.zeros((12, 16)), seed=0)]
         elif defect == "time_grids":
             noises.append(NoisePath(TimeGrid(64), np.zeros((64, 16)), seed=1))
+        elif defect == "lone_path":
+            # the staircase's one-path form; Picard would return a stacked path
+            noises = noises[0]
         else:
             coarse = SpatialGrid(15)
             level = HaarLevel(3, Field(coarse, np.zeros(coarse.n_interior)))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import row_kernel
 from stf_spde import solver
 from stf_spde.grids import (
     Field,
@@ -34,7 +35,6 @@ from stf_spde.solver import (
     ProblemSpec,
     SolverConfig,
     _gradient_noise,
-    _heat_step,
     _hs_norm_sq,
     _newton_porous,
     _step_rhs,
@@ -74,10 +74,37 @@ def values_gap(a, b):
     return float(np.max(np.abs(a - b)))
 
 
+def heat_step(grid, u, xi, dw, dt, sigma):
+    """One heat step of the solver's kernel on one row, equal to the oracle's bits."""
+    qspec = QWienerSpec.power_decay(grid, n_modes=1)
+    prob = ProblemSpec("heat_sqrt_drift", qspec, zero_field(grid), sigma=sigma)
+    cfg = SolverConfig(dt_retries=0)
+    v, lost = solver._advance(
+        prob, u[None], xi[None], dw[None], dt, cfg, solver._PathStats(1), np.arange(1), 0
+    )
+    assert not lost
+    assert v[0].tobytes() == row_kernel.heat_step(grid, u, xi, dw, dt, sigma).tobytes()
+    return v[0]
+
+
 def porous_step(grid, u, xi, noise, dt, m, config=None):
-    """One porous step on raw nodal values through the row kernel."""
+    """One porous Newton solve of the solver's kernel on one row of raw values.
+
+    It ends on the oracle's iterate and count bit for bit, or raises the
+    oracle's NewtonDivergence message.
+    """
     cfg = config if config is not None else SolverConfig()
-    return _newton_porous(grid, u, _step_rhs(u, xi, noise, dt), dt, m, cfg)[0]
+    rhs = _step_rhs(u, xi, noise, dt)
+    v, its, errors = _newton_porous(grid, u[None], rhs[None], dt, m, cfg)
+    try:
+        want, want_its = row_kernel.newton_porous(grid, u, rhs, dt, m, cfg)
+    except NewtonDivergence as exc:
+        assert errors == {0: str(exc)}
+        raise
+    assert not errors
+    assert its[0] == want_its
+    assert v[0].tobytes() == want.tobytes()
+    return v[0]
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +120,7 @@ def qspec(grid):
 class TestHeatStep:
     def test_zero_state_stays_zero(self, grid):
         z = np.zeros(grid.n_interior)
-        out = _heat_step(grid, z, z, z, 0.01, 0.1)
+        out = heat_step(grid, z, z, z, 0.01, 0.1)
         assert np.all(out == 0.0)
 
     def test_eigenmode_recursion(self, grid, qspec):
@@ -113,7 +140,7 @@ class TestHeatStep:
         # xi = 4 contributes dt * sqrt(4) = 2 dt to the right-hand side
         z = np.zeros(grid.n_interior)
         xi = np.full(grid.n_interior, 4.0)
-        out = _heat_step(grid, z, xi, z, 0.1, 0.1)
+        out = heat_step(grid, z, xi, z, 0.1, 0.1)
         mat = np.eye(grid.n_interior) - 0.1 * dense_laplacian(grid)
         oracle = np.linalg.solve(mat, np.full(grid.n_interior, 0.2))
         assert np.max(np.abs(out - oracle)) < 1e-13
@@ -124,7 +151,7 @@ class TestHeatStep:
         xi = random_values(grid, rng)
         dw = random_values(grid, rng, scale=0.05)
         dt, sigma = 0.02, 0.3
-        out = _heat_step(grid, u, xi, dw, dt, sigma)
+        out = heat_step(grid, u, xi, dw, dt, sigma)
         rhs = u + dt * signed_power_values(xi, 0.5) + sigma * u * dw
         mat = np.eye(grid.n_interior) - dt * dense_laplacian(grid)
         assert np.max(np.abs(out - np.linalg.solve(mat, rhs))) < 1e-13
@@ -136,7 +163,7 @@ class TestHeatStep:
         for _ in range(5):
             u = random_values(grid, rng)
             z = np.zeros(grid.n_interior)
-            up = _heat_step(grid, u, z, z, 0.02, 0.1)
+            up = heat_step(grid, u, z, z, 0.02, 0.1)
             lhs = norm_values(grid, up, "L2") ** 2 - norm_values(grid, u, "L2") ** 2
             lhs += 2 * 0.02 * norm_values(grid, up, "V_H1") ** 2
             assert abs(lhs + norm_values(grid, up - u, "L2") ** 2) < 1e-12
@@ -149,7 +176,7 @@ class TestHeatStep:
         rng = np.random.default_rng(seed)
         u = random_values(grid, rng, scale=10.0 ** rng.uniform(-2, 2))
         z = np.zeros(grid.n_interior)
-        up = _heat_step(grid, u, z, z, 10.0 ** rng.uniform(-4, 1), 0.1)
+        up = heat_step(grid, u, z, z, 10.0 ** rng.uniform(-4, 1), 0.1)
         assert norm_values(grid, up, "L2") <= norm_values(grid, u, "L2") * (1 + 1e-12)
 
 
@@ -162,7 +189,7 @@ class TestPorousStep:
         u = random_values(grid, rng)
         xi = random_values(grid, rng)
         dw = random_values(grid, rng, scale=0.05)
-        a = _heat_step(grid, u, xi, dw, 0.02, 0.1)
+        a = heat_step(grid, u, xi, dw, 0.02, 0.1)
         b = porous_step(grid, u, xi, 0.1 * u * dw, 0.02, m=1)
         assert values_gap(a, b) < 1e-12
 
@@ -542,30 +569,8 @@ class TestSolveFrozenEnsemble:
         assert got.value.path == 1
 
 
-def row_kernel_march(problem, u, xi_rows, inc, dt, starts, stop, cfg):
-    """The path-by-path reference: _advance step by step on each row alone.
-
-    Returns each row's (Newton iterations, dt retries, error message or None).
-    """
-    basis = problem.qwiener.basis
-    records = []
-    for p, first in enumerate(starts):
-        counts = {"newton_iterations": 0, "dt_retries": 0}
-        error = None
-        try:
-            for k in range(first, stop):
-                u[p, k + 1] = solver._advance(
-                    problem, u[p, k], xi_rows[p, k], inc[p, k] @ basis, dt, cfg,
-                    counts, 0,
-                )
-        except NewtonDivergence as exc:
-            error = str(exc)
-        records.append((counts["newton_iterations"], counts["dt_retries"], error))
-    return records
-
-
 class TestBatchedMarch:
-    """The batched march against the row kernel, row by row and bit for bit."""
+    """The batched march against the row-kernel oracle, row by row and bit for bit."""
 
     # amplitudes from easy to failing at dt = 1e-3 with sigma = 1
     AMPLITUDES = (0.05, 0.1, 0.3, 1.0, 2.0, 4.0, 8.0)
@@ -597,7 +602,7 @@ class TestBatchedMarch:
         # rows join the batch at their own start row
         starts = np.array([0, 1, 0, 2, 0, 1, 0])
         want = u.copy()
-        records = row_kernel_march(prob, want, xi, inc, dt, starts, 4, cfg)
+        records = row_kernel.march(prob, want, xi, inc, dt, starts, 4, cfg)
         stats = solver._PathStats(len(u))
         solver._march(prob, u, xi, inc, dt, starts, 4, cfg, stats)
         for p, (its, retries, error) in enumerate(records):
@@ -627,11 +632,11 @@ class TestBatchedMarch:
                 noise = solver._porous_noise(prob, uk, xk, dw)
                 rhs = uk + dt * signed_power_values(xk, 0.5) + noise
                 try:
-                    solver._newton_porous(grid, uk, rhs, dt, 2, cfg)
+                    row_kernel.newton_porous(grid, uk, rhs, dt, 2, cfg)
                 except NewtonDivergence:
                     continue  # a step split into half steps
                 try:
-                    solver._newton_porous(grid, uk, rhs, dt, 2, no_halving)
+                    row_kernel.newton_porous(grid, uk, rhs, dt, 2, no_halving)
                 except NewtonDivergence as exc:
                     backtracked |= "damping stalled" in str(exc)
             assert backtracked
@@ -645,7 +650,7 @@ class TestBatchedMarch:
         u, xi, inc = (a[:4] for a in self.batch_inputs(grid, qspec, dt))
         starts = np.array([1, 2, 0, 2])
         want = u.copy()
-        records = row_kernel_march(prob, want, xi, inc, dt, starts, 4, cfg)
+        records = row_kernel.march(prob, want, xi, inc, dt, starts, 4, cfg)
         stats = solver._PathStats(len(u))
         solver._march(prob, u, xi, inc, dt, starts, 4, cfg, stats)
         assert not stats.failed
@@ -662,7 +667,7 @@ class TestBatchedMarch:
         inc[4, 1, 3] = np.nan
         starts = np.zeros(len(u), dtype=int)
         want = u.copy()
-        records = row_kernel_march(prob, want, xi, inc, dt, starts, 4, cfg)
+        records = row_kernel.march(prob, want, xi, inc, dt, starts, 4, cfg)
         stats = solver._PathStats(len(u))
         solver._march(prob, u, xi, inc, dt, 0, 4, cfg, stats)
         assert list(stats.failed) == [4]
@@ -674,13 +679,19 @@ class TestBatchedMarch:
                 assert u[p].tobytes() == want[p].tobytes()
                 assert stats.dt_retries[p] == 0
 
-    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
-    def test_path_bits_do_not_depend_on_batch(self, grid, qspec, example):
+    @pytest.mark.parametrize(
+        "example,cfg",
+        [(example, SolverConfig()) for example in KNOWN_EXAMPLES]
+        # three Newton iterations split steps of every path into half steps,
+        # nested up to two deep, and every split step then succeeds
+        + [("porous_sqrt_drift", SolverConfig(newton_max_iter=3))],
+        ids=[*KNOWN_EXAMPLES, "porous_sqrt_drift-retries"],
+    )
+    def test_path_bits_do_not_depend_on_batch(self, grid, qspec, example, cfg):
         # one path marched alone, in a batch of 3, and in a permuted batch
         # of 64, over a full time grid
         prob = ProblemSpec(example, qspec, sine_field(grid, 1, 0.1), m=2)
         tg = TimeGrid(32)
-        cfg = SolverConfig()
         noises = [sample_increments(qspec, tg, 100 + i) for i in range(64)]
         rng = np.random.default_rng(1)
         coeff = np.abs(rng.standard_normal((64, tg.n_steps + 1, grid.n_interior)))
@@ -692,18 +703,31 @@ class TestBatchedMarch:
             inc = np.stack([noises[i].increments for i in order])
             solver._march(prob, u, coeff[order], inc, tg.dt, 0, tg.n_steps, cfg, stats)
             assert not stats.failed
-            return u
+            return u, np.stack([stats.newton_iterations, stats.dt_retries], axis=1)
 
-        alone = [march([i])[0] for i in range(3)]
-        assert [row.tobytes() for row in march([0, 1, 2])] == [
-            row.tobytes() for row in alone
-        ]
+        alone = [march([i]) for i in range(3)]
+        u, counts = march([0, 1, 2])
+        assert [row.tobytes() for row in u] == [a.tobytes() for a, _ in alone]
+        assert counts.tolist() == [c[0].tolist() for _, c in alone]
+        want = u.copy()
+        want[:, 1:] = np.nan
+        inc = np.stack([noises[i].increments for i in range(3)])
+        records = row_kernel.march(prob, want, coeff[:3], inc, tg.dt, [0] * 3, tg.n_steps, cfg)
+        assert want.tobytes() == u.tobytes()
+        assert counts.tolist() == [[its, retries] for its, retries, _ in records]
         order = rng.permutation(64)
-        big = march(order)
+        big, big_counts = march(order)
         for i in range(3):
-            assert big[list(order).index(i)].tobytes() == alone[i].tobytes()
-        solo = solve_frozen(prob, Trajectory.from_matrix(tg, grid, coeff[0]), noises[0])
-        assert solo.values.tobytes() == alone[0].tobytes()
+            at = list(order).index(i)
+            assert big[at].tobytes() == alone[i][0].tobytes()
+            assert big_counts[at].tolist() == alone[i][1][0].tolist()
+        if cfg.newton_max_iter == 3:
+            assert all(c[0, 1] > 0 for _, c in alone)
+            assert big_counts[:, 1].sum() > 0
+        solo = solve_frozen(
+            prob, Trajectory.from_matrix(tg, grid, coeff[0]), noises[0], cfg
+        )
+        assert solo.values.tobytes() == alone[0][0].tobytes()
 
 
 class TestProblemSpec:
@@ -714,6 +738,12 @@ class TestProblemSpec:
     def test_rejects_small_porous_exponent(self, grid, qspec):
         with pytest.raises(ValueError):
             ProblemSpec("porous_sqrt_drift", qspec, zero_field(grid), m=1)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+    def test_rejects_bad_sigma(self, grid, qspec, sigma):
+        # NaN passed a plain sigma < 0 check and failed later as a solver error
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            ProblemSpec("porous_sqrt_drift", qspec, zero_field(grid), sigma=sigma)
 
     def test_rejects_grid_mismatch(self, qspec):
         with pytest.raises(ValueError):
@@ -731,6 +761,10 @@ class TestProblemSpec:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(newton_tol=0.0)
+        # a NaN target would skip every Newton iteration, inf accept any residual
+        for tol in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SolverConfig(newton_tol=tol)
         with pytest.raises(ValueError):
             SolverConfig(newton_max_iter=0)
         with pytest.raises(ValueError):

@@ -107,7 +107,7 @@ def test_seam_matches_scipy_bit_for_bit(n, scale):
 
 @pytest.mark.parametrize("paths", [1, 4, 64])
 def test_block_diagonal_band_matches_scipy_and_each_block(paths):
-    # the band _newton_rows builds: one tridiagonal block per row, joined
+    # the band _newton_porous builds: one tridiagonal block per row, joined
     # by zero couplings
     n = 31
     rng = np.random.default_rng(paths)
