@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 from .estimators import EstimateInvalid, energy_report, mc_mean_stderr
 from .fixed_point import (
+    _check_stopping_rule,
     _staircase_solve,
     continuity_probe,
     picard_iterate,
@@ -189,6 +190,7 @@ class RunConfig:
             self.problem()
             _check_dyadic(self.timegrid(), self.haar_level(), self.grid())
             self.solver_config()
+            _check_stopping_rule(self.picard_tol, self.picard_max_iter)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import TripleKind
-from .projection import TimeGrid, Trajectory, _one_path
+from .projection import TimeGrid, Trajectory
 from .rng import path_seed
 # solve_frozen is bound here for bench/tests/test_bench_tracer.py, which
 # checks that the tracer wraps every module binding of it
@@ -59,34 +59,21 @@ def mc_mean_stderr(samples) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
 
 
-def _sup_h_sq(grid, values, triple):
-    """pathwise_sup_H on raw samples (..., rows, N), one value per path."""
-    return np.max(triple.h_norm_values(grid, values) ** 2, axis=-1)
+def pathwise_sup_H(traj: Trajectory, triple: TripleKind) -> float | np.ndarray:
+    """max over the sample times of |w(t_k)|_H^2 (squared pivot norm), per path."""
+    sup = np.max(triple.h_norm_values(traj.grid, traj.values) ** 2, axis=-1)
+    return float(sup) if sup.ndim == 0 else sup
 
 
-def pathwise_sup_H(traj: Trajectory, triple: TripleKind) -> float:
-    """max over the sample times of |w(t_k)|_H^2 (squared pivot norm)."""
-    _one_path(traj, "pathwise_sup_H")
-    return float(_sup_h_sq(traj.grid, traj.values, triple))
-
-
-def _v_power_integrals(grid, dt, values, triple, power):
-    """integral_v_power on raw samples (..., rows, N), one value per path.
-
-    Each path's value has the bits of its own integral_v_power.
-    """
-    norms = triple.v_norm_values(grid, values[..., :-1, :])
-    return dt * np.sum(norms**power, axis=-1)
-
-
-def integral_v_power(traj: Trajectory, triple: TripleKind, power: float) -> float:
-    """Left-endpoint quadrature of int_0^T |w(t)|_V^power dt."""
-    _one_path(traj, "integral_v_power")
+def integral_v_power(
+    traj: Trajectory, triple: TripleKind, power: float
+) -> float | np.ndarray:
+    """Left-endpoint quadrature of int_0^T |w(t)|_V^power dt, per path."""
     if power <= 0:
         raise ValueError(f"power must be positive, got {power}")
-    return float(
-        _v_power_integrals(traj.grid, traj.timegrid.dt, traj.values, triple, power)
-    )
+    norms = triple.v_norm_values(traj.grid, traj.values[..., :-1, :])
+    total = traj.timegrid.dt * np.sum(norms**power, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -132,21 +119,25 @@ def _path_samples(problem, timegrid, level, seeds, config):
     evaluates the energy functionals of the solution driven by that fixed
     coefficient; all paths are swept in one batch. The three sample arrays
     hold the surviving paths in seed order; failed paths (Newton divergence
-    surviving all retries) are left out and counted.
+    surviving all retries) are left out and counted, and EstimateInvalid is
+    raised if none survives.
     """
     from .fixed_point import _staircase_solve
 
     triple = problem.triple
     power = problem.time_power
-    grid = problem.qwiener.grid
     inc = sample_increments_batch(problem.qwiener, timegrid, seeds)
     xi_star, u, stats = _staircase_solve(problem, level, timegrid, inc, config)
     kept = [p for p in range(len(inc)) if p not in stats.failed]
-    xi_star, u = xi_star[kept], u[kept]
+    if not kept:
+        raise EstimateInvalid(f"all {len(inc)} paths of an ensemble failed to solve")
+    grid = problem.qwiener.grid
+    u = Trajectory(timegrid, grid, u[kept])
+    xi_star = Trajectory(timegrid, grid, xi_star[kept])
     return (
-        _sup_h_sq(grid, u, triple),
-        _v_power_integrals(grid, timegrid.dt, u, triple, power),
-        _v_power_integrals(grid, timegrid.dt, xi_star, triple, power),
+        pathwise_sup_H(u, triple),
+        integral_v_power(u, triple, power),
+        integral_v_power(xi_star, triple, power),
         len(stats.failed),
     )
 

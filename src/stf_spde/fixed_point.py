@@ -21,15 +21,16 @@ An ensemble of paths is one Trajectory stacked as (paths, n_steps + 1,
 N). staircase_construct takes one NoisePath, giving a one-path
 Trajectory, or a sequence of them, as picard_iterate does, giving the
 stacked form, which picard_iterate also returns; solve_frozen takes it
-back with the same sequence, and time_regularity_probe reads either form.
-Every ensemble here is marched as one batch:
+back with the same sequence. xnorm_power_distance, integral_v_power and
+fractional_seminorm read a stack as one value per path, so Picard and the
+probes make one call per functional. Every ensemble is marched as one batch:
 Picard's coupled paths (each joining the batch at its own restart row),
 the staircase sweep of an ensemble and the one behind the energy and
 regularity probes, and the continuity probe's base and perturbed
-coefficients under all their noise paths. The solver's batched
-march gives each path the bits it gets when marched alone, so a path's
-bits do not depend on its batch, and a path that fails raises the error
-the path-by-path loop met first: that of the lowest-index failing path.
+coefficients under all their noise paths. The solver's batched march gives
+each path the bits it gets when marched alone, so a path's bits do not
+depend on its batch, and a path that fails raises the error the
+path-by-path loop met first: that of the lowest-index failing path.
 
 The probes quantify the two estimates the construction leans on: the
 continuity modulus of the solve in the coefficient (fitted Holder
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _v_power_integrals, integral_v_power, mc_mean_stderr
+from .estimators import integral_v_power, mc_mean_stderr
 from .projection import HaarLevel, TimeGrid, Trajectory, fractional_seminorm
 from .projection import _block_average, _check_dyadic, _one_path, _shifted_rows
 from .projection import _write_csv
@@ -69,22 +70,29 @@ __all__ = [
 ]
 
 
-def xnorm_power_distance(a: Trajectory, b: Trajectory, problem: ProblemSpec) -> float:
+def xnorm_power_distance(
+    a: Trajectory, b: Trajectory, problem: ProblemSpec
+) -> float | np.ndarray:
     """Discrete trajectory-space distance sum_k dt |a(t_k)-b(t_k)|_V^m.
 
     The exponent m is the example's time power (2 heat, m+1 porous); the
     left-endpoint sum matches the V-integral quadrature used everywhere
-    else.
+    else. a and b are two one-path trajectories, giving a float, or two
+    stacks of equal path count, giving path p's distance at p; any other
+    pairing raises ValueError, since paths are never broadcast.
     """
-    _one_path(a, "xnorm_power_distance")
-    _one_path(b, "xnorm_power_distance")
-    if a.timegrid != b.timegrid:
-        raise ValueError("trajectories live on different time grids")
-    gap = Trajectory.from_matrix(a.timegrid, a.grid, a.values - b.values)
+    if a.timegrid != b.timegrid or a.values.shape != b.values.shape:
+        raise ValueError(
+            "xnorm_power_distance pairs path with path on one time grid, got "
+            f"{a.values.shape} on {a.timegrid} and {b.values.shape} on {b.timegrid}"
+        )
+    gap = Trajectory(a.timegrid, a.grid, a.values - b.values)
     return integral_v_power(gap, problem.triple, problem.time_power)
 
 
 def _ensemble_mean_stderr(values):
+    """Mean and standard error over the paths; one path has stderr 0."""
+    values = np.atleast_1d(values)
     if len(values) == 1:
         return float(values[0]), 0.0
     return mc_mean_stderr(values)
@@ -138,6 +146,14 @@ class FixedPointDiagnostics:
         )
 
 
+def _check_stopping_rule(tol: float, max_iter: int | None) -> None:
+    """Reject max_iter < 1, or a tol never met (NaN, < 0) or met at once (inf)."""
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"Picard's max_iter must be >= 1, got {max_iter}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"Picard's tol must be >= 0 and finite, got {tol}")
+
+
 def _first_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Per path, the first row where old and new differ in any bit.
 
@@ -180,7 +196,8 @@ def picard_iterate(
         driven by noise_ensemble[p]; FixedPointDiagnostics).
 
     Raises:
-        ValueError: noise_ensemble is a lone NoisePath, not a sequence.
+        ValueError: noise_ensemble is a lone NoisePath, not a sequence;
+            or tol is not in [0, inf), or max_iter < 1.
         NewtonDivergence: the lowest-index path that failed in a pass.
     """
     if isinstance(noise_ensemble, NoisePath):
@@ -191,11 +208,9 @@ def picard_iterate(
     _check_dyadic(tg, level, problem.qwiener.grid)
     if max_iter is None:
         max_iter = 2**level.n + 1
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_stopping_rule(tol, max_iter)
     cfg = config if config is not None else SolverConfig()
     grid = problem.qwiener.grid
-    triple, power = problem.triple, problem.time_power
     s = tg.n_steps // 2**level.n
     stop = tg.n_steps - s
     stats = _PathStats(len(inc))
@@ -204,37 +219,35 @@ def picard_iterate(
     solves[:, 0] = problem.initial_datum.values
     marched_under = None
 
-    def projected_solve(xi: np.ndarray) -> np.ndarray:
+    def projected_solve(xi: np.ndarray) -> Trajectory:
         nonlocal marched_under
         start = 0 if marched_under is None else _first_changed_rows(marched_under, xi)
         _march(problem, solves, xi, inc, tg.dt, start, stop, cfg, stats)
         stats.raise_first()
         marched_under = xi
-        return _shifted_rows(solves, level, s)
+        return Trajectory(tg, grid, _shifted_rows(solves, level, s))
 
-    def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # xnorm_power_distance of every path's pair
-        return _v_power_integrals(grid, tg.dt, a - b, triple, power)
-
-    iterates = np.empty((len(inc), tg.n_steps + 1, grid.n_interior))
-    iterates[:] = problem.initial_datum.values
+    dims = (len(inc), tg.n_steps + 1, grid.n_interior)
+    iterates = Trajectory(tg, grid, np.broadcast_to(problem.initial_datum.values, dims))
     distance_means, distance_stderrs, energy_means = [], [], []
     converged = False
     n_iterations = 0
     for _ in range(max_iter):
-        new_iterates = projected_solve(iterates)
+        new_iterates = projected_solve(iterates.values)
         n_iterations += 1
-        mean, stderr = _ensemble_mean_stderr(distances(new_iterates, iterates))
+        gaps = xnorm_power_distance(new_iterates, iterates, problem)
+        mean, stderr = _ensemble_mean_stderr(gaps)
         distance_means.append(mean)
         distance_stderrs.append(stderr)
-        energies = _v_power_integrals(grid, tg.dt, new_iterates, triple, power)
+        energies = integral_v_power(new_iterates, problem.triple, problem.time_power)
         energy_means.append(float(np.mean(energies)))
         iterates = new_iterates
         if mean <= tol:
             converged = True
             break
 
-    residuals = distances(projected_solve(iterates), iterates)
+    final = projected_solve(iterates.values)
+    residuals = xnorm_power_distance(final, iterates, problem)
     res_mean, res_stderr = _ensemble_mean_stderr(residuals)
     # the last pass measured these energies on the final iterates
     energy_mean, energy_stderr = _ensemble_mean_stderr(energies)
@@ -249,7 +262,7 @@ def picard_iterate(
         converged=converged,
         n_iterations=n_iterations,
     )
-    return Trajectory.from_matrix(tg, grid, iterates), diagnostics
+    return iterates, diagnostics
 
 
 def _staircase_rows(problem, level, timegrid, inc, cfg, stats):
@@ -400,15 +413,14 @@ def continuity_probe(
         0, tg.n_steps, cfg, stats,
     )
     stats.raise_first()
-    solutions = u.reshape(len(coeffs), n_paths, *u.shape[1:])
     triple, power = problem.triple, problem.time_power
     # xnorm_power_distance of each perturbed coefficient from the base, and
-    # its mean over the noise paths for the solutions
-    x_raw = _v_power_integrals(grid, tg.dt, coeffs[1:] - coeffs[0], triple, power)
-    y_raw = np.mean(
-        _v_power_integrals(grid, tg.dt, solutions[1:] - solutions[0], triple, power),
-        axis=-1,
-    )
+    # its mean over the noise paths for the solutions, (eps, paths) stacked
+    x_gaps = Trajectory(tg, grid, coeffs[1:] - coeffs[0])
+    y_gaps = Trajectory(tg, grid, u[n_paths:] - np.tile(u[:n_paths], (len(eps), 1, 1)))
+    x_raw = integral_v_power(x_gaps, triple, power)
+    y_paths = integral_v_power(y_gaps, triple, power)
+    y_raw = np.mean(y_paths.reshape(len(eps), n_paths), axis=-1)
     if np.any(x_raw <= 0) or np.any(y_raw <= 0):
         raise ValueError("degenerate regression: zero distance at some epsilon")
     x = np.log(x_raw)
@@ -452,29 +464,23 @@ def time_regularity_probe(
     each alpha the ensemble mean of the squared-integrable fractional
     seminorm is computed in the H^-1 distance (the dual norm V* for the
     heat triple and the pivot norm H for the porous triples coincide
-    there), one fractional_seminorm call per path. The increment fit
-    regresses log E[sup_{s<=t}|w(s)-w(0)|_H^2] on log t over dyadic times
-    t = T/2, T/4, ...
+    there), one fractional_seminorm call on the whole ensemble. The
+    increment fit regresses log E[sup_{s<=t}|w(s)-w(0)|_H^2] on log t over
+    dyadic times t = T/2, T/4, ...
     """
     alphas = tuple(float(a) for a in alphas)
     tg, grid = ensemble.timegrid, ensemble.grid
-    rows = ensemble.values.reshape(-1, tg.n_steps + 1, grid.n_interior)
-    paths = [Trajectory(tg, grid, u) for u in rows]
-    seminorm_means, seminorm_stderrs = [], []
-    for alpha in alphas:
-        vals = [
-            fractional_seminorm(traj, alpha, p=2, norm_kind="Hminus1")
-            for traj in paths
-        ]
-        mean, stderr = _ensemble_mean_stderr(vals)
-        seminorm_means.append(mean)
-        seminorm_stderrs.append(stderr)
+    seminorms = [
+        _ensemble_mean_stderr(fractional_seminorm(ensemble, a, 2, "Hminus1"))
+        for a in alphas
+    ]
 
     depth = min(n_increment_times, tg.n_steps.bit_length() - 1)
     if depth < 2:
         raise ValueError("time grid too coarse for an increment fit")
     ks = [max(tg.n_steps >> j, 1) for j in range(depth, 0, -1)]
     times = [k * tg.dt for k in ks]
+    rows = ensemble.values.reshape(-1, tg.n_steps + 1, grid.n_interior)
     gaps = problem.triple.h_norm_values(grid, rows - rows[:, :1]) ** 2
     # np.take keeps each path's row contiguous; [..., ks] would give an
     # F-ordered array, whose mean over the paths adds them in another order
@@ -485,8 +491,8 @@ def time_regularity_probe(
     slope = float(np.polyfit(np.log(times), np.log(means), 1)[0])
     return RegularityTable(
         alphas=alphas,
-        seminorm_means=tuple(seminorm_means),
-        seminorm_stderrs=tuple(seminorm_stderrs),
+        seminorm_means=tuple(mean for mean, _ in seminorms),
+        seminorm_stderrs=tuple(stderr for _, stderr in seminorms),
         increment_times=tuple(times),
         increment_means=tuple(float(v) for v in means),
         increment_exponent=slope,

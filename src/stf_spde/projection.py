@@ -50,9 +50,6 @@ __all__ = [
     "trajectory_from_csv",
 ]
 
-_HILBERT_KINDS = ("L2", "V_H1", "Hminus1")
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform mesh of [0, T] with n_steps steps."""
@@ -63,8 +60,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not self.T > 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
 
     @property
     def dt(self) -> float:
@@ -83,11 +80,12 @@ class Trajectory:
     array, values, whose row k is the sample at t_k. An ensemble of paths
     on the same grids stacks them on one leading path axis,
     (paths, n_steps + 1, n_interior); path(p) takes path p out as a
-    one-path Trajectory, and the one-path readers (the CSV writer, the
-    norms and estimators) raise ValueError on a stacked one. The
-    constructor copies its input once into C order, so equal values give
-    equal bits whatever the input's layout, and checks the shape;
-    from_matrix is the same constructor under its documented name.
+    one-path Trajectory. The norms and estimators give a float for one
+    path and one value per path for a stack; the CSV writer raises
+    ValueError on a stack. The constructor copies its input once into C
+    order, so equal values give equal bits whatever the input's layout,
+    and checks the shape; from_matrix is the same constructor under its
+    documented name.
     """
 
     timegrid: TimeGrid
@@ -230,16 +228,22 @@ def _euclidean_embedding(grid: SpatialGrid, u: np.ndarray, kind: str) -> np.ndar
     if kind == "L2":
         return np.sqrt(h) * u
     if kind == "V_H1":
-        diffs = np.diff(u, axis=1, prepend=0.0, append=0.0)
+        diffs = np.diff(u, axis=-1, prepend=0.0, append=0.0)
         return diffs / np.sqrt(h)
     if kind == "Hminus1":
         # -Lap_h = R^T R (banded Cholesky, R upper bidiagonal), so
         # |f|_Hminus1^2 = h f^T (R^T R)^{-1} f = |sqrt(h) R^{-T} f|_2^2.
-        x = solve_factor_transposed(
-            _neg_lap_cholesky(grid.n_interior), np.asarray_chkfinite(u).T
-        )
-        return np.sqrt(h) * x.T
+        rows = np.asarray_chkfinite(u).reshape(-1, grid.n_interior)
+        x = solve_factor_transposed(_neg_lap_cholesky(grid.n_interior), rows.T)
+        return np.sqrt(h) * x.T.reshape(u.shape)
     raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def _path_roots(total, p: float) -> float | np.ndarray:
+    """total ** (1 / p) per path by scalar powers, whose bits array powers miss."""
+    if np.ndim(total) == 0:
+        return float(total) ** (1.0 / p)
+    return np.array([t ** (1.0 / p) for t in total.tolist()])
 
 
 def fractional_seminorm(
@@ -248,7 +252,7 @@ def fractional_seminorm(
     p: float,
     norm_kind: str = "L2",
     spatial_p: float | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Discrete fractional Sobolev norm of a trajectory in time.
 
     Computes the p-th root of
@@ -260,33 +264,25 @@ def fractional_seminorm(
     |.| the spatial norm norm_kind (pass spatial_p for kind "Lp").
 
     Args:
-        traj: the trajectory.
+        traj: the trajectory, one path or a stack of them.
         alpha: fractional order, strictly inside (0, 1).
         p: time integrability exponent, >= 1.
         norm_kind: spatial norm kind ("L2", "V_H1", "Hminus1", "Lp").
         spatial_p: exponent for the "Lp" spatial kind.
 
     Returns:
-        The norm value (nonnegative).
+        The norm value (nonnegative): a float, or for a stacked
+        trajectory one value per path with the bits of its own call.
     """
-    _one_path(traj, "fractional_seminorm")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if p < 1:
         raise ValueError(f"time exponent p must be >= 1, got {p}")
-    tg = traj.timegrid
-    n, dt = tg.n_steps, tg.dt
-    grid = traj.grid
-    u = traj.values[:n]
+    n, dt, grid = traj.timegrid.n_steps, traj.timegrid.dt, traj.grid
+    u = traj.values[..., :n, :]
     # weight of the gap g = |i - j|: dt^2 / (g dt)^{1 + alpha p}
     gap_w = dt * dt / (dt * np.arange(1, n)) ** (1.0 + alpha * p)
-    if norm_kind in _HILBERT_KINDS:
-        e = _euclidean_embedding(grid, u, norm_kind)
-
-        def norm_p(d):
-            return np.einsum("ij,ij->i", d, d) ** (0.5 * p)
-
-    elif norm_kind == "Lp":
+    if norm_kind == "Lp":
         if spatial_p is None:
             raise ValueError('norm kind "Lp" needs spatial_p')
         e = u
@@ -294,13 +290,16 @@ def fractional_seminorm(
         def norm_p(d):
             return norm_values(grid, d, "Lp", spatial_p) ** p
 
-    else:
-        raise ValueError(f"unknown norm kind {norm_kind!r}")
+    else:  # a Hilbert kind; the embedding raises on an unknown one
+        e = _euclidean_embedding(grid, u, norm_kind)
+
+        def norm_p(d):
+            return np.einsum("...ij,...ij->...i", d, d) ** (0.5 * p)
     acc = 0.0
     for g in range(1, n):
-        acc += gap_w[g - 1] * np.sum(norm_p(e[g:] - e[:-g]))
-    total = dt * np.sum(norm_p(e)) + 2.0 * acc
-    return float(total ** (1.0 / p))
+        acc += gap_w[g - 1] * np.sum(norm_p(e[..., g:, :] - e[..., :-g, :]), axis=-1)
+    total = dt * np.sum(norm_p(e), axis=-1) + 2.0 * acc
+    return _path_roots(total, p)
 
 
 def trajectory_lp_norm(
@@ -308,26 +307,12 @@ def trajectory_lp_norm(
     norm_kind: str,
     p: float,
     spatial_p: float | None = None,
-) -> float:
-    """Left-Riemann time-Lp norm (sum_k dt |u(t_k)|^p_kind)^{1/p}."""
-    _one_path(traj, "trajectory_lp_norm")
-    return _matrix_lp_norm(
-        traj.grid, traj.values, traj.timegrid.dt, norm_kind, p, spatial_p
-    )
-
-
-def _matrix_lp_norm(
-    grid: SpatialGrid,
-    u: np.ndarray,
-    dt: float,
-    norm_kind: str,
-    p: float,
-    spatial_p: float | None = None,
-) -> float:
+) -> float | np.ndarray:
+    """Left-Riemann time-Lp norm (sum_k dt |u(t_k)|^p_kind)^{1/p}, per path."""
     if p < 1:
         raise ValueError(f"time exponent p must be >= 1, got {p}")
-    vals = norm_values(grid, u[:-1], norm_kind, spatial_p)
-    return float((dt * np.sum(vals**p)) ** (1.0 / p))
+    vals = norm_values(traj.grid, traj.values[..., :-1, :], norm_kind, spatial_p)
+    return _path_roots(traj.timegrid.dt * np.sum(vals**p, axis=-1), p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,29 +367,20 @@ def haar_rate_experiment(
     errors = np.empty((len(trajs), len(levels)))
     for i, traj in enumerate(trajs):
         _one_path(traj, "haar_rate_experiment")
-        u = traj.values
-        start = Field(traj.grid, u[0])
+        start = Field(traj.grid, traj.values[0])
         for j, n in enumerate(levels):
             proj = proj_shifted(traj, HaarLevel(n, start))
-            errors[i, j] = _matrix_lp_norm(
-                traj.grid,
-                proj.values - u,
-                traj.timegrid.dt,
-                norm_kind,
-                p,
-                spatial_p,
-            )
+            gap = Trajectory(traj.timegrid, traj.grid, proj.values - traj.values)
+            errors[i, j] = trajectory_lp_norm(gap, norm_kind, p, spatial_p)
     slopes = np.full(len(trajs), np.nan)
-    exact = np.zeros(len(trajs), dtype=bool)
+    exact = ~np.any(errors > 0.0, axis=1)
     lev = np.asarray(levels, dtype=float)
     for i in range(len(trajs)):
         nonzero = errors[i] > 0.0
-        exact[i] = not nonzero.any()
         if np.count_nonzero(nonzero) >= 3:
             slopes[i] = np.polyfit(lev[nonzero], np.log2(errors[i][nonzero]), 1)[0]
-    errors.flags.writeable = False
-    slopes.flags.writeable = False
-    exact.flags.writeable = False
+    for arr in (errors, slopes, exact):
+        arr.flags.writeable = False
     return RateFit(levels, errors, slopes, exact, alpha)
 
 

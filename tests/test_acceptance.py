@@ -9,11 +9,12 @@ exact (bitwise or tolerance-scaled) identities for the dyadic construction.
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
-from stf_spde import cli, projection
+from stf_spde import cli, fixed_point, grids, projection
 from stf_spde.cli import (
     main,
     suite_continuity,
@@ -23,18 +24,13 @@ from stf_spde.cli import (
     suite_regularity,
     suite_wiener,
 )
-from stf_spde.fixed_point import (
-    picard_iterate,
-    staircase_construct,
-    xnorm_power_distance,
-)
+from stf_spde.fixed_point import picard_iterate, xnorm_power_distance
 from stf_spde.estimators import integral_v_power
 from stf_spde.grids import (
     Field,
     SpatialGrid,
     inv_neg_laplacian_values,
     laplacian_eigenvalue,
-    laplacian_values,
     norm_values,
     signed_power_values,
 )
@@ -152,7 +148,12 @@ def test_criterion_05_fails_on_current_block_average(monkeypatch):
     assert adapted["pass"] is False and adapted["value"] > 0
 
 
-def test_criterion_06_monotone_pairing():
+def worst_monotone_pairing():
+    """C06's measurement: the largest <Lap(u1^[m]) - Lap(u2^[m]), u1 - u2>_{-1}.
+
+    It reads grids.laplacian_values when called, so a patched operator is
+    measured.
+    """
     grid = SpatialGrid(31)
     worst = -np.inf
     for m in (1, 2, 3):
@@ -161,19 +162,35 @@ def test_criterion_06_monotone_pairing():
             amp1, amp2 = 10.0 ** stream.uniform(-1.0, 1.5, size=2)
             u1 = amp1 * stream.standard_normal(grid.n_interior)
             u2 = amp2 * stream.standard_normal(grid.n_interior)
-            gap = laplacian_values(
+            gap = grids.laplacian_values(
                 grid, signed_power_values(u1, m)
-            ) - laplacian_values(grid, signed_power_values(u2, m))
+            ) - grids.laplacian_values(grid, signed_power_values(u2, m))
             pairing = grid.h * float(
                 inv_neg_laplacian_values(grid, gap) @ (u1 - u2)
             )
             worst = max(worst, pairing)
+    return worst
+
+
+def test_criterion_06_monotone_pairing():
+    worst = worst_monotone_pairing()
     report(
         "C06",
         worst <= 1e-10,
         f"signed-power diffusion pairing <= 1e-10 on 3000 pairs "
         f"(worst {worst:.3g})",
     )
+
+
+def test_criterion_06_fails_on_a_sign_flipped_laplacian(monkeypatch):
+    # negative control: -Lap in place of Lap makes the diffusion
+    # anti-monotone. The inverse's refinement step reads the patched
+    # operator too, which only scales (-Lap)^{-1} by 3 and keeps its sign
+    original = grids.laplacian_values
+    monkeypatch.setattr(
+        grids, "laplacian_values", lambda grid, values: -original(grid, values)
+    )
+    assert worst_monotone_pairing() > 1.0
 
 
 def test_criterion_07_deterministic_heat():
@@ -255,7 +272,13 @@ def test_criterion_10_time_regularity():
     )
 
 
-def test_criterion_11_staircase_residual():
+def staircase_excesses():
+    """C11's measurement: the worst residual and staircase/Picard excesses.
+
+    Each is the excess over 10 newton_tol (1 + |w|), so both are <= 0 on
+    working code. It reads fixed_point.staircase_construct when called, so
+    a patched sweep is measured.
+    """
     grid = SpatialGrid(31)
     qspec = QWienerSpec.power_decay(grid, n_modes=16, decay_exponent=1.0)
     datum = Field(grid, 0.1 * np.sin(np.pi * grid.nodes))
@@ -268,7 +291,7 @@ def test_criterion_11_staircase_residual():
         power = problem.time_power
         for i in range(16):
             noise = sample_increments(qspec, tg, path_seed(17, i))
-            w = staircase_construct(problem, level, noise)
+            w = fixed_point.staircase_construct(problem, level, noise)
             resolve = proj_shifted(solve_frozen(problem, w, noise), level)
             residual = xnorm_power_distance(resolve, w, problem) ** (1.0 / power)
             w_norm = integral_v_power(w, problem.triple, power) ** (1.0 / power)
@@ -278,10 +301,15 @@ def test_criterion_11_staircase_residual():
     limits, _ = picard_iterate(heat, level, noises)
     agree = -np.inf
     for p, noise in enumerate(noises):
-        w = staircase_construct(heat, level, noise)
+        w = fixed_point.staircase_construct(heat, level, noise)
         gap = xnorm_power_distance(w, limits.path(p), heat) ** 0.5
         w_norm = integral_v_power(w, heat.triple, 2) ** 0.5
         agree = max(agree, gap - 10.0 * tol * (1.0 + w_norm))
+    return worst, agree
+
+
+def test_criterion_11_staircase_residual():
+    worst, agree = staircase_excesses()
     ok = worst <= 0.0 and agree <= 0.0
     report(
         "C11",
@@ -291,7 +319,29 @@ def test_criterion_11_staircase_residual():
     )
 
 
-def test_criterion_12_command_replay(tmp_path):
+def test_criterion_11_fails_on_a_perturbed_block(monkeypatch):
+    # negative control: a sweep whose block 2 (of 8) is off by 1e-6 is no
+    # fixed point, and no longer the Picard limit
+    original = fixed_point.staircase_construct
+
+    def perturbed(problem, level, noise, config=None):
+        w = original(problem, level, noise, config)
+        s = w.timegrid.n_steps // 2**level.n
+        values = w.values.copy()
+        values[..., 2 * s : 3 * s, :] += 1e-6
+        return Trajectory(w.timegrid, w.grid, values)
+
+    monkeypatch.setattr(fixed_point, "staircase_construct", perturbed)
+    worst, agree = staircase_excesses()
+    assert worst > 0.0 and agree > 0.0
+
+
+def replay_mismatches(tmp_path):
+    """C12's measurement: each command run twice, compared byte for byte.
+
+    Returns the commands whose two output trees differ, and the first
+    simulate manifest.
+    """
     config = tmp_path / "run.ini"
     config.write_text(
         "\n".join(
@@ -337,6 +387,11 @@ def test_criterion_12_command_replay(tmp_path):
     manifest = json.loads(
         trees[("simulate", "first")]["manifest.json"].decode()
     )
+    return mismatched, manifest
+
+
+def test_criterion_12_command_replay(tmp_path):
+    mismatched, manifest = replay_mismatches(tmp_path)
     ok = not mismatched and manifest["path_seeds"] == [
         path_seed(5, 0),
         path_seed(5, 1),
@@ -347,3 +402,23 @@ def test_criterion_12_command_replay(tmp_path):
         "simulate, fixed-point, and verify replay byte-identically "
         f"(mismatches: {mismatched or 'none'})",
     )
+
+
+def test_criterion_12_fails_on_a_clocked_manifest(tmp_path, monkeypatch):
+    # negative control: a manifest that records when it was written no
+    # longer replays byte for byte
+    original = cli._write_manifest
+
+    def clocked(out_dir, command, cfg, outputs):
+        original(out_dir, command, cfg, outputs)
+        path = os.path.join(out_dir, "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        manifest["written_ns"] = time.time_ns()
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+
+    monkeypatch.setattr(cli, "_write_manifest", clocked)
+    mismatched, manifest = replay_mismatches(tmp_path)
+    assert mismatched == ["simulate", "fixed-point"]
+    assert "written_ns" in manifest

@@ -98,6 +98,11 @@ class TestRunConfig:
             {"run": {"paths": "0"}},
             {"discretization": {"time_steps": "ten"}},
             {"problem": {"sigma": "nan"}},
+            {"discretization": {"horizon": "inf"}},
+            {"tolerances": {"picard_max_iter": "0"}},
+            {"tolerances": {"picard_tol": "nan"}},
+            {"tolerances": {"picard_tol": "-1"}},
+            {"tolerances": {"picard_tol": "inf"}},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, overrides):
@@ -280,6 +285,17 @@ class TestSimulate:
         assert "newton_tol must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
+        # it once reached the solver: exit 3, "non-finite starting residual
+        # nan (dt inf)"
+        path = write_config(
+            tmp_path / "run.ini", overrides={"discretization": {"horizon": "inf"}}
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert "horizon T must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 FIXTURE_SIZE = {
     "discretization": {"grid_size": "31", "time_steps": "128", "dyadic_level": "3"},
@@ -442,6 +458,26 @@ class TestFixedPoint:
         assert main(["fixed-point", "--config", path, "--out", str(out)]) == 4
         assert (out / "picard_diagnostics.csv").exists()
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("picard_max_iter", "0", "max_iter must be >= 1, got 0"),
+            ("picard_tol", "nan", "tol must be >= 0 and finite, got nan"),
+            ("picard_tol", "-1", "tol must be >= 0 and finite, got -1.0"),
+            ("picard_tol", "inf", "tol must be >= 0 and finite, got inf"),
+        ],
+    )
+    def test_bad_stopping_rule_is_a_config_error(
+        self, tmp_path, capsys, key, value, message
+    ):
+        # these once gave exit 5 (max_iter = 0), exit 4 after every pass
+        # (nan, -1) and exit 0, converged after one pass (inf)
+        path = write_config(tmp_path / "run.ini", overrides={"tolerances": {key: value}})
+        out = tmp_path / "out"
+        assert main(["fixed-point", "--config", path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_is_byte_identical(self, tmp_path):
         path = write_config(tmp_path / "run.ini", overrides={"run": {"paths": "1"}})

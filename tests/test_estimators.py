@@ -19,7 +19,14 @@ from stf_spde.estimators import (
     pathwise_sup_H,
 )
 from stf_spde.grids import Field, SpatialGrid, TripleKind, norm_values
-from stf_spde.projection import HaarLevel, TimeGrid, Trajectory, smoothed_seed
+from stf_spde.projection import (
+    HaarLevel,
+    TimeGrid,
+    Trajectory,
+    fractional_seminorm,
+    smoothed_seed,
+    trajectory_lp_norm,
+)
 from stf_spde.fixed_point import staircase_construct, xnorm_power_distance
 from stf_spde.rng import gaussian_stream, path_seed
 from stf_spde.solver import (
@@ -141,22 +148,68 @@ class TestTrajectoryFunctionals:
             integral_v_power(traj, TripleKind.heat(), 0)
 
 
-def test_functionals_reject_a_stacked_trajectory(grid, qspec, small_datum):
-    tg = TimeGrid(8)
-    rows = np.random.default_rng(6).standard_normal((2, 9, grid.n_interior))
-    stacked = Trajectory.from_matrix(tg, grid, rows)
-    problem = ProblemSpec("heat_sqrt_drift", qspec, small_datum)
-    one = stacked.path(0)
-    readers = [
-        ("pathwise_sup_H", lambda: pathwise_sup_H(stacked, TripleKind.heat())),
-        ("integral_v_power", lambda: integral_v_power(stacked, TripleKind.heat(), 2)),
-        ("xnorm_power_distance", lambda: xnorm_power_distance(stacked, one, problem)),
-        ("xnorm_power_distance", lambda: xnorm_power_distance(one, stacked, problem)),
+TRIPLES = {"heat": TripleKind.heat(), "porous": TripleKind.porous(2)}
+# (reader, its norm kind, triple or example, p); the spatial Lp kind has p = 4
+READER_CASES = (
+    [
+        (reader, kind, p)
+        for reader in ("fractional_seminorm", "trajectory_lp_norm")
+        for kind in ("L2", "V_H1", "Hminus1", "Lp")
+        for p in (2.0, 3.0)
     ]
-    for name, read in readers:
-        # a ValueError, not an array of per-path values
-        with pytest.raises(ValueError, match=f"{name} reads one path"):
-            read()
+    + [("pathwise_sup_H", triple, None) for triple in TRIPLES]
+    + [("integral_v_power", triple, p) for triple in TRIPLES for p in (2.0, 3.0)]
+    # the example fixes the time power: 2 for heat, m + 1 = 3 for porous
+    + [
+        ("xnorm_power_distance", example, None)
+        for example in ("heat_sqrt_drift", "porous_sqrt_drift")
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "reader,kind,p", READER_CASES, ids=["-".join(map(str, case)) for case in READER_CASES]
+)
+def test_readers_act_on_the_path_axis(grid, qspec, small_datum, reader, kind, p):
+    # a stacked call gives one value per path, each with the bits of that
+    # path's own call, which gives a float. 16 paths: a float64 array power
+    # misses a scalar cube root's bits about once in 20
+    tg, n_paths = TimeGrid(256), 16
+    rng = np.random.default_rng(6)
+    shape = (n_paths, tg.n_steps + 1, grid.n_interior)
+    stacked, other = (Trajectory(tg, grid, rng.standard_normal(shape)) for _ in range(2))
+
+    def read(traj, against):
+        if reader == "fractional_seminorm":
+            return fractional_seminorm(traj, 0.3, p, kind, 4.0)
+        if reader == "trajectory_lp_norm":
+            return trajectory_lp_norm(traj, kind, p, 4.0)
+        if reader == "pathwise_sup_H":
+            return pathwise_sup_H(traj, TRIPLES[kind])
+        if reader == "integral_v_power":
+            return integral_v_power(traj, TRIPLES[kind], p)
+        problem = ProblemSpec(kind, qspec, small_datum, m=2)
+        return xnorm_power_distance(traj, against, problem)
+
+    values = read(stacked, other)
+    assert isinstance(values, np.ndarray) and values.shape == (n_paths,)
+    for q in range(n_paths):
+        one = read(stacked.path(q), other.path(q))
+        assert type(one) is float
+        assert values[q].tobytes() == np.float64(one).tobytes()
+
+
+def test_xnorm_power_distance_rejects_unpaired_paths(grid, qspec, small_datum):
+    tg = TimeGrid(8)
+    rows = np.random.default_rng(6).standard_normal((3, 9, grid.n_interior))
+    three = Trajectory(tg, grid, rows)
+    two = Trajectory(tg, grid, rows[:2])
+    one = three.path(0)
+    problem = ProblemSpec("heat_sqrt_drift", qspec, small_datum)
+    for a, b in ((three, one), (one, three), (three, two)):
+        # a ValueError, never a broadcast
+        with pytest.raises(ValueError, match="pairs path with path"):
+            xnorm_power_distance(a, b, problem)
 
 
 def plain_path_samples(problem, timegrid, level, seeds, config):
@@ -259,7 +312,9 @@ class TestEnergyReport:
         assert 0.5 <= c_32 / c_16 <= 2.0
         assert 0.5 <= c_32 / c_other <= 2.0
 
-    def test_failing_paths_invalidate(self, qspec):
+    @staticmethod
+    def diverging_setup():
+        """A large porous datum under two Newton iterations: every path fails."""
         grid63 = SpatialGrid(63)
         spec63 = QWienerSpec.power_decay(grid63, n_modes=8, decay_exponent=1.0)
         big = Field(
@@ -268,13 +323,22 @@ class TestEnergyReport:
             + 30.0 * np.sin(3 * np.pi * grid63.nodes),
         )
         prob = ProblemSpec("porous_sqrt_drift", spec63, big, m=5)
-        level = HaarLevel(1, big)
         config = SolverConfig(newton_max_iter=2, dt_retries=0)
+        return prob, HaarLevel(1, big), TimeGrid(2, T=2.0), config
+
+    def test_failing_paths_invalidate(self):
+        prob, level, tg, config = self.diverging_setup()
         with pytest.raises(EstimateInvalid):
-            energy_report(
-                prob, level, TimeGrid(2, T=2.0), n_paths=16, seed_base=0,
-                config=config,
-            )
+            energy_report(prob, level, tg, n_paths=16, seed_base=0, config=config)
+
+    def test_ensemble_whose_paths_all_fail_is_invalid(self):
+        # an EstimateInvalid, not the ValueError of a zero-path Trajectory
+        prob, level, tg, config = self.diverging_setup()
+        seeds = [path_seed(0, i) for i in range(16)]
+        with pytest.raises(EstimateInvalid, match="all 16 paths of an ensemble failed"):
+            estimators._path_samples(prob, tg, level, seeds, config)
+        with pytest.raises(EstimateInvalid, match="all 16 paths of an ensemble failed"):
+            energy_report(prob, level, tg, n_paths=16, seed_base=0, config=config)
 
     def test_rejects_small_ensemble(self, grid, qspec, small_datum):
         prob = ProblemSpec("heat_sqrt_drift", qspec, small_datum)

@@ -237,6 +237,29 @@ class TestPicard:
         with pytest.raises(ValueError, match=message):
             picard_iterate(heat_problem, level, noises)
 
+    @pytest.mark.parametrize(
+        "rule,message",
+        [
+            ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+            ({"tol": np.nan}, "tol must be >= 0 and finite, got nan"),
+            ({"tol": -1.0}, "tol must be >= 0 and finite, got -1.0"),
+            ({"tol": np.inf}, "tol must be >= 0 and finite, got inf"),
+        ],
+        ids=["max_iter=0", "tol=nan", "tol=-1", "tol=inf"],
+    )
+    def test_rejects_a_bad_stopping_rule_before_marching(
+        self, heat_problem, level, monkeypatch, rule, message
+    ):
+        # a NaN or negative tol never stopped, and an infinite one stopped
+        # after one pass with converged = True
+        def never(*args, **kwargs):
+            raise AssertionError("a step was marched before the inputs were checked")
+
+        monkeypatch.setattr(fixed_point, "_march", never)
+        noises = [NoisePath(TimeGrid(128), np.zeros((128, 16)), seed=0)]
+        with pytest.raises(ValueError, match=message):
+            picard_iterate(heat_problem, level, noises, **rule)
+
     def test_last_block_noise_is_never_read(self, heat_problem, level, heat_picard):
         # no coefficient block reads the solve on steps 112..127, so NaN
         # increments there leave the iterates at the staircase, unraised
@@ -689,6 +712,15 @@ class TestContinuityProbe:
         )
         with pytest.raises(ValueError):
             continuity_probe(heat_problem, base, pert, [1e-2, 1e-1, 1.0])
+
+    def test_rejects_a_stacked_coefficient(self, heat_problem, coeff_pair):
+        # base and perturbation are one coefficient each; the noise paths
+        # are the probe's own
+        base, pert = coeff_pair
+        two = Trajectory(base.timegrid, base.grid, np.stack([base.values] * 2))
+        for b, p in ((two, pert), (base, two)):
+            with pytest.raises(ValueError, match="continuity_probe reads one path"):
+                continuity_probe(heat_problem, b, p, [1e-2, 1e-1, 1.0])
 
 
 def regularity_ensemble(problem, level, qspec):

@@ -30,10 +30,12 @@ def random_traj(grid, n_steps, rng, scale=1.0):
 
 
 def scalar_traj(values, n_interior=2):
-    """Embed a scalar path as a spatially constant trajectory."""
-    grid = SpatialGrid(n_interior)
-    m = np.repeat(np.asarray(values, dtype=float)[:, None], n_interior, axis=1)
-    return Trajectory.from_matrix(TimeGrid(len(values) - 1), grid, m)
+    """Embed a scalar path, or a (paths, n_steps + 1) stack of them, as a
+    spatially constant trajectory.
+    """
+    values = np.asarray(values, dtype=float)
+    m = np.repeat(values[..., None], n_interior, axis=-1)
+    return Trajectory(TimeGrid(values.shape[-1] - 1), SpatialGrid(n_interior), m)
 
 
 def brownian_traj(n_steps, seed):
@@ -254,6 +256,13 @@ def test_incompatible_inputs_rejected():
         HaarLevel(0, Field(grid, np.zeros(5)))
 
 
+@pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan, -1.0])
+def test_timegrid_rejects_a_horizon_that_is_not_positive_and_finite(horizon):
+    # an infinite horizon passed a plain T > 0 check and gave dt = inf
+    with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+        TimeGrid(8, T=horizon)
+
+
 def test_timegrid_and_trajectory_validation():
     with pytest.raises(ValueError):
         TimeGrid(0)
@@ -324,13 +333,11 @@ def test_trajectory_takes_one_leading_path_axis():
             Trajectory.from_matrix(TimeGrid(2), grid, bad)
 
 
-def test_one_path_readers_reject_a_stacked_trajectory(tmp_path):
+def test_one_path_contracts_reject_a_stacked_trajectory(tmp_path):
     grid = SpatialGrid(4)
     stacked = Trajectory.from_matrix(TimeGrid(4), grid, np.ones((2, 5, 4)))
     readers = {
         "trajectory_to_csv": lambda: trajectory_to_csv(stacked, str(tmp_path / "a.csv")),
-        "fractional_seminorm": lambda: fractional_seminorm(stacked, 0.5, 2.0),
-        "trajectory_lp_norm": lambda: trajectory_lp_norm(stacked, "L2", 2.0),
         "haar_rate_experiment": lambda: haar_rate_experiment(
             [stacked], range(1, 4), alpha=0.5, p=2.0
         ),
@@ -447,15 +454,17 @@ def test_seminorm_brownian_refinement_dichotomy():
     levels = range(8, 13)
     n_paths = 100
     vals = {0.55: np.zeros((n_paths, 5)), 0.2: np.zeros((n_paths, 5))}
-    for i in range(n_paths):
-        rng = np.random.default_rng(1000 + i)
-        fine = np.concatenate(
-            [[0.0], np.cumsum(rng.standard_normal(2**12) * 2.0**-6)]
-        )
-        for j, lev in enumerate(levels):
-            traj = scalar_traj(fine[:: 2 ** (12 - lev)])
-            for alpha in vals:
-                vals[alpha][i, j] = fractional_seminorm(traj, alpha, 2.0, "L2")
+
+    def fine_path(i):
+        steps = np.random.default_rng(1000 + i).standard_normal(2**12) * 2.0**-6
+        return np.concatenate([[0.0], np.cumsum(steps)])
+
+    fine = np.array([fine_path(i) for i in range(n_paths)])
+    for j, lev in enumerate(levels):
+        # the 100 paths stacked: one call per level and alpha
+        traj = scalar_traj(fine[:, :: 2 ** (12 - lev)])
+        for alpha in vals:
+            vals[alpha][:, j] = fractional_seminorm(traj, alpha, 2.0, "L2")
     for alpha in vals:
         assert np.all(np.isfinite(vals[alpha]))
     total_grow = vals[0.55][:, -1] / vals[0.55][:, 0]
