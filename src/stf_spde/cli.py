@@ -6,12 +6,15 @@ Three subcommands expose the library from the shell:
     stf-spde fixed-point --config run.ini [--out DIR] [--seed S] [--paths M]
     stf-spde verify SUITE [--out DIR]
 
-Configs are flat ``key = value`` INI text (diff-friendly, no dependencies);
-every cross-constraint of the library is validated at load time. All outputs
-are deterministic functions of (config, master seed): CSVs print floats with
-17 significant digits, manifests carry the config echo plus the derived
-per-path seeds and no timestamps, so re-running a command replays its output
-byte for byte.
+Configs are INI text (diff-friendly, no dependencies). Each ``RunConfig``
+field declares one key with its section, type and default; an undeclared
+key or section, a key in another section, or any ``[DEFAULT]`` entry is a
+config error. ``--seed`` and ``--paths`` replace the file's values, and the
+result is validated once against every cross-constraint of the library. All
+outputs are deterministic functions of (config, master seed): CSVs print
+floats with 17 significant digits, manifests carry the config echo plus the
+derived per-path seeds and no timestamps, so re-running a command replays
+its output byte for byte.
 
 Exit codes (stable contract): 0 success, 1 verification check failed,
 2 usage/config error, 3 solver failure, 4 fixed-point non-convergence,
@@ -92,13 +95,7 @@ _SEED_NOTE = (
 
 
 class ConfigError(ValueError):
-    """A config file is missing a key or violates a cross-constraint."""
-
-
-def _require(cp: configparser.ConfigParser, section: str, key: str) -> str:
-    if not cp.has_option(section, key):
-        raise ConfigError(f"missing required key '{key}' in section [{section}]")
-    return cp.get(section, key)
+    """A config file has a missing, undeclared or misplaced key, or violates a constraint."""
 
 
 def _typed(section: str, key: str, raw: str, cast):
@@ -111,88 +108,87 @@ def _typed(section: str, key: str, raw: str, cast):
         ) from exc
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs, validated against the library's rules."""
+def _key(section: str, cast, default=dataclasses.MISSING):
+    """A config key: its INI section, its type and, if optional, its default."""
+    return dataclasses.field(default=default, metadata={"section": section, "cast": cast})
 
-    example: str
-    grid_size: int
-    time_steps: int
-    horizon: float
-    dyadic_level: int
-    n_modes: int
-    decay_exponent: float
-    sigma: float
-    m: int
-    gradient_form: str
-    datum: str
-    amplitude: float
-    paths: int
-    master_seed: int
-    output_dir: str
-    newton_tol: float
-    newton_max_iter: int
-    newton_max_halvings: int
-    dt_retries: int
-    picard_tol: float
-    picard_max_iter: int | None
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig:
+    """Everything a command needs, validated against the library's rules.
+
+    Each field is one config key; the file schema is read off the fields.
+    """
+
+    example: str = _key("problem", str)
+    grid_size: int = _key("discretization", int)
+    time_steps: int = _key("discretization", int)
+    horizon: float = _key("discretization", float, 1.0)
+    dyadic_level: int = _key("discretization", int)
+    n_modes: int = _key("noise", int)
+    decay_exponent: float = _key("noise", float)
+    sigma: float = _key("problem", float, 0.1)
+    m: int = _key("problem", int, 2)
+    gradient_form: str = _key("problem", str, "divergence")
+    datum: str = _key("initial", str)
+    amplitude: float = _key("initial", float, 1.0)
+    paths: int = _key("run", int)
+    master_seed: int = _key("run", int)
+    output_dir: str = _key("run", str, "out")
+    newton_tol: float = _key("tolerances", float, 1e-10)
+    newton_max_iter: int = _key("tolerances", int, 50)
+    newton_max_halvings: int = _key("tolerances", int, 30)
+    dt_retries: int = _key("tolerances", int, 3)
+    picard_tol: float = _key("tolerances", float, 0.0)
+    picard_max_iter: int | None = _key("tolerances", int, None)
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    def from_file(cls, path: str, **overrides) -> "RunConfig":
+        """Read and validate a config; overrides replace file values before validation."""
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
-        cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # no section header is empty, so [DEFAULT] is read as an ordinary
+        # section, and rejected, instead of being copied into every section
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
         try:
             cp.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-
-        def req(section, key, cast):
-            return _typed(section, key, _require(cp, section, key), cast)
-
-        def opt(section, key, cast, default):
-            if not cp.has_option(section, key):
-                return default
-            return _typed(section, key, cp.get(section, key), cast)
-
-        cfg = cls(
-            example=req("problem", "example", str).strip(),
-            grid_size=req("discretization", "grid_size", int),
-            time_steps=req("discretization", "time_steps", int),
-            horizon=opt("discretization", "horizon", float, 1.0),
-            dyadic_level=req("discretization", "dyadic_level", int),
-            n_modes=req("noise", "n_modes", int),
-            decay_exponent=req("noise", "decay_exponent", float),
-            sigma=opt("problem", "sigma", float, 0.1),
-            m=opt("problem", "m", int, 2),
-            gradient_form=opt("problem", "gradient_form", str, "divergence").strip(),
-            datum=req("initial", "datum", str).strip(),
-            amplitude=opt("initial", "amplitude", float, 1.0),
-            paths=req("run", "paths", int),
-            master_seed=req("run", "master_seed", int),
-            output_dir=opt("run", "output_dir", str, "out").strip(),
-            newton_tol=opt("tolerances", "newton_tol", float, 1e-10),
-            newton_max_iter=opt("tolerances", "newton_max_iter", int, 50),
-            newton_max_halvings=opt("tolerances", "newton_max_halvings", int, 30),
-            dt_retries=opt("tolerances", "dt_retries", int, 3),
-            picard_tol=opt("tolerances", "picard_tol", float, 0.0),
-            picard_max_iter=opt("tolerances", "picard_max_iter", int, None),
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.paths < 1:
-            raise ConfigError(f"paths must be >= 1, got {self.paths}")
+        keys = dataclasses.fields(cls)
+        home = {f.name: f.metadata["section"] for f in keys}
+        for section in cp.sections():
+            for key in cp.options(section):
+                if key not in home:
+                    raise ConfigError(f"unknown key '{key}' in section [{section}]")
+                if home[key] != section:
+                    raise ConfigError(
+                        f"key '{key}' belongs in section [{home[key]}], not [{section}]"
+                    )
+            if section not in home.values():
+                raise ConfigError(f"unknown section [{section}]")
+        values = {}
+        for f in keys:
+            section = f.metadata["section"]
+            if cp.has_option(section, f.name):
+                raw = cp.get(section, f.name).strip()
+                values[f.name] = _typed(section, f.name, raw, f.metadata["cast"])
+            elif f.default is dataclasses.MISSING:
+                raise ConfigError(
+                    f"missing required key '{f.name}' in section [{section}]"
+                )
+        cfg = cls(**{**values, **overrides})
+        if cfg.paths < 1:
+            raise ConfigError(f"paths must be >= 1, got {cfg.paths}")
         try:
             # building the objects, and the block check every sweep makes,
             # runs every library-side invariant
-            self.problem()
-            _check_dyadic(self.timegrid(), self.haar_level(), self.grid())
-            self.solver_config()
-            _check_stopping_rule(self.picard_tol, self.picard_max_iter)
+            cfg.problem()
+            _check_dyadic(cfg.timegrid(), cfg.haar_level(), cfg.grid())
+            cfg.solver_config()
+            _check_stopping_rule(cfg.picard_tol, cfg.picard_max_iter)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+        return cfg
 
     def grid(self) -> SpatialGrid:
         return SpatialGrid(self.grid_size)
@@ -306,20 +302,20 @@ def _simulate_paths(problem, level, noises, solver_cfg):
     return xi, solve_frozen(problem, xi, noises, solver_cfg)
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
+def _run_setup(cfg: RunConfig):
+    """The problem, Haar level and per-path noises a run solves on."""
     problem = cfg.problem()
-    level = cfg.haar_level()
     tg = cfg.timegrid()
-    solver_cfg = cfg.solver_config()
     noises = [
         sample_increments(problem.qwiener, tg, path_seed(cfg.master_seed, i))
         for i in range(cfg.paths)
     ]
-    try:
-        xi, u = _simulate_paths(problem, level, noises, solver_cfg)
-    except NewtonDivergence as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    return problem, cfg.haar_level(), noises
+
+
+def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
+    problem, level, noises = _run_setup(cfg)
+    xi, u = _simulate_paths(problem, level, noises, cfg.solver_config())
     outputs = []
     for i, noise in enumerate(noises):
         names = (
@@ -337,25 +333,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_fixed_point(cfg: RunConfig, out_dir: str) -> int:
-    problem = cfg.problem()
-    level = cfg.haar_level()
-    tg = cfg.timegrid()
-    noises = [
-        sample_increments(problem.qwiener, tg, path_seed(cfg.master_seed, i))
-        for i in range(cfg.paths)
-    ]
-    try:
-        iterates, diag = picard_iterate(
-            problem,
-            level,
-            noises,
-            cfg.solver_config(),
-            tol=cfg.picard_tol,
-            max_iter=cfg.picard_max_iter,
-        )
-    except NewtonDivergence as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    problem, level, noises = _run_setup(cfg)
+    iterates, diag = picard_iterate(
+        problem, level, noises, cfg.solver_config(),
+        tol=cfg.picard_tol, max_iter=cfg.picard_max_iter,
+    )
     outputs = ["picard_diagnostics.csv"]
     diag.to_csv(os.path.join(out_dir, outputs[0]))
     for i in range(iterates.n_paths):
@@ -669,12 +651,8 @@ def cmd_verify(suite: str, out_dir: str) -> int:
         return EXIT_CONFIG
     names = list(SUITES) if suite == "all" else [suite]
     checks = []
-    try:
-        for name in names:
-            checks.extend(SUITES[name]())
-    except (NewtonDivergence, EstimateInvalid) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    for name in names:
+        checks.extend(SUITES[name]())
     verdict_path = os.path.join(out_dir, f"verify_{suite}.jsonl")
     with open(verdict_path, "w") as fh:
         for check in checks:
@@ -726,28 +704,25 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "verify":
-        os.makedirs(args.out, exist_ok=True)
-        return cmd_verify(args.suite, args.out)
-
+    """Run one command; the library's errors map to exit codes here only."""
     try:
-        cfg = RunConfig.from_file(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.paths is not None:
-            overrides["paths"] = args.paths
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
-            cfg.validate()
+        if args.command == "verify":
+            os.makedirs(args.out, exist_ok=True)
+            return cmd_verify(args.suite, args.out)
+        overrides = {"master_seed": args.seed, "paths": args.paths}
+        cfg = RunConfig.from_file(
+            args.config, **{k: v for k, v in overrides.items() if v is not None}
+        )
+        out_dir = args.out if args.out is not None else cfg.output_dir
+        os.makedirs(out_dir, exist_ok=True)
+        command = cmd_simulate if args.command == "simulate" else cmd_fixed_point
+        return command(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = args.out if args.out is not None else cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    if args.command == "simulate":
-        return cmd_simulate(cfg, out_dir)
-    return cmd_fixed_point(cfg, out_dir)
+    except (NewtonDivergence, EstimateInvalid) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -113,12 +113,14 @@ class SolverConfig:
         # a NaN tolerance skips every Newton iteration, and inf accepts any residual
         if not 0 < self.newton_tol < np.inf:
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be >= 1")
-        if self.newton_max_halvings < 0:
-            raise ValueError("newton_max_halvings must be >= 0")
-        if self.dt_retries < 0:
-            raise ValueError("dt_retries must be >= 0")
+        # Newton stops at it == newton_max_iter, which a budget of 2.5 never meets
+        counts = (("newton_max_iter", 1), ("newton_max_halvings", 0), ("dt_retries", 0))
+        for name, least in counts:
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if count < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from stf_spde import cli, fixed_point, grids, projection
+from stf_spde import cli, fixed_point, grids, projection, solver
 from stf_spde.cli import (
     main,
     suite_continuity,
@@ -193,7 +193,12 @@ def test_criterion_06_fails_on_a_sign_flipped_laplacian(monkeypatch):
     assert worst_monotone_pairing() > 1.0
 
 
-def test_criterion_07_deterministic_heat():
+def heat_oracle_and_order():
+    """C07's measurement: the eigen-recursion error and the dt order of the heat solve.
+
+    It reads solver._implicit_band and solver._step_rhs when called, so a
+    patched step is measured.
+    """
     grid = SpatialGrid(31)
     qspec = QWienerSpec.power_decay(grid, n_modes=8, decay_exponent=1.0)
     modes = {1: 0.8, 2: -0.5, 5: 0.3}
@@ -234,6 +239,11 @@ def test_criterion_07_deterministic_heat():
         errs.append(norm_values(grid, sol.values[-1] - ref.values[-1], "L2"))
         dts.append(horizon / n_steps)
     order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
+    return oracle_err, order
+
+
+def test_criterion_07_deterministic_heat():
+    oracle_err, order = heat_oracle_and_order()
     ok = oracle_err <= 1e-10 and order >= 0.9
     report(
         "C07",
@@ -241,6 +251,30 @@ def test_criterion_07_deterministic_heat():
         f"eigen-recursion max error {oracle_err:.3g} <= 1e-10; "
         f"dt/16 self-oracle order {order:.3f} >= 0.9",
     )
+
+
+def test_criterion_07_fails_on_a_doubled_diffusion_step(monkeypatch):
+    # negative control: a band of I - 2 dt Lap steps the heat equation with
+    # twice its dt, which the eigen-recursion sees; the order stays 1
+    original = solver._implicit_band
+    monkeypatch.setattr(solver, "_implicit_band", lambda grid, c: original(grid, 2.0 * c))
+    oracle_err, order = heat_oracle_and_order()
+    assert oracle_err > 1e-10
+    assert order >= 0.9
+
+
+def test_criterion_07_fails_on_a_sqrt_dt_drift_step(monkeypatch):
+    # negative control: a drift stepped by sqrt(dt) xi^[1/2], scaled like a
+    # noise increment, grows as dt shrinks, which the order sees; the
+    # drift-free recursion does not
+    monkeypatch.setattr(
+        solver,
+        "_step_rhs",
+        lambda u, xi, noise, dt: u + np.sqrt(dt) * signed_power_values(xi, 0.5) + noise,
+    )
+    oracle_err, order = heat_oracle_and_order()
+    assert oracle_err <= 1e-10
+    assert order < 0.9
 
 
 def test_criterion_08_energy_inequalities():

@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ import pytest
 
 from stf_spde import cli
 from stf_spde.cli import ConfigError, RunConfig, main
+from stf_spde.estimators import EstimateInvalid
 from stf_spde.grids import SpatialGrid, sine_field
 from stf_spde.fixed_point import staircase_construct, xnorm_power_distance
 from stf_spde.projection import trajectory_from_csv, trajectory_to_csv
@@ -109,6 +111,72 @@ class TestRunConfig:
         path = write_config(tmp_path / "run.ini", overrides=overrides)
         with pytest.raises(ConfigError):
             RunConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "section,key,message",
+        [
+            ("typo_section", "exampel", "unknown key 'exampel' in section [typo_section]"),
+            ("tolerances", "newton_tl", "unknown key 'newton_tl' in section [tolerances]"),
+            (
+                "problem",
+                "horizon",
+                "key 'horizon' belongs in section [discretization], not [problem]",
+            ),
+            # configparser would copy a [DEFAULT] entry into every section
+            ("DEFAULT", "sigma", "key 'sigma' belongs in section [problem], not [DEFAULT]"),
+        ],
+    )
+    def test_undeclared_or_misplaced_key_is_a_config_error(
+        self, tmp_path, capsys, section, key, message
+    ):
+        # each of these once ran to exit 0 on the defaults
+        path = write_config(tmp_path / "run.ini", overrides={section: {key: "2.0"}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_empty_unknown_section_is_a_config_error(self, tmp_path):
+        path = write_config(tmp_path / "run.ini", overrides={"typo_section": {}})
+        with pytest.raises(ConfigError, match=re.escape("unknown section [typo_section]")):
+            RunConfig.from_file(path)
+
+    def test_overrides_replace_file_values_before_the_one_validation(
+        self, tmp_path, capsys
+    ):
+        path = write_config(tmp_path / "run.ini", overrides={"run": {"paths": "0"}})
+        with pytest.raises(ConfigError, match="paths must be >= 1, got 0"):
+            RunConfig.from_file(path)
+        cfg = RunConfig.from_file(path, paths=2, master_seed=9)
+        assert (cfg.paths, cfg.master_seed) == (2, 9)
+        # --paths 2 over a file's paths = 0 once exited 2
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out), "--paths", "2"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["paths"] == 2
+        good = write_config(tmp_path / "good.ini")
+        argv = ["simulate", "--config", good, "--out", str(tmp_path / "none"), "--paths", "0"]
+        assert main(argv) == 2
+        assert "config error: paths must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
+    def test_readme_key_table_matches_the_schema(self):
+        # README's CLI section lists every key as | key | section | type | default | ...
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (\w+) \| ([^|]+) \|", fh.read(), re.M)
+        declared = {}
+        for f in dataclasses.fields(RunConfig):
+            if f.default is dataclasses.MISSING:
+                default = "required"
+            elif f.default is None:
+                default = "no cap"
+            elif isinstance(f.default, str):
+                default = f"`{f.default}`"
+            else:
+                default = repr(f.default)
+            declared[f.name] = (f.metadata["section"], f.metadata["cast"].__name__, default)
+        table = {key: (section, cast, default.strip()) for key, section, cast, default in rows}
+        assert table == declared
 
     def test_datum_selectors(self, tmp_path):
         grid = SpatialGrid(15)
@@ -340,7 +408,7 @@ class TestSimulateBatch:
         batch, loop = tmp_path / "batch", tmp_path / "loop"
         argv = ["simulate", "--config", path, "--out", str(batch), "--paths", "3"]
         assert main(argv) == 0
-        cfg = dataclasses.replace(RunConfig.from_file(path), paths=3)
+        cfg = RunConfig.from_file(path, paths=3)
         loop.mkdir()
         assert simulate_path_by_path(cfg, str(loop)) is None
         tree_batch, tree_loop = read_tree(batch), read_tree(loop)
@@ -556,6 +624,16 @@ class TestVerify:
             assert set(check) == {"name", "value", "bound", "pass"}
             assert check["pass"] is True
         assert read_tree(a) == read_tree(b)
+
+    def test_estimate_failure_exits_with_solver_code(self, tmp_path, monkeypatch, capsys):
+        def failing_suite():
+            raise EstimateInvalid("not enough surviving paths to estimate")
+
+        monkeypatch.setitem(cli.SUITES, "energy", failing_suite)
+        assert main(["verify", "energy", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "solver failure: not enough surviving paths to estimate\n"
+        assert not (tmp_path / "verify_energy.jsonl").exists()
 
     def test_unexpected_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def broken_suite():

@@ -769,6 +769,12 @@ class TestProblemSpec:
             SolverConfig(newton_max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(dt_retries=-1)
+        # a fractional budget was once accepted, and newton_max_iter=2.5
+        # never met the loop's it == budget stop
+        for name in ("newton_max_iter", "newton_max_halvings", "dt_retries"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
+                SolverConfig(**{name: 2.5})
+        assert SolverConfig(newton_max_iter=np.int64(4)).newton_max_iter == 4
 
 
 class TestHypothesisChecks:
