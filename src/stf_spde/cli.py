@@ -237,19 +237,40 @@ class RunConfig:
 
 def _build_datum(grid: SpatialGrid, selector: str, amplitude: float) -> Field:
     """Field from a selector: sine(k), bump, constant(c), or file:PATH."""
+    if not np.isfinite(amplitude):
+        raise ConfigError(
+            f"key 'amplitude' in section [initial] must be finite, got {amplitude}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        values = amplitude * _datum_values(grid, selector)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(
+            f"key 'datum' in section [initial] gives non-finite values at "
+            f"amplitude {amplitude}: {selector!r}"
+        )
+    return Field(grid, values)
+
+
+def _datum_values(grid: SpatialGrid, selector: str) -> np.ndarray:
+    """The unscaled nodal values a datum selector names."""
     got = _SINE_RE.match(selector)
     if got:
-        return sine_field(grid, int(got.group(1)), amplitude)
+        k = int(got.group(1))
+        if not 1 <= k <= grid.n_interior:
+            raise ConfigError(
+                f"key 'datum' in section [initial]: mode k of sine(k) must be in "
+                f"1..{grid.n_interior} (grid_size), got {k}"
+            )
+        return sine_field(grid, k).values
     got = _CONST_RE.match(selector)
     if got:
         value = _typed("initial", "datum", got.group(1), float)
-        return Field(grid, amplitude * value * np.ones(grid.n_interior))
+        return value * np.ones(grid.n_interior)
     if selector == "bump":
         r = (grid.nodes - 0.5) / 0.4
-        values = np.where(
+        return np.where(
             np.abs(r) < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - r * r, 1e-300)), 0.0
         )
-        return Field(grid, amplitude * values)
     if selector.startswith("file:"):
         path = selector[len("file:") :]
         if not os.path.isfile(path):
@@ -260,7 +281,7 @@ def _build_datum(grid: SpatialGrid, selector: str, amplitude: float) -> Field:
                 f"datum file {path} holds shape {values.shape}, the grid "
                 f"needs ({grid.n_interior},)"
             )
-        return Field(grid, amplitude * values)
+        return values
     raise ConfigError(
         f"unknown datum selector {selector!r}; use sine(k), bump, "
         "constant(c), or file:PATH"

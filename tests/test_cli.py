@@ -203,6 +203,12 @@ class TestRunConfig:
         assert bump.max() > 0
         assert bump[0] == 0.0 and bump[-1] == 0.0
         assert np.allclose(bump, bump[::-1])
+        # the ends of the mode range
+        for k in (1, 15):
+            cfg = RunConfig.from_file(
+                write_config(tmp_path / "d.ini", overrides={"initial": {"datum": f"sine({k})"}})
+            )
+            assert np.array_equal(cfg.initial_datum().values, sine_field(grid, k, 0.1).values)
 
     def test_datum_from_file(self, tmp_path):
         values = np.linspace(-1.0, 1.0, 15)
@@ -225,6 +231,57 @@ class TestRunConfig:
                     overrides={"initial": {"datum": f"file:{datum_path}"}},
                 )
             )
+
+
+    @pytest.mark.parametrize(
+        "initial, message",
+        [
+            # both once reached scipy's banded solve: "array must not contain infs or NaNs"
+            ({"amplitude": "nan"}, "key 'amplitude' in section [initial] must be finite, got nan"),
+            (
+                {"datum": "constant(nan)"},
+                "key 'datum' in section [initial] gives non-finite values at amplitude "
+                "0.1: 'constant(nan)'",
+            ),
+            (
+                {"datum": "constant(1e300)", "amplitude": "1e300"},
+                "key 'datum' in section [initial] gives non-finite values at amplitude "
+                "1e+300: 'constant(1e300)'",
+            ),
+            # both once loaded and ran: an all-zero datum and the aliased mode 1
+            (
+                {"datum": "sine(0)"},
+                "key 'datum' in section [initial]: mode k of sine(k) must be in "
+                "1..15 (grid_size), got 0",
+            ),
+            (
+                {"datum": "sine(16)"},
+                "key 'datum' in section [initial]: mode k of sine(k) must be in "
+                "1..15 (grid_size), got 16",
+            ),
+        ],
+        ids=["amplitude-nan", "constant-nan", "overflow", "sine-0", "sine-16"],
+    )
+    def test_bad_datum_is_a_config_error_naming_its_key(
+        self, tmp_path, capsys, initial, message
+    ):
+        path = write_config(tmp_path / "run.ini", overrides={"initial": initial})
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_file(path)
+        assert str(info.value) == message
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_datum_file_with_nan_is_a_config_error(self, tmp_path):
+        datum_path = tmp_path / "datum.txt"
+        np.savetxt(datum_path, np.r_[np.ones(7), np.nan, np.ones(7)])
+        path = write_config(
+            tmp_path / "run.ini", overrides={"initial": {"datum": f"file:{datum_path}"}}
+        )
+        with pytest.raises(ConfigError, match=re.escape("key 'datum' in section [initial]")):
+            RunConfig.from_file(path)
 
 
 class TestSimulate:

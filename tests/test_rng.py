@@ -1,9 +1,21 @@
 """Stream-key derivation and the batched row sampler."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from stf_spde.rng import derive_key, gaussian_stream, splitmix64, standard_normal_rows
+from stf_spde import _ziggurat
+from stf_spde.rng import (
+    _lane_keys,
+    _one_block_normals,
+    _philox_first_block,
+    derive_key,
+    gaussian_stream,
+    path_seed,
+    splitmix64,
+    standard_normal_rows,
+)
 
 
 def test_splitmix64_on_arrays_matches_ints():
@@ -20,6 +32,10 @@ def test_splitmix64_on_arrays_matches_ints():
         (2**64 - 1, (7, 3), 5, 33),
         (derive_key(11, 4), (1, 2, 3), 3, 1),
         (12345, (2,), 1, 128),
+        (derive_key(3, 1), (2,), 16, 2),
+        (2**63 + 1, (5,), 9, 3),
+        (987654321, (2,), 16, 5),
+        (-(2**65) - 5, (2,), 3, 4),
     ],
 )
 def test_rows_match_single_streams(seed, prefix, lanes, size):
@@ -43,3 +59,67 @@ def test_rows_for_many_seeds_match_single_streams(prefix, lanes, size):
     as_array = np.array(seeds, dtype=np.uint64)
     assert np.array_equal(standard_normal_rows(as_array, prefix, lanes, size), rows)
     assert standard_normal_rows([], prefix, lanes, size).shape == (0, lanes, size)
+
+
+def _rekeyed_draws(keys, size):
+    """numpy's own draws per key, from one generator re-keyed per key."""
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    zeros = (0, 0, 0, 0)
+    out = np.empty((len(keys), size))
+    for j, key in enumerate(keys):
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": (key, 0)},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        out[j] = gen.standard_normal(size)
+    return out
+
+
+def test_philox_first_block_matches_random_raw():
+    keys = np.random.default_rng(7).integers(0, 2**64, 200, dtype=np.uint64)
+    words = _philox_first_block(keys)
+    for key, row in zip(keys.tolist(), words):
+        assert np.array_equal(row, np.random.Philox(key=key).random_raw(4))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 128])
+def test_random_seeds_match_single_streams(size):
+    seeds = np.random.default_rng(size).integers(0, 2**64, 64, dtype=np.uint64)
+    rows = standard_normal_rows(seeds, (2,), 4, size)
+    for s, seed in enumerate(seeds.tolist()):
+        for j in range(4):
+            expected = gaussian_stream(seed, 2, j + 1).standard_normal(size)
+            assert np.array_equal(rows[s, j], expected)
+
+
+def test_suite_wiener_lanes_match_single_streams():
+    # every lane verify's wiener suite draws: 20,000 paths x 16 modes x 4 steps
+    seeds = [path_seed(101, i) for i in range(20_000)]
+    rows = standard_normal_rows(seeds, (2,), 16, 4).reshape(-1, 4)
+    keys = _lane_keys(seeds, (2,), 16).ravel()
+    expected = _rekeyed_draws(keys.tolist(), 4)
+    assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+    for lane in range(0, len(keys), 97):
+        seed, mode = seeds[lane // 16], lane % 16 + 1
+        single = gaussian_stream(seed, 2, mode).standard_normal(4)
+        assert np.array_equal(expected[lane], single)
+    # a table that drifted from numpy would send lanes to the slow path, not miss bits
+    _, fast = _one_block_normals(keys, 4)
+    assert fast.mean() >= 0.9
+
+
+def test_lane_off_the_one_word_path_matches_single_stream():
+    for seed in itertools.count():
+        key = derive_key(seed, 2, 1)
+        word = int(np.random.Philox(key=key).random_raw())
+        if (word >> 9) & (2**52 - 1) >= _ziggurat.BOUND[word & 0xFF]:
+            break
+    _, fast = _one_block_normals(np.array([key], dtype=np.uint64), 4)
+    assert not fast[0]
+    rows = standard_normal_rows([seed], (2,), 1, 4)
+    assert np.array_equal(rows[0, 0], gaussian_stream(seed, 2, 1).standard_normal(4))
