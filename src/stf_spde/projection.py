@@ -396,11 +396,22 @@ def _write_csv(path: str, header, row_format: str, rows) -> None:
 
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:
-    """Write one row per time node: t, u(x_1), ..., u(x_N), 17 significant digits."""
+    """Write one row per time node: t, u(x_1), ..., u(x_N), 17 significant digits.
+
+    A run of consecutive rows with the same bits (a staircase holds 2^n
+    distinct rows) has its values formatted once; the bytes are those of
+    formatting every row.
+    """
     _one_path(traj, "trajectory_to_csv")
     header = ["t"] + [f"u_{j}" for j in range(1, traj.grid.n_interior + 1)]
-    rows = np.column_stack([traj.timegrid.times, traj.values]).tolist()
-    _write_csv(path, header, ",".join(["%.17g"] * len(header)), rows)
+    # compare bits, not values: -0.0 and 0.0 print apart, and nan repeats
+    bits = traj.values.view(np.uint64)
+    starts = np.concatenate([[True], np.any(bits[1:] != bits[:-1], axis=1)])
+    value_format = ",".join(["%.17g"] * traj.grid.n_interior)
+    cells = [value_format % tuple(row) for row in traj.values[starts].tolist()]
+    run = (np.cumsum(starts) - 1).tolist()
+    rows = zip(traj.timegrid.times.tolist(), (cells[i] for i in run))
+    _write_csv(path, header, "%.17g,%s", rows)
 
 
 def trajectory_from_csv(path: str) -> Trajectory:
@@ -411,10 +422,19 @@ def trajectory_from_csv(path: str) -> Trajectory:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader if row]
     if len(header) < 3 or header[0] != "t":
         raise ValueError(f"{path} is not a trajectory file")
+    if len(rows) < 2:
+        raise ValueError(
+            f"{path} holds {len(rows)} data rows; a trajectory needs at least 2"
+        )
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path} data row {i} has {len(row)} cells, the header {len(header)}"
+            )
     data = np.asarray(rows)
     timegrid = TimeGrid(data.shape[0] - 1, T=data[-1, 0])
     grid = SpatialGrid(data.shape[1] - 1)

@@ -110,8 +110,14 @@ def test_criterion_03_level_tail_probe(lc_checks):
     report("C03", ok, f"tail frequency vs approximation factor (level {factors}) <= 3")
 
 
+def projection_rates(checks):
+    """C04's measurement: the smooth and Brownian rate checks of suite_haar."""
+    rates = {c["name"]: c for c in checks if c["name"].startswith("haar_rate_")}
+    return rates["haar_rate_smooth"], rates["haar_rate_brownian"]
+
+
 def test_criterion_04_projection_rates(haar_checks):
-    smooth, rough = haar_checks[0], haar_checks[1]
+    smooth, rough = projection_rates(haar_checks)
     ok = smooth["pass"] and rough["pass"]
     report(
         "C04",
@@ -119,6 +125,20 @@ def test_criterion_04_projection_rates(haar_checks):
         f"projection error decay: smooth slope {smooth['value']:.3f} <= -0.8, "
         f"rough slope {rough['value']:.3f} <= -0.3 over levels 2..7",
     )
+
+
+def test_criterion_04_fails_on_a_projection_pinned_to_level_2(monkeypatch):
+    # negative control: a projection that ignores the requested level and
+    # always averages over 4 blocks has an error that does not decay with
+    # n, so neither fitted slope reaches its floor at the suite's full size
+    original = projection.proj_shifted
+
+    def pinned(traj, level):
+        return original(traj, HaarLevel(2, level.seed_field))
+
+    monkeypatch.setattr(projection, "proj_shifted", pinned)
+    smooth, rough = projection_rates(suite_haar())
+    assert smooth["pass"] is False and rough["pass"] is False
 
 
 def test_criterion_05_adapted_contraction(haar_checks):

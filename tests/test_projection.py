@@ -1,6 +1,7 @@
 """Block averaging, fractional time norms, and decay-rate experiments."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -534,32 +535,88 @@ def test_trajectory_lp_norm_left_sum():
         trajectory_lp_norm(traj, "L2", 0.25)
 
 
-def test_csv_round_trip(tmp_path, csv_reference, extreme_floats):
+def assert_csv_is_per_row_text(tmp_path, traj, csv_reference):
+    """Write traj; its text is the per-row reference and reads back bit for bit."""
+    path = str(tmp_path / "traj.csv")
+    trajectory_to_csv(traj, path)
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header == ["t"] + [f"u_{j}" for j in range(1, traj.grid.n_interior + 1)]
+    rows = [[t, *row] for t, row in zip(traj.timegrid.times, traj.values.tolist())]
+    with open(path, newline="") as fh:
+        assert fh.read() == csv_reference(header, rows)
+    back = trajectory_from_csv(path)
+    assert back.values.tobytes() == traj.values.tobytes()
+    assert back.timegrid == traj.timegrid
+
+
+def test_csv_round_trip(tmp_path, csv_reference):
     grid = SpatialGrid(6)
     rng = np.random.default_rng(19)
     traj = random_traj(grid, 24, rng, scale=10.0 ** rng.uniform(-8, 8))
-    extreme = Trajectory(
-        TimeGrid(1, T=1e300), grid, np.reshape(extreme_floats, (2, 6))
-    )
-    for i, written in enumerate((traj, extreme)):
-        path = str(tmp_path / f"traj_{i}.csv")
-        trajectory_to_csv(written, path)
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh))
-        assert header == ["t", "u_1", "u_2", "u_3", "u_4", "u_5", "u_6"]
-        rows = [[t, *row] for t, row in zip(written.timegrid.times, written.values)]
-        with open(path, newline="") as fh:
-            assert fh.read() == csv_reference(header, rows)
-        assert np.array_equal(trajectory_from_csv(path).values, written.values)
-    path = str(tmp_path / "traj_0.csv")
-    back = trajectory_from_csv(path)
-    assert np.array_equal(back.stacked(), traj.stacked())
-    assert back.timegrid == traj.timegrid
+    assert_csv_is_per_row_text(tmp_path, traj, csv_reference)
     with pytest.raises(ValueError):
         bad = str(tmp_path / "bad.csv")
         with open(bad, "w") as fh:
             fh.write("a,b\n1,2\n")
         trajectory_from_csv(bad)
+
+
+def csv_cases(extreme_floats):
+    """Trajectories whose rows repeat: name -> (TimeGrid, values)."""
+    rng = np.random.default_rng(23)
+    blocks = rng.standard_normal((8, 5)) * 10.0 ** rng.uniform(-6, 6, (8, 1))
+    staircase = np.concatenate([np.repeat(blocks, 16, axis=0), blocks[-1:]])
+    inf = np.inf
+    return {
+        # 8 blocks of 16 steps, the last node repeating block 7
+        "block_constant": (TimeGrid(128), staircase),
+        # bitwise different, so written "0" then "-0"
+        "signed_zero": (
+            TimeGrid(3),
+            [[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]],
+        ),
+        "non_finite": (
+            TimeGrid(5),
+            [[np.nan, inf, -inf]] * 3 + [[-inf, np.nan, inf]] * 2 + [[np.nan] * 3],
+        ),
+        # A B A: a repeat that is not consecutive is formatted again
+        "non_consecutive": (TimeGrid(2, T=3.0), [[1.5, -2.0], [2.5, 0.1], [1.5, -2.0]]),
+        "extreme_floats": (TimeGrid(1, T=1e300), np.reshape(extreme_floats, (2, 6))),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["block_constant", "signed_zero", "non_finite", "non_consecutive", "extreme_floats"],
+)
+def test_csv_of_repeated_rows_is_the_per_row_text(
+    tmp_path, csv_reference, extreme_floats, case
+):
+    timegrid, values = csv_cases(extreme_floats)[case]
+    values = np.asarray(values, dtype=float)
+    grid = SpatialGrid(values.shape[1])
+    traj = Trajectory(timegrid, grid, values)
+    assert_csv_is_per_row_text(tmp_path, traj, csv_reference)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "is not a trajectory file"),
+        ("t,u_1,u_2\r\n", "holds 0 data rows"),
+        ("t,u_1,u_2\r\n0,1,2\r\n", "holds 1 data rows"),
+        ("t,u_1,u_2\r\n0,1,2\r\n1,3\r\n", "data row 2 has 2 cells, the header 3"),
+        ("t,u_1,u_2\r\n0,1,2,4\r\n1,3,5\r\n", "data row 1 has 4 cells, the header 3"),
+    ],
+    ids=["empty", "header_only", "one_row", "short_row", "long_row"],
+)
+def test_csv_reader_names_the_file_it_cannot_read(tmp_path, text, message):
+    path = str(tmp_path / "broken.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError, match=f"{re.escape(path)} .*{message}"):
+        trajectory_from_csv(path)
 
 
 def test_block_average_and_projection_of_a_path_stack_are_per_path_bits():
