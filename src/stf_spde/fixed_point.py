@@ -48,7 +48,7 @@ import numpy as np
 
 from .estimators import integral_v_power, mc_mean_stderr
 from .projection import HaarLevel, TimeGrid, Trajectory, fractional_seminorm
-from .projection import _block_average, _check_dyadic, _one_path, _shifted_rows
+from .projection import _block_averages, _check_dyadic, _one_path, _shifted_rows
 from .projection import _write_csv
 from .rng import path_seed
 # solve_frozen is bound here for bench/tests/test_bench_tracer.py, which
@@ -283,7 +283,7 @@ def _staircase_rows(problem, level, timegrid, inc, cfg, stats):
     xi[:, :s] = level.seed_field.values
     for k in range(1, blocks):
         _march(problem, u, xi, inc, timegrid.dt, (k - 1) * s, k * s, cfg, stats)
-        xi[:, k * s : (k + 1) * s] = _block_average(u, k - 1, s)[:, None]
+        xi[:, k * s : (k + 1) * s] = _block_averages(u[:, (k - 1) * s : k * s + 1], s)
     xi[:, -1] = xi[:, -2]
     return xi, u
 

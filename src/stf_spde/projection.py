@@ -162,27 +162,30 @@ def _check_dyadic(timegrid: TimeGrid, level: HaarLevel, grid: SpatialGrid) -> No
         raise ValueError("seed field lives on a different spatial grid")
 
 
-def _block_average(u: np.ndarray, k: int, s: int) -> np.ndarray:
-    """Trapezoid average of the samples u over block k of s fine steps.
+def _block_averages(u: np.ndarray, s: int) -> np.ndarray:
+    """Trapezoid averages of u over its b = (rows - 1) // s blocks, (..., b, N).
 
-    u is (rows, N) or a stack of them, (paths, rows, N); each path's
-    average has the bits of its own 2-D call.
+    u is (rows, N) or (paths, rows, N). Inner rows add in slice order, so
+    each average has the bits of its own block's slice sum, path by path.
     """
-    a, b = k * s, (k + 1) * s
-    inner = u[..., a + 1 : b, :].sum(axis=-2)
-    return (0.5 * (u[..., a, :] + u[..., b, :]) + inner) / s
+    b = (u.shape[-2] - 1) // s
+    blocks = u[..., : b * s, :].reshape(u.shape[:-2] + (b, s, u.shape[-1]))
+    ends = u[..., : b * s + 1 : s, :]
+    inner = blocks[..., 1:, :].sum(axis=-2)
+    return (0.5 * (ends[..., :-1, :] + ends[..., 1:, :]) + inner) / s
 
 
 def _shifted_rows(u: np.ndarray, level: HaarLevel, s: int) -> np.ndarray:
     """proj_shifted on raw rows, (rows, N) or (paths, rows, N).
 
-    Reads u on rows 0 .. (2^n - 1) s only.
+    Reads u on rows 0 .. (2^n - 1) s only; steps is a view of out by block.
     """
     blocks = 2**level.n
     out = np.empty(u.shape[:-2] + (blocks * s + 1, u.shape[-1]))
-    out[..., :s, :] = level.seed_field.values
-    for k in range(1, blocks):
-        out[..., k * s : (k + 1) * s, :] = _block_average(u, k - 1, s)[..., None, :]
+    steps = out[..., :-1, :].reshape(u.shape[:-2] + (blocks, s, u.shape[-1]))
+    steps[..., 0, :, :] = level.seed_field.values
+    averages = _block_averages(u[..., : (blocks - 1) * s + 1, :], s)
+    steps[..., 1:, :, :] = averages[..., None, :]
     out[..., -1, :] = out[..., -2, :]
     return out
 
@@ -417,8 +420,8 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
 def trajectory_from_csv(path: str) -> Trajectory:
     """Read a trajectory written by trajectory_to_csv.
 
-    The horizon is recovered from the last time entry and the spatial grid
-    from the column count.
+    The t column must be the uniform mesh of [0, T], T its last entry, bit
+    for bit; the spatial grid is recovered from the column count.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -436,6 +439,8 @@ def trajectory_from_csv(path: str) -> Trajectory:
                 f"{path} data row {i} has {len(row)} cells, the header {len(header)}"
             )
     data = np.asarray(rows)
-    timegrid = TimeGrid(data.shape[0] - 1, T=data[-1, 0])
+    n, T = data.shape[0] - 1, float(data[-1, 0])
+    if not 0.0 < T < np.inf or data[:, 0].tobytes() != TimeGrid(n, T).times.tobytes():
+        raise ValueError(f"{path} t column is not the uniform mesh of [0, {T!r}]")
     grid = SpatialGrid(data.shape[1] - 1)
-    return Trajectory.from_matrix(timegrid, grid, data[:, 1:])
+    return Trajectory.from_matrix(TimeGrid(n, T), grid, data[:, 1:])

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from stf_spde import cli, fixed_point, grids, projection, solver
+from stf_spde import cli, fixed_point, grids, projection, solver, wiener
 from stf_spde.cli import (
     main,
     suite_continuity,
@@ -91,8 +91,19 @@ def test_criterion_01_fails_on_inflated_eigenvalues(monkeypatch):
     assert cov and not any(c["pass"] for c in cov)
 
 
+def lc_refinement(checks):
+    """C02's measurement: the dyadic consistency and decay checks of suite_lc."""
+    by_name = {c["name"]: c for c in checks}
+    return by_name["lc_dyadic_consistency"], by_name["lc_refinement_decay"]
+
+
+def lc_tails(checks):
+    """C03's measurement: the level-tail checks of suite_lc."""
+    return [c for c in checks if c["name"].startswith("lc_tail_level_")]
+
+
 def test_criterion_02_lc_refinement(lc_checks):
-    consistency, decay = lc_checks[0], lc_checks[1]
+    consistency, decay = lc_refinement(lc_checks)
     ok = consistency["pass"] and decay["pass"]
     report(
         "C02",
@@ -103,11 +114,57 @@ def test_criterion_02_lc_refinement(lc_checks):
     )
 
 
+def test_criterion_02_fails_on_an_unshrinking_displacement(monkeypatch):
+    # negative control: midpoint displacement by 0.5 xi at every stage, in
+    # place of the tent height 2^{-(m+1)/2}, keeps every stream and so the
+    # dyadic consistency, but the refinement distances stop decaying
+    def unshrinking(level, seed):
+        b = np.zeros(2**level + 1)
+        b[-1] = gaussian_stream(seed, wiener._STREAM_LC_LEVEL, 0).standard_normal()
+        for m in range(1, level + 1):
+            stream = gaussian_stream(seed, wiener._STREAM_LC_LEVEL, m)
+            step = 2 ** (level - m)
+            b[step :: 2 * step] = 0.5 * (
+                b[0 : -1 : 2 * step] + b[2 * step :: 2 * step]
+            ) + 0.5 * stream.standard_normal(2 ** (m - 1))
+        return wiener.ScalarBMPath(level, b)
+
+    monkeypatch.setattr(cli, "lc_scalar_bm", unshrinking)
+    consistency, decay = lc_refinement(suite_lc())
+    assert consistency["pass"] is True
+    assert decay["pass"] is False and decay["value"] > decay["bound"]
+
+
+def test_criterion_02_fails_on_a_level_keyed_stream(monkeypatch):
+    # negative control: paths keyed by seed ^ level draw fresh streams at
+    # each depth, so a shallow path no longer sits inside the deep one
+    original = cli.lc_scalar_bm
+    monkeypatch.setattr(
+        cli, "lc_scalar_bm", lambda level, seed: original(level, seed ^ level)
+    )
+    consistency, _ = lc_refinement(suite_lc())
+    assert consistency["pass"] is False and consistency["value"] > 0
+
+
 def test_criterion_03_level_tail_probe(lc_checks):
-    tails = lc_checks[2:]
+    tails = lc_tails(lc_checks)
     ok = all(c["pass"] for c in tails)
     factors = ", ".join(f"{c['name'][-1]}: {c['value']:.3f}" for c in tails)
     report("C03", ok, f"tail frequency vs approximation factor (level {factors}) <= 3")
+
+
+def test_criterion_03_fails_without_the_union_factor(monkeypatch):
+    # negative control: an approximation that drops the union bound's
+    # 2^{n-1} coefficients undershoots the frequency at every level
+    original = cli.tail_bound_probe
+
+    def single_coefficient(n, a_n, c1, trials, seed):
+        empirical, analytic = original(n, a_n, c1, trials=trials, seed=seed)
+        return empirical, analytic / 2 ** (n - 1)
+
+    monkeypatch.setattr(cli, "tail_bound_probe", single_coefficient)
+    tails = lc_tails(suite_lc())
+    assert len(tails) == 2 and not any(c["pass"] for c in tails)
 
 
 def projection_rates(checks):

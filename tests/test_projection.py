@@ -13,7 +13,7 @@ from stf_spde.projection import (
     HaarLevel,
     TimeGrid,
     Trajectory,
-    _block_average,
+    _block_averages,
     _shifted_rows,
     fractional_seminorm,
     haar_rate_experiment,
@@ -548,6 +548,7 @@ def assert_csv_is_per_row_text(tmp_path, traj, csv_reference):
     back = trajectory_from_csv(path)
     assert back.values.tobytes() == traj.values.tobytes()
     assert back.timegrid == traj.timegrid
+    assert type(back.timegrid.T) is float
 
 
 def test_csv_round_trip(tmp_path, csv_reference):
@@ -608,8 +609,20 @@ def test_csv_of_repeated_rows_is_the_per_row_text(
         ("t,u_1,u_2\r\n0,1,2\r\n", "holds 1 data rows"),
         ("t,u_1,u_2\r\n0,1,2\r\n1,3\r\n", "data row 2 has 2 cells, the header 3"),
         ("t,u_1,u_2\r\n0,1,2,4\r\n1,3,5\r\n", "data row 1 has 4 cells, the header 3"),
+        ("t,u_1,u_2\r\n0,1,2\r\n0.1,1,2\r\n1,3,4\r\n", "mesh of \\[0, 1.0\\]"),
+        ("t,u_1,u_2\r\n7,1,2\r\n0.5,1,2\r\n1,3,4\r\n", "mesh of \\[0, 1.0\\]"),
+        ("t,u_1,u_2\r\n1,1,2\r\n0.5,1,2\r\n0,3,4\r\n", "mesh of \\[0, 0.0\\]"),
     ],
-    ids=["empty", "header_only", "one_row", "short_row", "long_row"],
+    ids=[
+        "empty",
+        "header_only",
+        "one_row",
+        "short_row",
+        "long_row",
+        "non_uniform_t",
+        "nonzero_start_t",
+        "decreasing_t",
+    ],
 )
 def test_csv_reader_names_the_file_it_cannot_read(tmp_path, text, message):
     path = str(tmp_path / "broken.csv")
@@ -627,12 +640,49 @@ def test_block_average_and_projection_of_a_path_stack_are_per_path_bits():
         -6, 3, (9, 1, 1)
     )
     for s in (16, 32):
-        for k in range(128 // s):
-            stacked = _block_average(u, k, s)
-            assert stacked.shape == (9, grid.n_interior)
-            for p in range(9):
-                assert stacked[p].tobytes() == _block_average(u[p], k, s).tobytes()
+        stacked = _block_averages(u, s)
+        assert stacked.shape == (9, 128 // s, grid.n_interior)
+        for p in range(9):
+            assert stacked[p].tobytes() == _block_averages(u[p], s).tobytes()
     level = HaarLevel(3, sine_field(grid, 2))
     stacked = _shifted_rows(u, level, 16)
     for p in range(9):
         assert stacked[p].tobytes() == _shifted_rows(u[p], level, 16).tobytes()
+
+
+def block_average_oracle(u, k, s):
+    """Trapezoid average of u over block k of s steps, by one slice sum."""
+    a, b = k * s, (k + 1) * s
+    inner = u[..., a + 1 : b, :].sum(axis=-2)
+    return (0.5 * (u[..., a, :] + u[..., b, :]) + inner) / s
+
+
+@pytest.mark.parametrize("paths", [(), (3,)], ids=["one_path", "stacked"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+def test_block_averages_are_the_per_block_slice_sums(n, paths):
+    rng = np.random.default_rng(100 * n + len(paths))
+    for s in range(1, 9):  # s = 1 sums no inner row
+        grid = SpatialGrid(int(rng.integers(7, 12)))
+        shape = paths + (2**n * s + 1, grid.n_interior)
+        u = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        # columns of signed zeros, of subnormals (whose halves round) and of
+        # values whose sums overflow, then one nan, inf and -inf off them
+        signs = np.sign(rng.standard_normal(shape[:-1]))
+        u[..., 0] = np.copysign(0.0, signs)
+        u[..., 1] = 5e-324 * rng.integers(-9, 10, shape[:-1])
+        u[..., 2] = signs * np.finfo(float).max * rng.uniform(0.5, 1.0, shape[:-1])
+        rows = rng.integers(0, shape[-2], 3)
+        u[..., rows, [3, 4, 5]] = [np.nan, np.inf, -np.inf]
+        level = HaarLevel(n, Field(grid, rng.standard_normal(grid.n_interior)))
+        want = np.empty_like(u)
+        want[..., :s, :] = level.seed_field.values
+        for k in range(1, 2**n):
+            average = block_average_oracle(u, k - 1, s)
+            want[..., k * s : (k + 1) * s, :] = average[..., None, :]
+            # the staircase's call: block k - 1's s + 1 rows alone
+            alone = _block_averages(u[..., (k - 1) * s : k * s + 1, :], s)
+            assert alone.shape == average.shape[:-1] + (1, grid.n_interior)
+            assert alone.tobytes() == average.tobytes()
+        want[..., -1, :] = want[..., -2, :]
+        assert _shifted_rows(u, level, s).tobytes() == want.tobytes()
