@@ -22,7 +22,6 @@ from stf_spde.wiener import (
     NoisePath,
     QWienerLCPath,
     QWienerSpec,
-    ScalarBMPath,
     haar_function,
     lc_q_wiener,
     lc_scalar_bm,

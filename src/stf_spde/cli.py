@@ -506,9 +506,9 @@ def suite_lc() -> list[dict]:
     checks = []
     mismatches = 0
     for seed in (0, 1, 2):
-        deep = lc_scalar_bm(12, seed).values
+        deep = lc_scalar_bm(12, seed)
         for n in range(1, 13):
-            shallow = lc_scalar_bm(n, seed).values
+            shallow = lc_scalar_bm(n, seed)
             if not np.array_equal(shallow, deep[:: 2 ** (12 - n)]):
                 mismatches += 1
     checks.append(_check("lc_dyadic_consistency", mismatches, 0.0, mismatches == 0))
@@ -517,18 +517,18 @@ def suite_lc() -> list[dict]:
     # values, so one depth-14 construction serves every window member
     levels = (7, 8, 9, 10)
     depth = 14
+    t_deep = np.linspace(0.0, 1.0, 2**depth + 1)
     slopes = []
     for i in range(100):
         deep = lc_scalar_bm(depth, path_seed(7, i))
-        t_deep = deep.times
         dists = []
         for n in levels:
             stride = 2 ** (depth - n)
             fine_stride = 2 ** (depth - n - 4)
             interp = np.interp(
-                t_deep[::fine_stride], t_deep[::stride], deep.values[::stride]
+                t_deep[::fine_stride], t_deep[::stride], deep[::stride]
             )
-            dists.append(np.max(np.abs(interp - deep.values[::fine_stride])))
+            dists.append(np.max(np.abs(interp - deep[::fine_stride])))
         slopes.append(np.polyfit(levels, np.log2(dists), 1)[0])
     median_slope = float(np.median(slopes))
     checks.append(

@@ -356,7 +356,7 @@ def haar_rate_experiment(
     Args:
         trajs: family of one-path trajectories; a sequence, since a
             stacked copy of a large family would add to the peak memory.
-        levels: at least three dyadic depths n.
+        levels: dyadic depths n, at least three of them distinct.
         alpha: fractional order the decay is compared against (recorded).
         p: time integrability exponent of the error norm.
         norm_kind: spatial norm kind; spatial_p as in fractional_seminorm.
@@ -365,8 +365,8 @@ def haar_rate_experiment(
         RateFit with per-level errors and per-trajectory slopes.
     """
     levels = tuple(int(n) for n in levels)
-    if len(levels) < 3:
-        raise ValueError(f"rate fit needs at least 3 levels, got {len(levels)}")
+    if len(set(levels)) < 3:
+        raise ValueError(f"rate fit needs at least 3 distinct levels, got {levels}")
     errors = np.empty((len(trajs), len(levels)))
     for i, traj in enumerate(trajs):
         _one_path(traj, "haar_rate_experiment")

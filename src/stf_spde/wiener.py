@@ -37,7 +37,6 @@ from .rng import derive_key, gaussian_stream, standard_normal_rows
 __all__ = [
     "QWienerSpec",
     "NoisePath",
-    "ScalarBMPath",
     "QWienerLCPath",
     "haar_function",
     "schauder_function",
@@ -269,40 +268,15 @@ def schauder_function(k: int, n: int, t) -> np.ndarray | float:
     return float(out) if np.isscalar(t) else out
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarBMPath:
-    """Brownian values at the 2^level + 1 dyadic points of [0, 1]."""
-
-    level: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float).copy()
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        if vals.shape != (2**self.level + 1,):
-            raise ValueError(
-                f"level {self.level} needs {2**self.level + 1} values, "
-                f"got {vals.shape}"
-            )
-        if vals[0] != 0.0:
-            raise ValueError("a Brownian path starts at zero")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, 2**self.level + 1)
-
-
-def lc_scalar_bm(level: int, seed: int) -> ScalarBMPath:
+def lc_scalar_bm(level: int, seed: int) -> np.ndarray:
     """Brownian path on the depth-`level` dyadic points by midpoint displacement.
 
-    Stage 0 draws B(1); stage m = 1..level fills the odd multiples of
-    2^-m with the average of their neighbors plus an independent Gaussian
-    scaled by 2^{-(m+1)/2} (the tent function's peak height). Stage m
-    reads stream (seed, m) left to right, so a deeper path reproduces a
-    shallower one bit for bit at the shared points.
+    Returns B at the 2^level + 1 points k 2^-level of [0, 1]. Stage 0
+    draws B(1); stage m = 1..level fills the odd multiples of 2^-m with
+    the average of their neighbors plus an independent Gaussian scaled by
+    2^{-(m+1)/2} (the tent function's peak height). Stage m reads stream
+    (seed, m) left to right, so a deeper path reproduces a shallower one
+    bit for bit at the shared points.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -314,23 +288,25 @@ def lc_scalar_bm(level: int, seed: int) -> ScalarBMPath:
         b[step :: 2 * step] = 0.5 * (
             b[0 : -1 : 2 * step] + b[2 * step :: 2 * step]
         ) + 2.0 ** (-(m + 1) / 2.0) * xi
-    return ScalarBMPath(level, b)
+    return b
 
 
 @dataclass(frozen=True, eq=False)
 class QWienerLCPath:
-    """Mode-wise midpoint-displacement paths of one Q-Wiener path."""
+    """Mode-wise midpoint-displacement paths of one Q-Wiener path.
+
+    values is the read-only (n_modes, 2^level + 1) array whose row i is
+    mode i + 1's path at the dyadic points.
+    """
 
     spec: QWienerSpec
     level: int
     seed: int
-    mode_paths: tuple[ScalarBMPath, ...]
+    values: np.ndarray
 
     def trajectory(self) -> Trajectory:
         """W(t_j) = sum_i sqrt(lambda_i) psi_i B_i(t_j) at every dyadic node j."""
-        scaled = np.sqrt(self.spec.eigenvalues)[:, None] * np.array(
-            [p.values for p in self.mode_paths]
-        )
+        scaled = np.sqrt(self.spec.eigenvalues)[:, None] * self.values
         timegrid = TimeGrid(2**self.level, T=1.0)
         return Trajectory.from_matrix(
             timegrid, self.spec.grid, scaled.T @ self.spec.basis
@@ -344,8 +320,7 @@ class QWienerLCPath:
         L + 1: the family is a dyadically consistent discretization of one
         underlying noise path.
         """
-        values = np.stack([p.values for p in self.mode_paths], axis=1)
-        inc = np.diff(values, axis=0) * np.sqrt(self.spec.eigenvalues)
+        inc = np.diff(self.values, axis=1).T * np.sqrt(self.spec.eigenvalues)
         timegrid = TimeGrid(2**self.level, T=1.0)
         return NoisePath(timegrid, inc, seed=self.seed)
 
@@ -357,11 +332,14 @@ def lc_q_wiener(spec: QWienerSpec, level: int, seed: int) -> QWienerLCPath:
     truncating or extending the mode count never changes the paths of the
     modes kept.
     """
-    paths = tuple(
-        lc_scalar_bm(level, derive_key(seed, _STREAM_LC_MODE, i + 1))
-        for i in range(spec.n_modes)
+    values = np.stack(
+        [
+            lc_scalar_bm(level, derive_key(seed, _STREAM_LC_MODE, i + 1))
+            for i in range(spec.n_modes)
+        ]
     )
-    return QWienerLCPath(spec, level, seed, paths)
+    values.flags.writeable = False
+    return QWienerLCPath(spec, level, seed, values)
 
 
 def tail_bound_probe(

@@ -127,7 +127,7 @@ def test_criterion_02_fails_on_an_unshrinking_displacement(monkeypatch):
             b[step :: 2 * step] = 0.5 * (
                 b[0 : -1 : 2 * step] + b[2 * step :: 2 * step]
             ) + 0.5 * stream.standard_normal(2 ** (m - 1))
-        return wiener.ScalarBMPath(level, b)
+        return b
 
     monkeypatch.setattr(cli, "lc_scalar_bm", unshrinking)
     consistency, decay = lc_refinement(suite_lc())
@@ -373,14 +373,41 @@ def test_criterion_09_continuity_exponents():
     report("C09", all(c["pass"] for c in checks), f"fitted exponents ({detail})")
 
 
+def time_regularity(checks):
+    """C10's measurement: suite_regularity's increment and refinement checks."""
+    increments = [c for c in checks if c["name"].startswith("regularity_increment_")]
+    refinements = [
+        c for c in checks if c["name"].startswith("regularity_seminorm_refinement_")
+    ]
+    return increments, refinements
+
+
 def test_criterion_10_time_regularity():
-    checks = suite_regularity()
+    increments, refinements = time_regularity(suite_regularity())
+    checks = increments + refinements
+    assert len(increments) == len(refinements) == 2
     report(
         "C10",
         all(c["pass"] for c in checks),
         "increment exponents above targets and seminorms stable under "
         "refinement: " + suite_summary(checks),
     )
+
+
+def test_criterion_10_fails_on_a_step_that_keeps_half_its_state(monkeypatch):
+    # negative control: 0.5 u + dt xi^[1/2] + noise drops half the state
+    # every step, so the solution loses its datum within a few steps and
+    # the early increments are about the same at every t: the fitted
+    # exponents fall below their targets. The refinement ratios only bound
+    # growth between LC levels, so they still pass
+    monkeypatch.setattr(
+        solver,
+        "_step_rhs",
+        lambda u, xi, noise, dt: 0.5 * u + dt * signed_power_values(xi, 0.5) + noise,
+    )
+    increments, refinements = time_regularity(suite_regularity())
+    assert all(c["pass"] is False and c["value"] < c["bound"] for c in increments)
+    assert all(c["pass"] is True for c in refinements)
 
 
 def staircase_excesses():

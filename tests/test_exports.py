@@ -43,7 +43,7 @@ def test_field_wrappers_are_gone():
         "grids": ["discrete_laplacian", "inverse_neg_laplacian", "signed_power",
                   "duality_pairing"],
         "solver": ["step_heat", "step_porous", "gradient_noise_apply"],
-        "wiener": ["assemble_field", "mode_coefficients"],
+        "wiener": ["assemble_field", "mode_coefficients", "ScalarBMPath"],
     }
     for name, attrs in gone.items():
         module = importlib.import_module(f"stf_spde.{name}")
@@ -53,6 +53,12 @@ def test_field_wrappers_are_gone():
         assert not hasattr(stf_spde.TripleKind, attr)
     assert not hasattr(stf_spde.Trajectory, "fields")
     assert not hasattr(stf_spde.QWienerLCPath, "field_at")
+    # an LC path is one (n_modes, 2**level + 1) array, not a tuple of
+    # per-mode boxes; a field without a default is no class attribute, so
+    # check the dataclass fields
+    lc_fields = [f.name for f in dataclasses.fields(stf_spde.QWienerLCPath)]
+    assert lc_fields == ["spec", "level", "seed", "values"]
+    assert "mode_paths" not in lc_fields
 
 
 def test_stacked_ensemble_leftovers_are_gone():

@@ -518,9 +518,11 @@ def test_rate_experiment_brownian_median_slope():
 
 
 def test_rate_experiment_needs_three_levels():
+    # repeated depths give a line through fewer than three points
     traj = brownian_traj(64, 1)
-    with pytest.raises(ValueError):
-        haar_rate_experiment([traj], (2, 3), 0.4, 2.0)
+    for levels in ((2, 3), (3, 3, 3), (3, 3, 4)):
+        with pytest.raises(ValueError, match="3 distinct levels"):
+            haar_rate_experiment([traj], levels, 0.4, 2.0)
 
 
 def test_trajectory_lp_norm_left_sum():

@@ -8,11 +8,11 @@ import pytest
 
 from stf_spde.grids import SpatialGrid, norm_values
 from stf_spde.projection import TimeGrid
-from stf_spde.rng import gaussian_stream, path_seed
+from stf_spde.rng import derive_key, gaussian_stream, path_seed
 from stf_spde.wiener import (
+    _STREAM_LC_MODE,
     NoisePath,
     QWienerSpec,
-    ScalarBMPath,
     haar_function,
     lc_q_wiener,
     lc_scalar_bm,
@@ -132,7 +132,7 @@ def schauder_series(level, seed):
 @pytest.mark.parametrize("seed", [0, 7, 123456])
 def test_lc_scalar_bm_matches_series_oracle(seed):
     for level in (1, 3, 6):
-        got = lc_scalar_bm(level, seed).values
+        got = lc_scalar_bm(level, seed)
         expected = schauder_series(level, seed)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
 
@@ -140,14 +140,18 @@ def test_lc_scalar_bm_matches_series_oracle(seed):
 def test_lc_scalar_bm_endpoints():
     for seed in (1, 99):
         path = lc_scalar_bm(5, seed)
-        assert path.values[0] == 0.0
-        assert path.values[-1] == gaussian_stream(seed, 0, 0).standard_normal()
+        assert isinstance(path, np.ndarray)
+        assert path.shape == (33,)
+        assert path[0] == 0.0
+        assert path[-1] == gaussian_stream(seed, 0, 0).standard_normal()
+    with pytest.raises(ValueError):
+        lc_scalar_bm(-1, 0)
 
 
 def test_lc_refinement_is_bitwise_consistent():
     for level in range(0, 12):
-        coarse = lc_scalar_bm(level, 42).values
-        fine = lc_scalar_bm(level + 1, 42).values
+        coarse = lc_scalar_bm(level, 42)
+        fine = lc_scalar_bm(level + 1, 42)
         assert np.array_equal(coarse, fine[::2])
 
 
@@ -157,7 +161,7 @@ def test_lc_covariance_monte_carlo():
     n_paths = 20000
     vals = np.empty((n_paths, 5))
     for i in range(n_paths):
-        vals[i] = lc_scalar_bm(2, path_seed(101, i)).values
+        vals[i] = lc_scalar_bm(2, path_seed(101, i))
     for si, ti, target in ((1, 2, 0.25), (2, 3, 0.5), (4, 4, 1.0)):
         prod = vals[:, si] * vals[:, ti]
         se = prod.std(ddof=1) / np.sqrt(n_paths)
@@ -166,17 +170,6 @@ def test_lc_covariance_monte_carlo():
     inc_sq = (vals[:, 3] - vals[:, 2]) ** 2
     se = inc_sq.std(ddof=1) / np.sqrt(n_paths)
     assert abs(inc_sq.mean() - 0.25) <= 3.0 * se
-
-
-def test_scalar_bm_path_validation():
-    with pytest.raises(ValueError):
-        ScalarBMPath(-1, np.zeros(1))
-    with pytest.raises(ValueError):
-        ScalarBMPath(2, np.zeros(4))
-    with pytest.raises(ValueError):
-        ScalarBMPath(1, np.array([0.5, 0.0, 0.0]))
-    path = ScalarBMPath(1, np.array([0.0, 1.0, -1.0]))
-    assert np.array_equal(path.times, [0.0, 0.5, 1.0])
 
 
 def test_qwiener_spec_validation():
@@ -226,16 +219,14 @@ def test_lc_q_wiener_pathwise_identities():
     assert np.array_equal(traj.values[0], np.zeros(15))
     for j in (1, 3, 4):
         coeffs = mode_projection(spec, traj.values[j])
-        direct = np.sqrt(spec.eigenvalues) * np.array(
-            [p.values[j] for p in w.mode_paths]
-        )
+        direct = np.sqrt(spec.eigenvalues) * w.values[:, j]
         assert np.allclose(coeffs, direct, rtol=1e-10, atol=1e-13)
     assert traj.timegrid.n_steps == 4
     assert traj.timegrid == TimeGrid(4)
     # W(t_3) = sum_i sqrt(lambda_i) B_i(t_3) psi_i, assembled mode by mode
     direct = sum(
-        np.sqrt(lam) * p.values[3] * psi
-        for lam, p, psi in zip(spec.eigenvalues, w.mode_paths, spec.basis)
+        np.sqrt(lam) * row[3] * psi
+        for lam, row, psi in zip(spec.eigenvalues, w.values, spec.basis)
     )
     assert np.allclose(traj.values[3], direct)
 
@@ -252,9 +243,7 @@ def test_lc_increments_path_refines_consistently():
     assert np.allclose(paired, coarse.increments, rtol=1e-12, atol=1e-15)
     # increments accumulate to the endpoint's mode coefficients
     w = lc_q_wiener(spec, 5, 13)
-    end = np.sqrt(spec.eigenvalues) * np.array(
-        [p.values[-1] for p in w.mode_paths]
-    )
+    end = np.sqrt(spec.eigenvalues) * w.values[:, -1]
     assert np.allclose(coarse.increments.sum(axis=0), end, rtol=1e-12, atol=1e-15)
 
 
@@ -264,8 +253,40 @@ def test_lc_q_wiener_mode_truncation_consistent():
     grid = SpatialGrid(15)
     small = lc_q_wiener(QWienerSpec.power_decay(grid, 3, 1.0), 3, 11)
     large = lc_q_wiener(QWienerSpec.power_decay(grid, 6, 1.0), 3, 11)
-    for i in range(3):
-        assert np.array_equal(small.mode_paths[i].values, large.mode_paths[i].values)
+    assert np.array_equal(small.values, large.values[:3])
+
+
+def lc_per_mode_oracle(spec, level, seed):
+    """values, increments and trajectory of lc_q_wiener, built from one
+    lc_scalar_bm call per mode and re-stacked for each output."""
+    rows = [
+        lc_scalar_bm(level, derive_key(seed, _STREAM_LC_MODE, i + 1))
+        for i in range(spec.n_modes)
+    ]
+    scale = np.sqrt(spec.eigenvalues)
+    inc = np.diff(np.stack(rows, axis=1), axis=0) * scale
+    traj = (scale[:, None] * np.array(rows)).T @ spec.basis
+    return np.array(rows), inc, traj
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("n_interior,n_modes", [(15, 1), (15, 3), (31, 16), (31, 31)])
+def test_lc_q_wiener_arrays_match_per_mode_oracle(n_interior, n_modes):
+    spec = QWienerSpec.power_decay(SpatialGrid(n_interior), n_modes, 1.0)
+    for level in (0, 1, 2, 5, 8):
+        for seed in (0, 21, 2**64 - 1):
+            w = lc_q_wiener(spec, level, seed)
+            values, inc, traj = lc_per_mode_oracle(spec, level, seed)
+            assert w.values.shape == (n_modes, 2**level + 1)
+            assert not w.values.flags.writeable
+            assert same_bits(w.values, values)
+            assert same_bits(w.increments_path().increments, inc)
+            assert same_bits(w.trajectory().values, traj)
 
 
 def test_lc_q_wiener_second_moments_monte_carlo():
