@@ -27,6 +27,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import operator
 import os
 import re
 import sys
@@ -51,6 +52,7 @@ from .projection import (
     TimeGrid,
     Trajectory,
     _check_dyadic,
+    fractional_seminorm,
     haar_rate_experiment,
     proj_shifted,
     smoothed_seed,
@@ -379,8 +381,18 @@ def cmd_fixed_point(cfg: RunConfig, out_dir: str) -> int:
 # verification suites: built-in configurations, one dict per check
 
 
-def _check(name: str, value: float, bound: float, ok: bool) -> dict:
-    return {"name": name, "value": float(value), "bound": float(bound), "pass": bool(ok)}
+def _check(name: str, value: float, bound: float, holds) -> dict:
+    """One record, whose verdict is holds(value, bound) on the floats it stores."""
+    value, bound = float(value), float(bound)
+    return {"name": name, "value": value, "bound": bound, "pass": holds(value, bound)}
+
+
+def _at_most(name: str, value: float, bound: float) -> dict:
+    return _check(name, value, bound, operator.le)
+
+
+def _at_least(name: str, value: float, bound: float) -> dict:
+    return _check(name, value, bound, operator.ge)
 
 
 def _probe_fixture():
@@ -412,24 +424,13 @@ def suite_wiener() -> list[dict]:
         for mode in (1, 2, 3):
             products = nodes[:, s_idx - 1, mode - 1] * nodes[:, t_idx - 1, mode - 1]
             mean, stderr = mc_mean_stderr(products)
+            name = f"wiener_cov_mode{mode}_s{s:g}_t{t:g}"
             target = min(s, t) * qspec.eigenvalues[mode - 1]
-            checks.append(
-                _check(
-                    f"wiener_cov_mode{mode}_s{s:g}_t{t:g}",
-                    abs(mean - target),
-                    3.0 * stderr,
-                    abs(mean - target) <= 3.0 * stderr,
-                )
-            )
+            checks.append(_at_most(name, abs(mean - target), 3.0 * stderr))
     total = np.sum(nodes[:, -1, :] ** 2, axis=1)
     mean, stderr = mc_mean_stderr(total)
     checks.append(
-        _check(
-            "wiener_total_variance_t1",
-            abs(mean - qspec.trace),
-            3.0 * stderr,
-            abs(mean - qspec.trace) <= 3.0 * stderr,
-        )
+        _at_most("wiener_total_variance_t1", abs(mean - qspec.trace), 3.0 * stderr)
     )
     return checks
 
@@ -445,7 +446,7 @@ def suite_haar() -> list[dict]:
         m = np.sin(2 * np.pi * tg.times)[:, None] * sine_field(grid, k).values
         smooth.append(Trajectory.from_matrix(tg, grid, m))
     fit = haar_rate_experiment(smooth, range(2, 8), alpha=0.9, p=2.0)
-    checks.append(_check("haar_rate_smooth", fit.slope, -0.8, fit.slope <= -0.8))
+    checks.append(_at_most("haar_rate_smooth", fit.slope, -0.8))
 
     profile = sine_field(grid, 1).values
     rough = []
@@ -456,7 +457,7 @@ def suite_haar() -> list[dict]:
         )
         rough.append(Trajectory.from_matrix(tg, grid, b[:, None] * profile))
     fit = haar_rate_experiment(rough, range(2, 8), alpha=0.4, p=2.0)
-    checks.append(_check("haar_rate_brownian", fit.slope, -0.3, fit.slope <= -0.3))
+    checks.append(_at_most("haar_rate_brownian", fit.slope, -0.3))
 
     small = SpatialGrid(7)
     tg64 = TimeGrid(64)
@@ -483,7 +484,7 @@ def suite_haar() -> list[dict]:
         unchanged = np.array_equal(before[: j * s], after[: j * s])
         if not unchanged or np.array_equal(before, after):
             violations += 1
-    checks.append(_check("haar_adapted_future_blind", violations, 0.0, violations == 0))
+    checks.append(_at_most("haar_adapted_future_blind", violations, 0.0))
 
     zero = Field(small, np.zeros(small.n_interior))
     worst = -np.inf
@@ -497,7 +498,7 @@ def suite_haar() -> list[dict]:
             proj_shifted(traj, HaarLevel(n, zero)), "L2", 2.0
         ) - trajectory_lp_norm(traj, "L2", 2.0)
         worst = max(worst, gap)
-    checks.append(_check("haar_zero_seed_contraction", worst, 0.0, worst <= 0.0))
+    checks.append(_at_most("haar_zero_seed_contraction", worst, 0.0))
     return checks
 
 
@@ -511,7 +512,7 @@ def suite_lc() -> list[dict]:
             shallow = lc_scalar_bm(n, seed)
             if not np.array_equal(shallow, deep[:: 2 ** (12 - n)]):
                 mismatches += 1
-    checks.append(_check("lc_dyadic_consistency", mismatches, 0.0, mismatches == 0))
+    checks.append(_at_most("lc_dyadic_consistency", mismatches, 0.0))
 
     # the even deeper path at level n + 4 already contains the level-n
     # values, so one depth-14 construction serves every window member
@@ -531,15 +532,13 @@ def suite_lc() -> list[dict]:
             dists.append(np.max(np.abs(interp - deep[::fine_stride])))
         slopes.append(np.polyfit(levels, np.log2(dists), 1)[0])
     median_slope = float(np.median(slopes))
-    checks.append(
-        _check("lc_refinement_decay", median_slope, -0.4, median_slope <= -0.4)
-    )
+    checks.append(_at_most("lc_refinement_decay", median_slope, -0.4))
 
     for n in (4, 5):
         a_n = float(np.sqrt(n * 2.0 ** -(n + 1)))
         empirical, analytic = tail_bound_probe(n, a_n, 1.0, trials=200_000, seed=0)
         factor = max(empirical / analytic, analytic / empirical)
-        checks.append(_check(f"lc_tail_level_{n}", factor, 3.0, factor <= 3.0))
+        checks.append(_at_most(f"lc_tail_level_{n}", factor, 3.0))
     return checks
 
 
@@ -551,9 +550,11 @@ def suite_hypotheses() -> list[dict]:
         problem = ProblemSpec(example, qspec, datum, m=2)
         report = check_hypotheses(problem, n_pairs=100, seed=0)
         worst = max(float(np.max(report.defects)), float(np.max(report.margins)))
-        checks.append(
-            _check(f"hypotheses_{example}", worst, 1e-9, report.all_hold)
-        )
+        growth = np.max(report.ratios)
+        checks += [
+            _at_most(f"hypotheses_{example}", worst, report.DEFECT_TOL),
+            _at_most(f"hypotheses_growth_{example}", growth, report.GROWTH_BOUND),
+        ]
     return checks
 
 
@@ -564,14 +565,10 @@ def suite_energy() -> list[dict]:
     for example in KNOWN_EXAMPLES:
         problem = ProblemSpec(example, qspec, datum, m=2)
         report = energy_report(problem, level, tg, n_paths=64, seed_base=11)
-        checks.append(
-            _check(
-                f"energy_{example}",
-                report.lhs_holdout,
-                report.bound_rhs,
-                report.holds and report.n_failures == 0,
-            )
-        )
+        checks += [
+            _at_most(f"energy_{example}", report.lhs_holdout, report.bound_rhs),
+            _at_most(f"energy_failed_paths_{example}", report.n_failures, 0.0),
+        ]
         print(report.summary())
     return checks
 
@@ -594,14 +591,7 @@ def suite_continuity() -> list[dict]:
         result = continuity_probe(
             problem, base, pert, [1e-3, 1e-2, 1e-1, 1.0], n_paths=64, seed=3
         )
-        checks.append(
-            _check(
-                f"continuity_{example}",
-                result.gamma_hat,
-                target,
-                result.gamma_hat >= target,
-            )
-        )
+        checks.append(_at_least(f"continuity_{example}", result.gamma_hat, target))
     return checks
 
 
@@ -618,14 +608,9 @@ def suite_regularity() -> list[dict]:
         problem = ProblemSpec(example, qspec, datum, m=2)
         _, u, stats = _staircase_solve(problem, level, tg, inc)
         stats.raise_first()
-        table = time_regularity_probe(problem, Trajectory(tg, grid, u), alphas=(0.2,))
+        table = time_regularity_probe(problem, Trajectory(tg, grid, u), alphas=())
         checks.append(
-            _check(
-                f"regularity_increment_{example}",
-                table.increment_exponent,
-                target,
-                table.increment_exponent >= target,
-            )
+            _at_least(f"regularity_increment_{example}", table.increment_exponent, target)
         )
 
     zero = Field(grid, np.zeros(grid.n_interior))
@@ -640,16 +625,10 @@ def suite_regularity() -> list[dict]:
             noise = lc_q_wiener(qspec, lvl, 21).increments_path()
             xi = Trajectory.constant(noise.timegrid, zero)
             u = solve_frozen(problem, xi, noise)
-            table = time_regularity_probe(problem, u, alphas=(0.2,))
-            values.append(table.seminorm_means[0])
+            values.append(fractional_seminorm(u, 0.2, 2, "Hminus1"))
         worst_ratio = max(b / a for a, b in zip(values, values[1:]))
         checks.append(
-            _check(
-                f"regularity_seminorm_refinement_{example}",
-                worst_ratio,
-                1.5,
-                worst_ratio <= 1.5,
-            )
+            _at_most(f"regularity_seminorm_refinement_{example}", worst_ratio, 1.5)
         )
     return checks
 
@@ -705,7 +684,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--paths", type=int, default=None, help="path count override")
     pv = sub.add_parser("verify", help="run a named check suite")
-    pv.add_argument("suite", help="haar|wiener|lc|hypotheses|energy|continuity|regularity|all")
+    pv.add_argument("suite", help="|".join([*SUITES, "all"]))
     pv.add_argument("--out", default=".", help="directory for the verdict file")
     try:
         args = parser.parse_args(argv)

@@ -69,8 +69,8 @@ def integral_v_power(
     traj: Trajectory, triple: TripleKind, power: float
 ) -> float | np.ndarray:
     """Left-endpoint quadrature of int_0^T |w(t)|_V^power dt, per path."""
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
+    if not 0 < power < np.inf:
+        raise ValueError(f"power must be positive and finite, got {power}")
     norms = triple.v_norm_values(traj.grid, traj.values[..., :-1, :])
     total = traj.timegrid.dt * np.sum(norms**power, axis=-1)
     return float(total) if total.ndim == 0 else total

@@ -299,10 +299,8 @@ def norm_values(
     if kind == "L2":
         out = np.sqrt(h * np.vecdot(values, values))
     elif kind == "Lp":
-        if p is None:
-            raise ValueError("Lp norm needs the exponent p")
-        if p < 1:
-            raise ValueError(f"Lp norm needs p >= 1, got {p}")
+        if p is None or not 1 <= p < np.inf:
+            raise ValueError(f"Lp norm needs an exponent 1 <= p < inf, got {p}")
         out = (h * np.sum(np.abs(values) ** p, axis=-1)) ** (1.0 / p)
     elif kind == "V_H1":
         # sum over the N+1 edges, with zero boundary values at both ends

@@ -279,15 +279,13 @@ def fractional_seminorm(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if p < 1:
-        raise ValueError(f"time exponent p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"time exponent p must be in [1, inf), got {p}")
     n, dt, grid = traj.timegrid.n_steps, traj.timegrid.dt, traj.grid
     u = traj.values[..., :n, :]
     # weight of the gap g = |i - j|: dt^2 / (g dt)^{1 + alpha p}
     gap_w = dt * dt / (dt * np.arange(1, n)) ** (1.0 + alpha * p)
     if norm_kind == "Lp":
-        if spatial_p is None:
-            raise ValueError('norm kind "Lp" needs spatial_p')
         e = u
 
         def norm_p(d):
@@ -312,8 +310,8 @@ def trajectory_lp_norm(
     spatial_p: float | None = None,
 ) -> float | np.ndarray:
     """Left-Riemann time-Lp norm (sum_k dt |u(t_k)|^p_kind)^{1/p}, per path."""
-    if p < 1:
-        raise ValueError(f"time exponent p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"time exponent p must be in [1, inf), got {p}")
     vals = norm_values(traj.grid, traj.values[..., :-1, :], norm_kind, spatial_p)
     return _path_roots(traj.timegrid.dt * np.sum(vals**p, axis=-1), p)
 

@@ -612,13 +612,15 @@ class HypothesisReport:
     c_coercive_min: float
     c_growth_min: float
 
+    DEFECT_TOL = 1e-9
+    GROWTH_BOUND = 1.0 + 1e-12
+
     @property
     def all_hold(self) -> bool:
-        tol = 1e-9
         return bool(
-            np.all(self.defects <= tol)
-            and np.all(self.margins <= tol)
-            and np.all(self.ratios <= 1.0 + 1e-12)
+            np.all(self.defects <= self.DEFECT_TOL)
+            and np.all(self.margins <= self.DEFECT_TOL)
+            and np.all(self.ratios <= self.GROWTH_BOUND)
         )
 
 

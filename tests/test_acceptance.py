@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from stf_spde import cli, fixed_point, grids, projection, solver, wiener
+from stf_spde import cli, estimators, fixed_point, grids, projection, solver, wiener
 from stf_spde.cli import (
     main,
     suite_continuity,
@@ -46,6 +46,22 @@ def report(tag, ok, detail):
     assert ok, line
 
 
+# the record names whose pass reads value >= bound; every other passes on <=
+AT_LEAST = ("continuity_", "regularity_increment_")
+
+
+def measured(suite):
+    """The suite's records, each checked to pass exactly when its comparison holds."""
+    checks = suite()
+    for c in checks:
+        if c["name"].startswith(AT_LEAST):
+            holds = c["value"] >= c["bound"]
+        else:
+            holds = c["value"] <= c["bound"]
+        assert c["pass"] is holds, c
+    return checks
+
+
 def suite_summary(checks):
     worst = max(checks, key=lambda c: c["value"] - c["bound"])
     return (
@@ -57,16 +73,16 @@ def suite_summary(checks):
 
 @pytest.fixture(scope="module")
 def haar_checks():
-    return suite_haar()
+    return measured(suite_haar)
 
 
 @pytest.fixture(scope="module")
 def lc_checks():
-    return suite_lc()
+    return measured(suite_lc)
 
 
 def test_criterion_01_wiener_covariance():
-    checks = suite_wiener()
+    checks = measured(suite_wiener)
     report(
         "C01",
         all(c["pass"] for c in checks),
@@ -85,7 +101,7 @@ def test_criterion_01_fails_on_inflated_eigenvalues(monkeypatch):
         return original(scaled, timegrid, seeds)
 
     monkeypatch.setattr(cli, "sample_increments_batch", inflated)
-    checks = suite_wiener()
+    checks = measured(suite_wiener)
     assert not all(c["pass"] for c in checks)
     cov = [c for c in checks if c["name"].startswith("wiener_cov_mode1")]
     assert cov and not any(c["pass"] for c in cov)
@@ -130,7 +146,7 @@ def test_criterion_02_fails_on_an_unshrinking_displacement(monkeypatch):
         return b
 
     monkeypatch.setattr(cli, "lc_scalar_bm", unshrinking)
-    consistency, decay = lc_refinement(suite_lc())
+    consistency, decay = lc_refinement(measured(suite_lc))
     assert consistency["pass"] is True
     assert decay["pass"] is False and decay["value"] > decay["bound"]
 
@@ -142,7 +158,7 @@ def test_criterion_02_fails_on_a_level_keyed_stream(monkeypatch):
     monkeypatch.setattr(
         cli, "lc_scalar_bm", lambda level, seed: original(level, seed ^ level)
     )
-    consistency, _ = lc_refinement(suite_lc())
+    consistency, _ = lc_refinement(measured(suite_lc))
     assert consistency["pass"] is False and consistency["value"] > 0
 
 
@@ -163,7 +179,7 @@ def test_criterion_03_fails_without_the_union_factor(monkeypatch):
         return empirical, analytic / 2 ** (n - 1)
 
     monkeypatch.setattr(cli, "tail_bound_probe", single_coefficient)
-    tails = lc_tails(suite_lc())
+    tails = lc_tails(measured(suite_lc))
     assert len(tails) == 2 and not any(c["pass"] for c in tails)
 
 
@@ -194,7 +210,7 @@ def test_criterion_04_fails_on_a_projection_pinned_to_level_2(monkeypatch):
         return original(traj, HaarLevel(2, level.seed_field))
 
     monkeypatch.setattr(projection, "proj_shifted", pinned)
-    smooth, rough = projection_rates(suite_haar())
+    smooth, rough = projection_rates(measured(suite_haar))
     assert smooth["pass"] is False and rough["pass"] is False
 
 
@@ -220,7 +236,7 @@ def test_criterion_05_fails_on_current_block_average(monkeypatch):
         return original(u[..., s:, :], level, s)
 
     monkeypatch.setattr(projection, "_shifted_rows", current_block)
-    checks = {c["name"]: c for c in suite_haar()}
+    checks = {c["name"]: c for c in measured(suite_haar)}
     adapted = checks["haar_adapted_future_blind"]
     assert adapted["pass"] is False and adapted["value"] > 0
 
@@ -354,23 +370,62 @@ def test_criterion_07_fails_on_a_sqrt_dt_drift_step(monkeypatch):
     assert order < 0.9
 
 
+def energy_records(checks):
+    """C08's measurement: suite_energy's inequality and failed-path records."""
+    inequalities = [c for c in checks if not c["name"].startswith("energy_failed_paths_")]
+    failures = [c for c in checks if c["name"].startswith("energy_failed_paths_")]
+    return inequalities, failures
+
+
 def test_criterion_08_energy_inequalities():
-    checks = suite_energy()
+    inequalities, failures = energy_records(measured(suite_energy))
+    assert len(inequalities) == len(failures) == len(KNOWN_EXAMPLES)
+    checks = inequalities + failures
     report(
         "C08",
         all(c["pass"] for c in checks),
-        "held-out energy LHS <= fitted bound on 64+64 paths, all examples: "
-        + suite_summary(checks),
+        "held-out energy LHS <= fitted bound on 64+64 paths, no failed path, "
+        "all examples: " + suite_summary(checks),
     )
 
 
+def test_criterion_08_fails_on_a_standard_error_without_its_root(monkeypatch):
+    # negative control: std / n in place of std / sqrt(n) shrinks the fit's
+    # 3-stderr margin eightfold at 64 paths, so the hold-out mean exceeds
+    # the calibrated bound. The fit absorbs defects in the solve or in the
+    # bound's form into C, so the margin is what the check can see
+    original = estimators.mc_mean_stderr
+
+    def rootless(samples):
+        mean, stderr = original(samples)
+        return mean, stderr / np.sqrt(len(samples))
+
+    monkeypatch.setattr(estimators, "mc_mean_stderr", rootless)
+    inequalities, failures = energy_records(measured(suite_energy))
+    assert any(c["pass"] is False and c["value"] > c["bound"] for c in inequalities)
+    assert all(c["pass"] is True for c in failures)
+
+
 def test_criterion_09_continuity_exponents():
-    checks = suite_continuity()
+    checks = measured(suite_continuity)
     detail = ", ".join(
         f"{c['name'].removeprefix('continuity_')}: {c['value']:.3f}>={c['bound']:.3f}"
         for c in checks
     )
     report("C09", all(c["pass"] for c in checks), f"fitted exponents ({detail})")
+
+
+def test_criterion_09_fails_on_a_discontinuous_drift(monkeypatch):
+    # negative control: a drift sign(xi) in place of xi^[1/2] jumps where
+    # the base coefficient |sin(2 pi x)| is 0 and the perturbation moves
+    # it, by the same amount at every epsilon, so the heat solve's fitted
+    # exponent falls below its target
+    monkeypatch.setattr(
+        solver, "_step_rhs", lambda u, xi, noise, dt: u + dt * np.sign(xi) + noise
+    )
+    checks = {c["name"]: c for c in measured(suite_continuity)}
+    heat = checks["continuity_heat_sqrt_drift"]
+    assert heat["pass"] is False and heat["value"] < heat["bound"]
 
 
 def time_regularity(checks):
@@ -383,7 +438,7 @@ def time_regularity(checks):
 
 
 def test_criterion_10_time_regularity():
-    increments, refinements = time_regularity(suite_regularity())
+    increments, refinements = time_regularity(measured(suite_regularity))
     checks = increments + refinements
     assert len(increments) == len(refinements) == 2
     report(
@@ -405,7 +460,7 @@ def test_criterion_10_fails_on_a_step_that_keeps_half_its_state(monkeypatch):
         "_step_rhs",
         lambda u, xi, noise, dt: 0.5 * u + dt * signed_power_values(xi, 0.5) + noise,
     )
-    increments, refinements = time_regularity(suite_regularity())
+    increments, refinements = time_regularity(measured(suite_regularity))
     assert all(c["pass"] is False and c["value"] < c["bound"] for c in increments)
     assert all(c["pass"] is True for c in refinements)
 

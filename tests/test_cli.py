@@ -17,10 +17,15 @@ import sys
 import numpy as np
 import pytest
 
-from stf_spde import cli
+from stf_spde import cli, solver
 from stf_spde.cli import ConfigError, RunConfig, main
 from stf_spde.estimators import EstimateInvalid
-from stf_spde.grids import SpatialGrid, sine_field
+from stf_spde.grids import (
+    SpatialGrid,
+    laplacian_values,
+    signed_power_values,
+    sine_field,
+)
 from stf_spde.fixed_point import staircase_construct, xnorm_power_distance
 from stf_spde.projection import trajectory_from_csv, trajectory_to_csv
 from stf_spde.rng import path_seed
@@ -666,6 +671,26 @@ class TestFixedPoint:
 
 
 class TestVerify:
+    def test_records_pass_on_their_own_comparison(self):
+        for value, bound, at_most, at_least in (
+            (1.0, 1.0, True, True),
+            (0.5, 1.0, True, False),
+            (2.0, 1.0, False, True),
+            (-np.inf, 0.0, True, False),
+            (np.nan, 1.0, False, False),
+            (np.nan, np.nan, False, False),
+        ):
+            low = cli._at_most("x", value, bound)
+            high = cli._at_least("x", value, bound)
+            assert low["pass"] is at_most and high["pass"] is at_least
+            for record in (low, high):
+                assert list(record) == ["name", "value", "bound", "pass"]
+                assert record["name"] == "x" and type(record["value"]) is float
+        # integer counts and numpy scalars become plain floats
+        assert cli._at_most("n", np.int64(0), 0) == {
+            "name": "n", "value": 0.0, "bound": 0.0, "pass": True
+        }
+
     def test_unknown_suite(self, tmp_path, capsys):
         assert main(["verify", "fourier", "--out", str(tmp_path)]) == 2
         assert "unknown suite" in capsys.readouterr().err
@@ -680,6 +705,7 @@ class TestVerify:
         for check in checks:
             assert set(check) == {"name", "value", "bound", "pass"}
             assert check["pass"] is True
+            assert check["value"] <= check["bound"]
         assert read_tree(a) == read_tree(b)
 
     def test_estimate_failure_exits_with_solver_code(self, tmp_path, monkeypatch, capsys):
@@ -700,6 +726,26 @@ class TestVerify:
         assert main(["verify", "lc", "--out", str(tmp_path)]) == cli.EXIT_INTERNAL == 5
         err = capsys.readouterr().err
         assert "Traceback" in err and "planted fault" in err
+
+    def test_hypotheses_growth_records_fail_on_faster_growth(self, monkeypatch):
+        # an operator of order m + 2 outgrows the V-norm power the growth
+        # constant is fixed against; each example's growth record shows it
+        def steeper(problem, u_values, xi_values):
+            grid = problem.qwiener.grid
+            return laplacian_values(
+                grid, signed_power_values(u_values, problem.m + 2)
+            ) + signed_power_values(xi_values, 0.5)
+
+        monkeypatch.setattr(solver, "_operator_values", steeper)
+        checks = cli.suite_hypotheses()
+        assert [c["name"] for c in checks] == [
+            f"hypotheses{kind}_{example}"
+            for example in KNOWN_EXAMPLES
+            for kind in ("", "_growth")
+        ]
+        for growth in checks[1::2]:
+            assert growth["bound"] == 1.0 + 1e-12
+            assert growth["value"] > 1.0 and growth["pass"] is False
 
     def test_lc_suite_passes(self, tmp_path):
         assert main(["verify", "lc", "--out", str(tmp_path)]) == 0

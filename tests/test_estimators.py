@@ -144,8 +144,9 @@ class TestTrajectoryFunctionals:
     def test_integral_rejects_bad_power(self, grid):
         tg = TimeGrid(4)
         traj = Trajectory.constant(tg, Field(grid, np.zeros(grid.n_interior)))
-        with pytest.raises(ValueError):
-            integral_v_power(traj, TripleKind.heat(), 0)
+        for power in (0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                integral_v_power(traj, TripleKind.heat(), power)
 
 
 TRIPLES = {"heat": TripleKind.heat(), "porous": TripleKind.porous(2)}

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,7 @@ def test_module_all_resolves(name):
 def test_package_imports_resolve():
     # every name __init__.py imports from a submodule is an attribute of
     # the package and of the submodule, and the submodule advertises it
-    tree = ast.parse(open(stf_spde.__file__).read())
+    tree = ast.parse(Path(stf_spde.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
     assert imports
     for node in imports:

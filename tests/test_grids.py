@@ -270,6 +270,9 @@ def test_contract_errors():
         SpatialGrid(1)
     with pytest.raises(ValueError):
         norm(Field(grid, np.ones(5)), "Lp")  # missing p
+    for p in (0.5, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            norm_values(grid, 3.0 * np.ones(5), "Lp", p)
     with pytest.raises(ValueError):
         norm(Field(grid, np.ones(5)), "sup")
     with pytest.raises(ValueError):

@@ -431,8 +431,11 @@ def test_seminorm_validation():
     for alpha in (0.0, 1.0, -0.3, 1.2):
         with pytest.raises(ValueError):
             fractional_seminorm(traj, alpha, 2.0)
-    with pytest.raises(ValueError):
-        fractional_seminorm(traj, 0.5, 0.5)
+    for p in (0.5, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            fractional_seminorm(traj, 0.5, p)
+        with pytest.raises(ValueError):
+            fractional_seminorm(traj, 0.5, 2.0, "Lp", spatial_p=p)
     with pytest.raises(ValueError):
         fractional_seminorm(traj, 0.5, 2.0, "Lp")
     with pytest.raises(ValueError):
@@ -533,8 +536,11 @@ def test_trajectory_lp_norm_left_sum():
         assert trajectory_lp_norm(traj, "L2", p) == pytest.approx(
             4.0 ** (1.0 / p) * norm(c, "L2"), rel=1e-12
         )
-    with pytest.raises(ValueError):
-        trajectory_lp_norm(traj, "L2", 0.25)
+    for p in (0.25, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            trajectory_lp_norm(traj, "L2", p)
+        with pytest.raises(ValueError):
+            trajectory_lp_norm(traj, "Lp", 2.0, spatial_p=p)
 
 
 def assert_csv_is_per_row_text(tmp_path, traj, csv_reference):
