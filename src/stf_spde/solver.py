@@ -13,7 +13,9 @@ interval with Dirichlet boundary:
 
 The heat step is one SPD tridiagonal solve. The porous step runs a damped
 Newton iteration on F(v) = v - dt Lap_h v^{[m]} - rhs with the tridiagonal
-Jacobian I - dt Lap_h diag(m |v|^{m-1}); a returned iterate always
+Jacobian I - dt Lap_h diag(m |v|^{m-1}). It starts from the
+lagged-diffusivity step, the solve of (I - dt Lap_h diag(|u|^{m-1})) v = rhs
+with the diffusivity frozen at the step's state u; a returned iterate always
 satisfies |F|_L2 <= newton_tol (1 + |rhs|_L2), and a step that cannot is
 retried on two half steps (the increment dW is split in half so its sum is
 preserved) before NewtonDivergence is raised. Every step kernel acts on raw
@@ -21,22 +23,22 @@ nodal values; Field appears only as ProblemSpec.initial_datum and in
 check_hypotheses' explicit pairs.
 
 Every tridiagonal solve goes straight to LAPACK through the seam in grids:
-dptsv for the heat step and dgtsv for each Newton iteration, with the bits
-of scipy's validating wrappers. They are bound here under scipy's names,
-solveh_banded and solve_banded.
+dptsv for the heat step and dgtsv for the Newton start and each Newton
+iteration, with the bits of scipy's validating wrappers. They are bound
+here under scipy's names, solveh_banded and solve_banded.
 
 There is one step kernel, and it steps a batch: the march behind
 solve_frozen and every ensemble stacks the paths' state as (paths, rows, N),
 one path or many, and makes one solver call per step. Heat is one
-multi-right-hand-side dptsv; porous is a damped Newton whose iterations each
-make one block-diagonal dgtsv call over the rows still iterating, each row
-keeping its own step length and count. The rows whose step fails march its
-two half steps together. Each row's noise projection is the stacked gemv
-(inc[:, k, None, :] @ basis)[:, 0]; the plain inc[:, k] @ basis is a gemm
-and rounds differently. Every kernel works row by row in the same
-floating-point operations, so a path's bits do not depend on its batch: how
-many paths share it, their order, or whether it is alone. The tests pin
-this against a path-by-path oracle.
+multi-right-hand-side dptsv; porous is one block-diagonal dgtsv call for the
+start, then a damped Newton whose iterations each make one such call over
+the rows still iterating, each row keeping its own step length and count.
+The rows whose step fails march its two half steps together. Each row's
+noise projection is the stacked gemv (inc[:, k, None, :] @ basis)[:, 0];
+the plain inc[:, k] @ basis is a gemm and rounds differently. Every kernel
+works row by row in the same floating-point operations, so a path's bits
+do not depend on its batch: how many paths share it, their order, or
+whether it is alone. The tests pin this against a path-by-path oracle.
 
 solve_frozen has two forms. One coefficient Trajectory with one NoisePath
 gives one solution path. A coefficient stacked as (paths, n_steps + 1, N)
@@ -188,24 +190,31 @@ def _porous_residual(grid, v, dt, m, rhs):
     return v - dt * laplacian_values(grid, signed_power_values(v, m)) - rhs
 
 
-def _jacobian_band(grid, v, dt, m):
-    """Band (3, rows * N) of I - dt Lap_h diag(m |v|^{m-1}), one block per row of v.
+def _diffusion_band(grid, d, dt):
+    """Band (3, rows * N) of I - dt Lap_h diag(d), one block per row of d.
 
-    Consecutive blocks are not coupled, so each keeps its own bits.
+    d is a (rows, N) diffusivity. Consecutive blocks are not coupled, so
+    each keeps its own bits.
     """
     h2 = grid.h * grid.h
-    d = m * np.abs(v.ravel()) ** (m - 1)
+    n = d.shape[-1]
+    d = d.ravel()
     ab = np.empty((3, d.size))
     ab[0] = -dt * d / h2
     ab[1] = 1.0 + 2.0 * dt * d / h2
     ab[2] = ab[0]
-    n = v.shape[-1]
     ab[0, ::n] = ab[2, n - 1 :: n] = 0.0
     return ab
 
 
 def _newton_porous(grid, u_start, rhs, dt, m, config):
     """Damped Newton for v - dt Lap_h v^{[m]} = rhs on each row of a (rows, N) batch.
+
+    Newton starts from the lagged-diffusivity step: one block-diagonal
+    dgtsv call solves (I - dt Lap_h diag(|u|^{m-1})) v = rhs on every row
+    whose u_start and rhs are finite, so for m = 1 the start is the exact
+    linear step. A row with a non-finite entry keeps u_start and fails the
+    starting-residual guard. The start is not counted as an iteration.
 
     Returns (v, iterations, errors): errors maps each row that fails (a
     non-finite start, the iteration budget or the halvings spent) to its
@@ -215,6 +224,12 @@ def _newton_porous(grid, u_start, rhs, dt, m, config):
     does not lower their residual backtrack.
     """
     v = u_start.copy()
+    finite = np.isfinite(u_start).all(axis=-1) & np.isfinite(rhs).all(axis=-1)
+    # a non-finite block would leak into the next one through dgtsv's pivoting
+    fin = slice(None) if all(finite.tolist()) else finite
+    if finite.any():
+        band = _diffusion_band(grid, np.abs(u_start[fin]) ** (m - 1), dt)
+        v[fin] = solve_banded(band, rhs[fin].ravel()).reshape(-1, v.shape[-1])
     fv = _porous_residual(grid, v, dt, m, rhs)
     rn = norm_values(grid, fv, "L2")
     target = config.newton_tol * (1.0 + norm_values(grid, rhs, "L2"))
@@ -244,7 +259,8 @@ def _newton_porous(grid, u_start, rhs, dt, m, config):
         # v_a and f_a are finite: the starting guard and the rt < r_a
         # acceptance never let a non-finite residual through. A finite
         # residual bounds dt m |v|^(m-1) / h^2, so the band is finite too.
-        delta = solve_banded(_jacobian_band(grid, v_a, dt, m), -f_a.ravel())
+        band = _diffusion_band(grid, m * np.abs(v_a) ** (m - 1), dt)
+        delta = solve_banded(band, -f_a.ravel())
         delta = delta.reshape(v_a.shape)
         trial = v_a + delta
         ft = _porous_residual(grid, trial, dt, m, rhs)

@@ -4,8 +4,8 @@ One row of raw nodal values per call, a damped Newton iteration that
 raises on failure, and half-step retries by recursion on the one row. The
 tests compare the package's batched kernel against it bit for bit:
 iterates, Newton counts, retry counts, error text and failure order. The
-residual and the Jacobian band are its own copies, so the package may
-compute them differently as long as the bits agree.
+residual, the band and the Newton start are its own copies, so the package
+may compute them differently as long as the bits agree.
 """
 
 import numpy as np
@@ -25,10 +25,9 @@ def porous_residual(grid, v, dt, m, rhs):
     return v - dt * laplacian_values(grid, signed_power_values(v, m)) - rhs
 
 
-def jacobian_band(grid, v, dt, m):
-    """Band (3, N) of I - dt Lap_h diag(m |v|^{m-1})."""
+def diffusion_band(grid, d, dt):
+    """Band (3, N) of I - dt Lap_h diag(d)."""
     h2 = grid.h * grid.h
-    d = m * np.abs(v) ** (m - 1)
     ab = np.empty((3,) + d.shape)
     ab[0] = -dt * d / h2
     ab[1] = 1.0 + 2.0 * dt * d / h2
@@ -51,8 +50,15 @@ def heat_step(grid, u, xi, dw, dt, sigma):
 
 
 def newton_porous(grid, u_start, rhs, dt, m, config):
-    """Damped Newton for v - dt Lap_h v^{[m]} = rhs; returns (v, iterations)."""
+    """Damped Newton for v - dt Lap_h v^{[m]} = rhs; returns (v, iterations).
+
+    It starts from the lagged-diffusivity step, the solve of
+    (I - dt Lap_h diag(|u|^{m-1})) v = rhs, when u_start and rhs are
+    finite, and from u_start otherwise.
+    """
     v = u_start.copy()
+    if np.isfinite(u_start).all() and np.isfinite(rhs).all():
+        v = solve_banded(diffusion_band(grid, np.abs(u_start) ** (m - 1), dt), rhs)
     fv = porous_residual(grid, v, dt, m, rhs)
     rn = norm_values(grid, fv, "L2")
     target = config.newton_tol * (1.0 + norm_values(grid, rhs, "L2"))
@@ -65,7 +71,7 @@ def newton_porous(grid, u_start, rhs, dt, m, config):
                 f"no convergence in {config.newton_max_iter} iterations "
                 f"(residual {rn:.3e}, target {target:.3e}, dt {dt:.3e})"
             )
-        delta = solve_banded(jacobian_band(grid, v, dt, m), -fv)
+        delta = solve_banded(diffusion_band(grid, m * np.abs(v) ** (m - 1), dt), -fv)
         lam = 1.0
         for _ in range(config.newton_max_halvings + 1):
             trial = v + lam * delta

@@ -635,16 +635,16 @@ class TestFixedPoint:
         "sigma,newton_max_iter,paths,stderr",
         [
             (
-                "0.1", "2", "3",
-                "solver failure: no convergence in 2 iterations "
-                "(residual 3.299e-09, target 1.072e-10, dt 7.812e-03)\n",
+                "0.1", "1", "3",
+                "solver failure: no convergence in 1 iterations "
+                "(residual 3.705e-08, target 1.072e-10, dt 7.812e-03)\n",
             ),
-            # paths 4, 6 and 7 fail at earlier steps than path 2, whose
-            # error a path-by-path loop meets first
+            # path 6 fails at an earlier step than path 4, whose error a
+            # path-by-path loop meets first
             (
-                "1.0", "3", "8",
-                "solver failure: no convergence in 3 iterations "
-                "(residual 3.221e-10, target 1.104e-10, dt 7.812e-03)\n",
+                "0.5", "2", "8",
+                "solver failure: no convergence in 2 iterations "
+                "(residual 1.537e-10, target 1.165e-10, dt 7.812e-03)\n",
             ),
         ],
     )

@@ -249,10 +249,10 @@ class TestEnergyReport:
         assert repr(got) == repr(want)
 
     def test_failed_path_is_none_and_counted(self, grid, qspec):
-        # sigma = 1 under 4 Newton iterations and no retries: of the 32
-        # paths path_seed(11, i), only path 11 fails, within the 5% cap
+        # sigma = 2.4 under 4 Newton iterations and no retries: of the 32
+        # paths path_seed(11, i), only path 13 fails, within the 5% cap
         datum = Field(grid, np.sin(np.pi * grid.nodes))
-        prob = ProblemSpec("porous_sqrt_drift", qspec, datum, m=2, sigma=1.0)
+        prob = ProblemSpec("porous_sqrt_drift", qspec, datum, m=2, sigma=2.4)
         level = HaarLevel(3, smoothed_seed(datum, 3))
         config = SolverConfig(newton_max_iter=4, dt_retries=0)
         tg = TimeGrid(128)
@@ -261,7 +261,7 @@ class TestEnergyReport:
         *want, want_failed = plain_path_samples(prob, tg, level, seeds, config)
         # the survivors are the other 31 paths, in seed order
         *kept, none = estimators._path_samples(
-            prob, tg, level, seeds[:11] + seeds[12:], config
+            prob, tg, level, seeds[:13] + seeds[14:], config
         )
         assert failed == want_failed == 1 and none == 0
         for got, oracle, alone in zip(samples, want, kept):
