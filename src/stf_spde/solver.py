@@ -226,10 +226,9 @@ def _newton_porous(grid, u_start, rhs, dt, m, config):
     v = u_start.copy()
     finite = np.isfinite(u_start).all(axis=-1) & np.isfinite(rhs).all(axis=-1)
     # a non-finite block would leak into the next one through dgtsv's pivoting
-    fin = slice(None) if all(finite.tolist()) else finite
     if finite.any():
-        band = _diffusion_band(grid, np.abs(u_start[fin]) ** (m - 1), dt)
-        v[fin] = solve_banded(band, rhs[fin].ravel()).reshape(-1, v.shape[-1])
+        band = _diffusion_band(grid, np.abs(u_start[finite]) ** (m - 1), dt)
+        v[finite] = solve_banded(band, rhs[finite].ravel()).reshape(-1, v.shape[-1])
     fv = _porous_residual(grid, v, dt, m, rhs)
     rn = norm_values(grid, fv, "L2")
     target = config.newton_tol * (1.0 + norm_values(grid, rhs, "L2"))

@@ -535,12 +535,11 @@ class TestStaircase:
         assert u[0].tobytes() == resolve.values.tobytes()
 
     @pytest.mark.parametrize(
-        "example,most", [("porous_sqrt_drift", 2.0), ("porous_gradient_noise", 5.5)]
+        "example,most", [("porous_sqrt_drift", 2.1), ("porous_gradient_noise", 5.5)]
     )
     def test_newton_iterations_per_marched_step(self, example, most):
-        # Newton starts from the lagged-diffusivity step: 2.000 and 5.151
-        # iterations per marched step here, against 2.263 and 7.308 when
-        # it started from the step's own state
+        # from the lagged-diffusivity start: 2.000 and 5.151 Newton
+        # iterations per marched step measured here
         _, qspec, datum, tg, level = cli._probe_fixture()
         prob = ProblemSpec(example, qspec, datum, m=2)
         inc = sample_increments_batch(qspec, tg, [path_seed(0, i) for i in range(8)])

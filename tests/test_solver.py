@@ -195,8 +195,8 @@ class TestPorousStep:
 
     def test_newton_converges_quickly_m2(self, grid):
         # a random state at dt = 0.02: seven iterations measured from the
-        # lagged-diffusivity start, as many as from the state itself; the
-        # residual is re-evaluated here with a dense Laplacian
+        # lagged-diffusivity start; the residual is re-evaluated here with
+        # a dense Laplacian
         rng = np.random.default_rng(7)
         u = random_values(grid, rng)
         xi = random_values(grid, rng)
