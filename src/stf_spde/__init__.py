@@ -22,14 +22,12 @@ from stf_spde.wiener import (
     NoisePath,
     QWienerLCPath,
     QWienerSpec,
-    haar_function,
     lc_q_wiener,
     lc_scalar_bm,
     load_noise_path,
     sample_increments,
     sample_increments_batch,
     save_noise_path,
-    schauder_function,
     tail_bound_probe,
 )
 from stf_spde.projection import (
@@ -58,7 +56,6 @@ from stf_spde.fixed_point import (
     FixedPointDiagnostics,
     RegularityTable,
     continuity_probe,
-    invariance_radius,
     picard_iterate,
     staircase_construct,
     time_regularity_probe,

@@ -445,7 +445,7 @@ def suite_haar() -> list[dict]:
     for k in (1, 3):
         m = np.sin(2 * np.pi * tg.times)[:, None] * sine_field(grid, k).values
         smooth.append(Trajectory.from_matrix(tg, grid, m))
-    fit = haar_rate_experiment(smooth, range(2, 8), alpha=0.9, p=2.0)
+    fit = haar_rate_experiment(smooth, range(2, 8))
     checks.append(_at_most("haar_rate_smooth", fit.slope, -0.8))
 
     profile = sine_field(grid, 1).values
@@ -456,7 +456,7 @@ def suite_haar() -> list[dict]:
             [[0.0], np.cumsum(stream.standard_normal(tg.n_steps) * np.sqrt(tg.dt))]
         )
         rough.append(Trajectory.from_matrix(tg, grid, b[:, None] * profile))
-    fit = haar_rate_experiment(rough, range(2, 8), alpha=0.4, p=2.0)
+    fit = haar_rate_experiment(rough, range(2, 8))
     checks.append(_at_most("haar_rate_brownian", fit.slope, -0.3))
 
     small = SpatialGrid(7)
@@ -609,7 +609,7 @@ def suite_regularity() -> list[dict]:
         problem = ProblemSpec(example, qspec, datum, m=2)
         _, u, stats = _staircase_solve(problem, level, tg, inc)
         stats.raise_first()
-        table = time_regularity_probe(problem, Trajectory(tg, grid, u), alphas=())
+        table = time_regularity_probe(problem, Trajectory(tg, grid, u))
         checks.append(
             _at_least(f"regularity_increment_{example}", table.increment_exponent, target)
         )
@@ -626,7 +626,7 @@ def suite_regularity() -> list[dict]:
             noise = lc_q_wiener(qspec, lvl, 21).increments_path()
             xi = Trajectory.constant(noise.timegrid, zero)
             u = solve_frozen(problem, xi, noise)
-            values.append(fractional_seminorm(u, 0.2, 2, "Hminus1"))
+            values.append(fractional_seminorm(u, 0.2, "Hminus1"))
         worst_ratio = max(b / a for a, b in zip(values, values[1:]))
         checks.append(
             _at_most(f"regularity_seminorm_refinement_{example}", worst_ratio, 1.5)

@@ -21,9 +21,9 @@ An ensemble of paths is one Trajectory stacked as (paths, n_steps + 1,
 N). staircase_construct takes one NoisePath, giving a one-path
 Trajectory, or a sequence of them, as picard_iterate does, giving the
 stacked form, which picard_iterate also returns; solve_frozen takes it
-back with the same sequence. xnorm_power_distance, integral_v_power and
-fractional_seminorm read a stack as one value per path, so Picard and the
-probes make one call per functional. Every ensemble is marched as one batch:
+back with the same sequence. xnorm_power_distance and integral_v_power
+read a stack as one value per path, so Picard and the probes make one
+call per functional. Every ensemble is marched as one batch:
 Picard's coupled paths (each joining the batch at its own restart row),
 the staircase sweep of an ensemble and the one behind the energy and
 regularity probes, and the continuity probe's base and perturbed
@@ -35,8 +35,8 @@ path-by-path loop met first: that of the lowest-index failing path.
 The probes quantify the two estimates the construction leans on: the
 continuity modulus of the solve in the coefficient (fitted Holder
 exponent over four decades of perturbation size) and the time regularity
-of solution paths (fractional seminorms under refinement, sup-increment
-scaling near t = 0).
+of solution paths (sup-increment scaling near t = 0; the fractional
+seminorm is projection.fractional_seminorm).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import integral_v_power, mc_mean_stderr
-from .projection import HaarLevel, TimeGrid, Trajectory, fractional_seminorm
+from .projection import HaarLevel, TimeGrid, Trajectory
 from .projection import _block_averages, _check_dyadic, _one_path, _shifted_rows
 from .projection import _write_csv
 from .rng import path_seed
@@ -65,7 +65,6 @@ __all__ = [
     "staircase_construct",
     "continuity_probe",
     "time_regularity_probe",
-    "invariance_radius",
     "xnorm_power_distance",
 ]
 
@@ -440,42 +439,28 @@ def continuity_probe(
     )
 
 
+# dyadic times t = T/2, ..., T/2^6 in the increment fit, fewer on a coarse grid
+_INCREMENT_TIMES = 6
+
+
 @dataclass(frozen=True)
 class RegularityTable:
-    """Fractional-seminorm estimates and sup-increment scaling."""
+    """Sup-increment scaling near t = 0."""
 
-    alphas: tuple
-    seminorm_means: tuple
-    seminorm_stderrs: tuple
     increment_times: tuple
     increment_means: tuple
     increment_exponent: float
 
 
-def time_regularity_probe(
-    problem: ProblemSpec,
-    ensemble: Trajectory,
-    alphas,
-    n_increment_times: int = 6,
-) -> RegularityTable:
-    """Estimate fractional seminorms and early-time increment growth.
+def time_regularity_probe(problem: ProblemSpec, ensemble: Trajectory) -> RegularityTable:
+    """Estimate the early-time increment growth of an ensemble.
 
-    ensemble is one path or paths stacked as (paths, n_steps + 1, N). For
-    each alpha the ensemble mean of the squared-integrable fractional
-    seminorm is computed in the H^-1 distance (the dual norm V* for the
-    heat triple and the pivot norm H for the porous triples coincide
-    there), one fractional_seminorm call on the whole ensemble. The
-    increment fit regresses log E[sup_{s<=t}|w(s)-w(0)|_H^2] on log t over
-    dyadic times t = T/2, T/4, ...
+    ensemble is one path or paths stacked as (paths, n_steps + 1, N). The
+    fit regresses log E[sup_{s<=t}|w(s)-w(0)|_H^2] on log t over dyadic
+    times t = T/2, T/4, ..., at most _INCREMENT_TIMES of them.
     """
-    alphas = tuple(float(a) for a in alphas)
     tg, grid = ensemble.timegrid, ensemble.grid
-    seminorms = [
-        _ensemble_mean_stderr(fractional_seminorm(ensemble, a, 2, "Hminus1"))
-        for a in alphas
-    ]
-
-    depth = min(n_increment_times, tg.n_steps.bit_length() - 1)
+    depth = min(_INCREMENT_TIMES, tg.n_steps.bit_length() - 1)
     if depth < 2:
         raise ValueError("time grid too coarse for an increment fit")
     ks = [max(tg.n_steps >> j, 1) for j in range(depth, 0, -1)]
@@ -490,50 +475,7 @@ def time_regularity_probe(
         raise ValueError("degenerate increment fit: zero supremum")
     slope = float(np.polyfit(np.log(times), np.log(means), 1)[0])
     return RegularityTable(
-        alphas=alphas,
-        seminorm_means=tuple(mean for mean, _ in seminorms),
-        seminorm_stderrs=tuple(stderr for _, stderr in seminorms),
         increment_times=tuple(times),
         increment_means=tuple(float(v) for v in means),
         increment_exponent=slope,
     )
-
-
-def invariance_radius(
-    c: float, initial_energy: float, horizon: float, q: float
-) -> float:
-    """Smallest R with (2 E|u_0|_H^2 + C R^q + C T) e^{CT} <= R.
-
-    For q < 1 the right-hand side is sublinear in R, so a smallest
-    admissible radius always exists; it is the unique root of
-    rhs(R) - R, bracketed by doubling and polished by Brent.
-    """
-    if not 0 < q < 1:
-        raise ValueError(f"need a sublinear exponent 0 < q < 1, got {q}")
-    if c < 0 or initial_energy < 0 or horizon <= 0:
-        raise ValueError("constants must be nonnegative and the horizon positive")
-    if c == 0.0 and initial_energy == 0.0:
-        return 0.0
-    # imported on use, so that importing the package leaves scipy.optimize out
-    from scipy.optimize import brentq
-
-    def gap(r):
-        return (2.0 * initial_energy + c * r**q + c * horizon) * np.exp(
-            c * horizon
-        ) - r
-
-    r_hi = 1.0
-    while gap(r_hi) > 0.0:
-        r_hi *= 2.0
-        if r_hi > 1e300:
-            raise ValueError("radius search overflowed")
-    if r_hi == 1.0:
-        # gap(1) <= 0 already; bracket from below
-        r_lo = 0.5
-        while gap(r_lo) <= 0.0 and r_lo > 1e-300:
-            r_hi = r_lo
-            r_lo *= 0.5
-        if gap(r_hi) == 0.0:
-            return float(r_hi)
-        return float(brentq(gap, r_lo, r_hi, xtol=1e-14, rtol=1e-14))
-    return float(brentq(gap, r_hi / 2.0, r_hi, xtol=1e-14, rtol=1e-14))

@@ -10,13 +10,14 @@ the adaptedness property the construction exists for.
 
 Time regularity is measured by the discrete fractional Sobolev norm
 
-    ( sum_k dt |u(t_k)|^p
-      + sum_{i != j} dt^2 |u(t_i) - u(t_j)|^p / |t_i - t_j|^{1 + alpha p}
-    )^{1/p}
+    ( sum_k dt |u(t_k)|^2
+      + sum_{i != j} dt^2 |u(t_i) - u(t_j)|^2 / |t_i - t_j|^{1 + 2 alpha}
+    )^{1/2}
 
-with left Riemann sums over k, i, j = 0..n_steps-1 and the diagonal
-excluded. haar_rate_experiment fits the decay of |proj_n(x) - x| in the
-time-Lp norm against the level n for a family of trajectories.
+in a Hilbert norm |.|, with left Riemann sums over k, i, j =
+0..n_steps-1 and the diagonal excluded. haar_rate_experiment fits the
+decay of |proj_n(x) - x| in the time-L2 norm against the level n for a
+family of trajectories.
 """
 
 from __future__ import annotations
@@ -290,42 +291,29 @@ def _path_roots(total, p: float) -> float | np.ndarray:
 
 
 def fractional_seminorm(
-    traj: Trajectory,
-    alpha: float,
-    p: float,
-    norm_kind: str = "L2",
-    spatial_p: float | None = None,
+    traj: Trajectory, alpha: float, norm_kind: str = "L2"
 ) -> float | np.ndarray:
-    """Discrete fractional Sobolev norm of a trajectory in time.
+    """Discrete W^{alpha,2} norm of a trajectory in time.
 
-    Computes the p-th root of
+    Computes the square root of
 
-        sum_k dt |u(t_k)|^p
-        + sum_{i != j} dt^2 |u(t_i) - u(t_j)|^p / |t_i - t_j|^{1 + alpha p}
+        sum_k dt |u(t_k)|^2
+        + sum_{i != j} dt^2 |u(t_i) - u(t_j)|^2 / |t_i - t_j|^{1 + 2 alpha}
 
     with both sums running over the left nodes k, i, j = 0..n_steps-1 and
-    |.| the spatial norm norm_kind (pass spatial_p for kind "Lp").
+    |.| the Hilbert norm norm_kind ("L2", "V_H1" or "Hminus1").
 
-    For p = 2 and a Hilbert kind ("L2", "V_H1", "Hminus1") the norm is the
-    Euclidean norm of an embedding e, and the double sum needs, for every
-    gap g, S(g) = sum_{i < n-g} |e_{i+g} - e_i|^2 = (P_n - P_g) + P_{n-g}
-    - 2 C(g), with P the prefix sums of |e_i|^2 and C(g) = sum_i
-    <e_{i+g}, e_i>. C comes for every lag at once from one zero-padded
-    real FFT along time (Wiener-Khinchin), so the cost is
-    O(paths N n log n) in place of O(paths N n^2). Each path's e is
-    centred in time first, which differences do not see and which keeps
-    an offset out of the cancellation, and gaps g <= 8 are summed
-    directly. Against a gap-by-gap sum the relative error measured at
-    most 1.2e-12 (Hminus1, 31 nodes, alpha = 0.99, n = 4096, a smooth
-    path with offset 5). The "Lp" kind and p != 2 sum gap by gap, in
-    O(paths N n^2).
+    That norm is the Euclidean norm of an embedding e, so the double sum
+    needs only S(g) = sum_{i < n-g} |e_{i+g} - e_i|^2 for every gap g,
+    which _gap_square_sums takes from one FFT autocorrelation along time
+    in O(paths N n log n). Against a gap-by-gap sum the relative error
+    measured at most 1.2e-12 (Hminus1, 31 nodes, alpha = 0.99, n = 4096,
+    a smooth path with offset 5).
 
     Args:
         traj: the trajectory, one path or a stack of them.
         alpha: fractional order, strictly inside (0, 1).
-        p: time integrability exponent, >= 1.
-        norm_kind: spatial norm kind ("L2", "V_H1", "Hminus1", "Lp").
-        spatial_p: exponent for the "Lp" spatial kind.
+        norm_kind: spatial Hilbert norm kind.
 
     Returns:
         The norm value (nonnegative): a float, or for a stacked
@@ -333,33 +321,14 @@ def fractional_seminorm(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 1 <= p < np.inf:
-        raise ValueError(f"time exponent p must be in [1, inf), got {p}")
-    n, dt, grid = traj.timegrid.n_steps, traj.timegrid.dt, traj.grid
-    u = traj.values[..., :n, :]
-    # weight of the gap g = |i - j|: dt^2 / (g dt)^{1 + alpha p}
-    gap_w = dt * dt / (dt * np.arange(1, n)) ** (1.0 + alpha * p)
-    if norm_kind != "Lp" and p == 2:
-        e = _euclidean_embedding(grid, u, norm_kind)
-        lp_part = dt * np.sum(np.einsum("...ij,...ij->...i", e, e), axis=-1)
-        acc = np.sum(gap_w * _gap_square_sums(e), axis=-1)
-        return _path_roots(lp_part + 2.0 * acc, p)
-    if norm_kind == "Lp":
-        e = u
-
-        def norm_p(d):
-            return norm_values(grid, d, "Lp", spatial_p) ** p
-
-    else:  # a Hilbert kind; the embedding raises on an unknown one
-        e = _euclidean_embedding(grid, u, norm_kind)
-
-        def norm_p(d):
-            return np.einsum("...ij,...ij->...i", d, d) ** (0.5 * p)
-    acc = 0.0
-    for g in range(1, n):
-        acc += gap_w[g - 1] * np.sum(norm_p(e[..., g:, :] - e[..., :-g, :]), axis=-1)
-    total = dt * np.sum(norm_p(e), axis=-1) + 2.0 * acc
-    return _path_roots(total, p)
+    n, dt = traj.timegrid.n_steps, traj.timegrid.dt
+    # raises on a kind that is not a Hilbert norm
+    e = _euclidean_embedding(traj.grid, traj.values[..., :n, :], norm_kind)
+    # weight of the gap g = |i - j|: dt^2 / (g dt)^{1 + 2 alpha}
+    gap_w = dt * dt / (dt * np.arange(1, n)) ** (1.0 + alpha * 2.0)
+    l2_part = dt * np.sum(np.einsum("...ij,...ij->...i", e, e), axis=-1)
+    acc = np.sum(gap_w * _gap_square_sums(e), axis=-1)
+    return _path_roots(l2_part + 2.0 * acc, 2.0)
 
 
 def trajectory_lp_norm(
@@ -383,7 +352,6 @@ class RateFit:
     errors: np.ndarray  # (n_trajectories, n_levels)
     slopes: np.ndarray  # (n_trajectories,), nan where the error vanishes
     exact: np.ndarray  # True where every level reproduced the input exactly
-    alpha: float
 
     @property
     def slope(self) -> float:
@@ -397,26 +365,20 @@ class RateFit:
 def haar_rate_experiment(
     trajs: list[Trajectory] | tuple[Trajectory, ...],
     levels: tuple[int, ...] | range,
-    alpha: float,
-    p: float,
-    norm_kind: str = "L2",
-    spatial_p: float | None = None,
 ) -> RateFit:
     """Fit the decay rate of the block-averaging error over dyadic levels.
 
     For each trajectory x the block-0 seed is x's own initial sample, so a
     constant trajectory is reproduced exactly (reported via the exact
     mask, with slope nan). For the others the per-level error
-    |proj_n(x) - x| in the time-Lp norm is fitted by least squares in
-    log2(error) against n.
+    |proj_n(x) - x| in the time-L2 norm of the spatial L2 norm is fitted
+    by least squares in log2(error) against n.
 
     Args:
-        trajs: family of one-path trajectories; a sequence, since a
-            stacked copy of a large family would add to the peak memory.
+        trajs: nonempty family of one-path trajectories; a sequence,
+            since a stacked copy of a large family would add to the peak
+            memory.
         levels: dyadic depths n, at least three of them distinct.
-        alpha: fractional order the decay is compared against (recorded).
-        p: time integrability exponent of the error norm.
-        norm_kind: spatial norm kind; spatial_p as in fractional_seminorm.
 
     Returns:
         RateFit with per-level errors and per-trajectory slopes.
@@ -424,6 +386,8 @@ def haar_rate_experiment(
     levels = tuple(int(n) for n in levels)
     if len(set(levels)) < 3:
         raise ValueError(f"rate fit needs at least 3 distinct levels, got {levels}")
+    if len(trajs) == 0:
+        raise ValueError("rate fit needs at least one trajectory")
     errors = np.empty((len(trajs), len(levels)))
     for i, traj in enumerate(trajs):
         _one_path(traj, "haar_rate_experiment")
@@ -431,7 +395,7 @@ def haar_rate_experiment(
         for j, n in enumerate(levels):
             proj = proj_shifted(traj, HaarLevel(n, start))
             gap = Trajectory(traj.timegrid, traj.grid, proj.values - traj.values)
-            errors[i, j] = trajectory_lp_norm(gap, norm_kind, p, spatial_p)
+            errors[i, j] = trajectory_lp_norm(gap, "L2", 2.0)
     slopes = np.full(len(trajs), np.nan)
     exact = ~np.any(errors > 0.0, axis=1)
     lev = np.asarray(levels, dtype=float)
@@ -441,7 +405,7 @@ def haar_rate_experiment(
             slopes[i] = np.polyfit(lev[nonzero], np.log2(errors[i][nonzero]), 1)[0]
     for arr in (errors, slopes, exact):
         arr.flags.writeable = False
-    return RateFit(levels, errors, slopes, exact, alpha)
+    return RateFit(levels, errors, slopes, exact)
 
 
 def _write_csv(path: str, header, row_format: str, rows) -> None:

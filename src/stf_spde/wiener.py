@@ -16,11 +16,11 @@ their eigenvalues lambda_i > 0 (trace class). Two constructions share it:
     depth-n dyadic points, and refining the level never changes the
     values already produced.
 
-haar_function / schauder_function give the step and tent functions in
-closed form, and tail_bound_probe compares the Monte Carlo frequency of a
-level's largest squared coefficient clearing a threshold with the
-square-root-tail approximation that drives the uniform-convergence
-argument for the series.
+The construction never evaluates the tent functions S_{k,m} themselves.
+tail_bound_probe compares the Monte Carlo frequency of a level's largest
+squared coefficient clearing a threshold with the square-root-tail
+approximation that drives the uniform-convergence argument for the
+series.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ __all__ = [
     "QWienerSpec",
     "NoisePath",
     "QWienerLCPath",
-    "haar_function",
-    "schauder_function",
     "lc_scalar_bm",
     "lc_q_wiener",
     "sample_increments",
@@ -202,70 +200,6 @@ def load_noise_path(path: str, T: float = 1.0) -> NoisePath:
         )
     inc = np.frombuffer(body, dtype="<f8").reshape(n_steps, n_modes)
     return NoisePath(TimeGrid(n_steps, T=T), inc, seed)
-
-
-def _check_haar_args(k: int, n: int, t: np.ndarray) -> None:
-    if n < 0:
-        raise ValueError(f"level n must be >= 0, got {n}")
-    if n == 0:
-        if k != 1:
-            raise ValueError(f"level 0 only has the constant k = 1, got k={k}")
-    else:
-        if k % 2 == 0:
-            raise ValueError(f"k must be odd, got {k}")
-        if not 1 <= k <= 2**n:
-            raise ValueError(f"k must lie in 1..2^{n}, got {k}")
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("t must lie in [0, 1]")
-
-
-def haar_function(k: int, n: int, t) -> np.ndarray | float:
-    """Step function of the dyadic system: +2^{(n-1)/2} on ((k-1)2^-n, k 2^-n],
-    -2^{(n-1)/2} on (k 2^-n, (k+1) 2^-n], 0 elsewhere; the (1, 0) member is
-    the constant 1.
-
-    Args:
-        k: odd shift, 1 <= k <= 2^n (k = 1 when n = 0).
-        n: level, >= 0.
-        t: scalar or array of times in [0, 1].
-
-    Returns:
-        Value(s), scalar when t is scalar.
-    """
-    ts = np.asarray(t, dtype=float)
-    _check_haar_args(k, n, ts)
-    if n == 0:
-        out = np.ones_like(ts)
-    else:
-        height = 2.0 ** ((n - 1) / 2.0)
-        left, mid, right = (k - 1) * 2.0**-n, k * 2.0**-n, (k + 1) * 2.0**-n
-        out = np.where(
-            (ts > left) & (ts <= mid),
-            height,
-            np.where((ts > mid) & (ts <= right), -height, 0.0),
-        )
-    return float(out) if np.isscalar(t) else out
-
-
-def schauder_function(k: int, n: int, t) -> np.ndarray | float:
-    """Tent function: the running integral of haar_function, in closed form.
-
-    Vanishes outside ((k-1)2^-n, (k+1)2^-n), rises linearly to its peak
-    2^{-(n+1)/2} at k 2^-n, and falls back; the (1, 0) member is t itself.
-    """
-    ts = np.asarray(t, dtype=float)
-    _check_haar_args(k, n, ts)
-    if n == 0:
-        out = ts.copy()
-    else:
-        height = 2.0 ** ((n - 1) / 2.0)
-        left, mid, right = (k - 1) * 2.0**-n, k * 2.0**-n, (k + 1) * 2.0**-n
-        out = np.where(
-            (ts > left) & (ts <= mid),
-            height * (ts - left),
-            np.where((ts > mid) & (ts <= right), height * (right - ts), 0.0),
-        )
-    return float(out) if np.isscalar(t) else out
 
 
 def lc_scalar_bm(level: int, seed: int) -> np.ndarray:

@@ -152,9 +152,10 @@ class TestTrajectoryFunctionals:
 TRIPLES = {"heat": TripleKind.heat(), "porous": TripleKind.porous(2)}
 # (reader, its norm kind, triple or example, p); the spatial Lp kind has p = 4
 READER_CASES = (
-    [
-        (reader, kind, p)
-        for reader in ("fractional_seminorm", "trajectory_lp_norm")
+    # the fractional seminorm is the p = 2 one of a Hilbert norm
+    [("fractional_seminorm", kind, 2.0) for kind in ("L2", "V_H1", "Hminus1")]
+    + [
+        ("trajectory_lp_norm", kind, p)
         for kind in ("L2", "V_H1", "Hminus1", "Lp")
         for p in (2.0, 3.0)
     ]
@@ -182,7 +183,7 @@ def test_readers_act_on_the_path_axis(grid, qspec, small_datum, reader, kind, p)
 
     def read(traj, against):
         if reader == "fractional_seminorm":
-            return fractional_seminorm(traj, 0.3, p, kind, 4.0)
+            return fractional_seminorm(traj, 0.3, kind)
         if reader == "trajectory_lp_norm":
             return trajectory_lp_norm(traj, kind, p, 4.0)
         if reader == "pathwise_sup_H":

@@ -76,3 +76,34 @@ def test_stacked_ensemble_leftovers_are_gone():
         assert not hasattr(cls, attr), (cls.__name__, attr)
     for func in (stf_spde.load_noise_path, stf_spde.trajectory_from_csv):
         assert "dyadic_level" not in inspect.signature(func).parameters
+
+
+def test_test_only_names_and_unused_parameters_are_gone():
+    # names only the tests called are test helpers, and parameters no
+    # caller set are constants; the README's "Array API" table gives each
+    # replacement
+    for module, attr in (
+        ("wiener", "haar_function"),
+        ("wiener", "schauder_function"),
+        ("wiener", "_check_haar_args"),
+        ("fixed_point", "invariance_radius"),
+    ):
+        assert not hasattr(importlib.import_module(f"stf_spde.{module}"), attr), attr
+        assert not hasattr(stf_spde, attr), attr
+    gone = {
+        stf_spde.fractional_seminorm: ("p", "spatial_p"),
+        stf_spde.time_regularity_probe: ("alphas", "n_increment_times"),
+        stf_spde.haar_rate_experiment: ("alpha", "p", "norm_kind", "spatial_p"),
+    }
+    for func, params in gone.items():
+        kept = inspect.signature(func).parameters
+        assert not set(params) & set(kept), (func.__name__, list(kept))
+    assert list(inspect.signature(stf_spde.fractional_seminorm).parameters) == [
+        "traj", "alpha", "norm_kind"
+    ]
+    for cls, attrs in (
+        (stf_spde.RegularityTable, ("alphas", "seminorm_means", "seminorm_stderrs")),
+        (stf_spde.RateFit, ("alpha",)),
+    ):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert not set(attrs) & fields, (cls.__name__, fields)

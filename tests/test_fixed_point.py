@@ -12,13 +12,13 @@ import csv
 
 import numpy as np
 import pytest
+from invariance_ball import invariance_radius
 
 from stf_spde import cli, fixed_point, solver
 from stf_spde.estimators import energy_report, integral_v_power, mc_mean_stderr
 from stf_spde.fixed_point import (
     FixedPointDiagnostics,
     continuity_probe,
-    invariance_radius,
     picard_iterate,
     staircase_construct,
     time_regularity_probe,
@@ -750,14 +750,10 @@ def regularity_ensemble(problem, level, qspec):
     return solve_frozen(problem, staircase_construct(problem, level, noises), noises)
 
 
-def plain_regularity(problem, stacked, alphas, depth, paths=None):
+def plain_increments(problem, stacked, depth, paths=None):
     """time_regularity_probe's means written out, one path at a time."""
     paths = range(stacked.n_paths) if paths is None else paths
     trajs = [stacked.path(p) for p in paths]
-    seminorms = []
-    for alpha in alphas:
-        vals = [fractional_seminorm(u, alpha, p=2, norm_kind="Hminus1") for u in trajs]
-        seminorms.append(float(np.mean(vals)) if len(vals) > 1 else vals[0])
     n = stacked.timegrid.n_steps
     ks = [n >> j for j in range(depth, 0, -1)]
     sups = []
@@ -768,7 +764,7 @@ def plain_regularity(problem, stacked, alphas, depth, paths=None):
         ]
         sups.append(np.maximum.accumulate(gaps)[ks])
     increments = np.mean(np.asarray(sups), axis=0)
-    return tuple(seminorms), tuple(float(v) for v in increments)
+    return tuple(float(v) for v in increments)
 
 
 class TestRegularityProbe:
@@ -779,14 +775,12 @@ class TestRegularityProbe:
         xi = Trajectory.constant(tg, Field(grid, np.zeros(grid.n_interior)))
         silent = NoisePath(tg, np.zeros((tg.n_steps, qspec.n_modes)), seed=0)
         u = solve_frozen(heat_problem, xi, silent)
-        table = time_regularity_probe(heat_problem, u, alphas=(0.5, 0.9))
-        assert table.seminorm_means[0] == pytest.approx(
+        assert fractional_seminorm(u, 0.5, "Hminus1") == pytest.approx(
             0.026536914837789964, rel=1e-12
         )
-        assert table.seminorm_means[1] == pytest.approx(
+        assert fractional_seminorm(u, 0.9, "Hminus1") == pytest.approx(
             0.08331357616383066, rel=1e-12
         )
-        assert table.seminorm_stderrs == (0.0, 0.0)
 
     @pytest.mark.parametrize("seed", [21, 22])
     def test_seminorm_stable_under_dyadic_refinement(
@@ -800,8 +794,7 @@ class TestRegularityProbe:
             noise = lc_q_wiener(qspec, lvl, seed).increments_path()
             xi = Trajectory.constant(noise.timegrid, zero)
             u = solve_frozen(heat_problem, xi, noise)
-            table = time_regularity_probe(heat_problem, u, alphas=(0.2,))
-            values.append(table.seminorm_means[0])
+            values.append(fractional_seminorm(u, 0.2, "Hminus1"))
         assert all(v > 0 for v in values)
         for coarse, fine in zip(values, values[1:]):
             assert fine / coarse <= 1.5
@@ -818,7 +811,7 @@ class TestRegularityProbe:
     ):
         prob = ProblemSpec(example, qspec, small_datum, m=2)
         ensemble = regularity_ensemble(prob, level, qspec)
-        table = time_regularity_probe(prob, ensemble, alphas=(0.2, 0.35))
+        table = time_regularity_probe(prob, ensemble)
         assert table.increment_exponent == pytest.approx(frozen, rel=1e-9)
         assert table.increment_exponent >= target
         assert all(
@@ -833,15 +826,22 @@ class TestRegularityProbe:
     ):
         prob = ProblemSpec(example, qspec, small_datum, m=2)
         ensemble = regularity_ensemble(prob, level, qspec)
-        table = time_regularity_probe(prob, ensemble, alphas=(0.2, 0.35))
-        seminorms, increments = plain_regularity(prob, ensemble, (0.2, 0.35), 6)
+        table = time_regularity_probe(prob, ensemble)
+        increments = plain_increments(prob, ensemble, 6)
         # repr spells every float out to its last bit
-        assert repr(table.seminorm_means) == repr(seminorms)
         assert repr(table.increment_means) == repr(increments)
-        one = time_regularity_probe(prob, ensemble.path(5), alphas=(0.2,))
-        seminorm, increment = plain_regularity(prob, ensemble, (0.2,), 6, paths=[5])
-        assert repr(one.seminorm_means) == repr(seminorm)
+        one = time_regularity_probe(prob, ensemble.path(5))
+        increment = plain_increments(prob, ensemble, 6, paths=[5])
         assert repr(one.increment_means) == repr(increment)
+        # the seminorm, read beside the probe: one call on the ensemble
+        # gives each path the bits of its own call
+        for alpha in (0.2, 0.35):
+            stacked = fractional_seminorm(ensemble, alpha, "Hminus1")
+            plain = [
+                fractional_seminorm(ensemble.path(p), alpha, "Hminus1")
+                for p in range(ensemble.n_paths)
+            ]
+            assert repr(stacked.tolist()) == repr(plain)
 
     def test_rejects_too_coarse_grid(self, heat_problem, grid, qspec):
         tg = TimeGrid(2)
@@ -849,7 +849,7 @@ class TestRegularityProbe:
         silent = NoisePath(tg, np.zeros((tg.n_steps, qspec.n_modes)), seed=0)
         u = solve_frozen(heat_problem, xi, silent)
         with pytest.raises(ValueError):
-            time_regularity_probe(heat_problem, u, alphas=(0.5,))
+            time_regularity_probe(heat_problem, u)
 
 
 class TestInvarianceRadius:

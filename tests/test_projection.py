@@ -340,9 +340,7 @@ def test_one_path_contracts_reject_a_stacked_trajectory(tmp_path):
     stacked = Trajectory.from_matrix(TimeGrid(4), grid, np.ones((2, 5, 4)))
     readers = {
         "trajectory_to_csv": lambda: trajectory_to_csv(stacked, str(tmp_path / "a.csv")),
-        "haar_rate_experiment": lambda: haar_rate_experiment(
-            [stacked], range(1, 4), alpha=0.5, p=2.0
-        ),
+        "haar_rate_experiment": lambda: haar_rate_experiment([stacked], range(1, 4)),
     }
     for name, read in readers.items():
         with pytest.raises(ValueError, match=f"{name} reads one path.*stacks 2"):
@@ -382,21 +380,14 @@ def test_smoothed_seed_converges_to_datum():
         smoothed_seed(hat, 0)
 
 
-@pytest.mark.parametrize("kind,p", [("L2", 2.0), ("V_H1", 1.0), ("Hminus1", 2.0)])
-def test_seminorm_of_constant_is_lp_part_only(kind, p):
+@pytest.mark.parametrize("kind,T", [("L2", 2.0), ("V_H1", 1.0), ("Hminus1", 2.0)])
+def test_seminorm_of_constant_is_lp_part_only(kind, T):
+    # every gap vanishes, so the norm is the time-L2 norm sqrt(T) |c|
     grid = SpatialGrid(9)
     c = Field(grid, np.linspace(0.5, -1.5, 9))
-    traj = Trajectory.constant(TimeGrid(128, T=2.0), c)
-    value = fractional_seminorm(traj, 0.5, p, kind)
-    assert value == pytest.approx(2.0 ** (1.0 / p) * norm(c, kind), rel=1e-12)
-
-
-def test_seminorm_lp_kind_constant():
-    grid = SpatialGrid(9)
-    c = Field(grid, np.linspace(0.5, -1.5, 9))
-    traj = Trajectory.constant(TimeGrid(64), c)
-    value = fractional_seminorm(traj, 0.3, 3.0, "Lp", spatial_p=4.0)
-    assert value == pytest.approx(norm(c, "Lp", p=4.0), rel=1e-12)
+    traj = Trajectory.constant(TimeGrid(128, T=T), c)
+    value = fractional_seminorm(traj, 0.5, kind)
+    assert value == pytest.approx(np.sqrt(T) * norm(c, kind), rel=1e-12)
 
 
 def test_seminorm_ramp_closed_form():
@@ -410,9 +401,7 @@ def test_seminorm_ramp_closed_form():
     def ramp_value(n_steps):
         tg = TimeGrid(n_steps)
         m = tg.times[:, None] * v.values[None, :]
-        return fractional_seminorm(
-            Trajectory.from_matrix(tg, grid, m), 0.25, 2.0, "L2"
-        )
+        return fractional_seminorm(Trajectory.from_matrix(tg, grid, m), 0.25, "L2")
 
     assert ramp_value(512) == pytest.approx(closed, rel=0.02)
     assert abs(ramp_value(1024) - closed) < abs(ramp_value(256) - closed)
@@ -429,26 +418,21 @@ def test_seminorm_ramp_closed_form():
 
 def test_seminorm_validation():
     traj = Trajectory.constant(TimeGrid(8), Field(SpatialGrid(4), np.ones(4)))
-    for alpha in (0.0, 1.0, -0.3, 1.2):
+    for alpha in (0.0, 1.0, -0.3, 1.2, np.nan):
         with pytest.raises(ValueError):
-            fractional_seminorm(traj, alpha, 2.0)
-    for p in (0.5, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            fractional_seminorm(traj, 0.5, p)
-        with pytest.raises(ValueError):
-            fractional_seminorm(traj, 0.5, 2.0, "Lp", spatial_p=p)
-    with pytest.raises(ValueError):
-        fractional_seminorm(traj, 0.5, 2.0, "Lp")
-    with pytest.raises(ValueError):
-        fractional_seminorm(traj, 0.5, 2.0, "supremum")
+            fractional_seminorm(traj, alpha)
+    # only a Hilbert kind has the Euclidean embedding the kernel sums
+    for kind in ("Lp", "supremum"):
+        with pytest.raises(ValueError, match="unknown norm kind"):
+            fractional_seminorm(traj, 0.5, kind)
 
 
 def test_seminorm_brownian_alpha_monotone():
     # T = 1 makes every gap weight increase with alpha, path by path
     for seed in range(100):
         traj = brownian_traj(512, 6000 + seed)
-        lo = fractional_seminorm(traj, 0.25, 2.0, "L2")
-        hi = fractional_seminorm(traj, 0.45, 2.0, "L2")
+        lo = fractional_seminorm(traj, 0.25, "L2")
+        hi = fractional_seminorm(traj, 0.45, "L2")
         assert np.isfinite(lo) and np.isfinite(hi)
         assert hi > lo
 
@@ -469,7 +453,7 @@ def test_seminorm_brownian_refinement_dichotomy():
         # the 100 paths stacked: one call per level and alpha
         traj = scalar_traj(fine[:, :: 2 ** (12 - lev)])
         for alpha in vals:
-            vals[alpha][:, j] = fractional_seminorm(traj, alpha, 2.0, "L2")
+            vals[alpha][:, j] = fractional_seminorm(traj, alpha, "L2")
     for alpha in vals:
         assert np.all(np.isfinite(vals[alpha]))
     total_grow = vals[0.55][:, -1] / vals[0.55][:, 0]
@@ -523,21 +507,10 @@ def test_fft_kernel_matches_the_gap_loop(kind):
     # is the first size with a gap from the FFT
     cases += [(brownian_stack(3, n, 43 + n), 0.4) for n in (1, 2, 9, 10)]
     for traj, alpha in cases:
-        got = fractional_seminorm(traj, alpha, 2.0, kind)
-        want = seminorm_loop.fractional_seminorm(traj, alpha, 2.0, kind)
+        got = fractional_seminorm(traj, alpha, kind)
+        want = seminorm_loop.fractional_seminorm(traj, alpha, kind)
         assert np.shape(got) == np.shape(want)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
-
-
-@pytest.mark.parametrize(
-    "kind,p", [(kind, 3.0) for kind in HILBERT_KINDS] + [("Lp", 2.0), ("Lp", 3.0)]
-)
-def test_loop_kinds_keep_the_gap_loop_bits(kind, p):
-    # the identity holds for p = 2 and a Hilbert norm only; the rest loop
-    for traj in (brownian_stack(4, 96, 47), brownian_stack(4, 96, 47).path(1)):
-        got = fractional_seminorm(traj, 0.3, p, kind, 4.0)
-        want = seminorm_loop.fractional_seminorm(traj, 0.3, p, kind, 4.0)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_seminorm_nan_stays_in_its_path():
@@ -545,13 +518,13 @@ def test_seminorm_nan_stays_in_its_path():
     values = stack.stacked()
     values[2, 10, 3] = np.nan
     poisoned = Trajectory(stack.timegrid, stack.grid, values)
-    got = fractional_seminorm(poisoned, 0.3, 2.0, "L2")
+    got = fractional_seminorm(poisoned, 0.3, "L2")
     assert np.isnan(got[2])
     for q in (0, 1, 3, 4):
-        one = fractional_seminorm(poisoned.path(q), 0.3, 2.0, "L2")
+        one = fractional_seminorm(poisoned.path(q), 0.3, "L2")
         assert got[q].tobytes() == np.float64(one).tobytes()
     with pytest.raises(ValueError):
-        fractional_seminorm(poisoned, 0.3, 2.0, "Hminus1")
+        fractional_seminorm(poisoned, 0.3, "Hminus1")
 
 
 def test_rate_experiment_smooth_family():
@@ -563,7 +536,7 @@ def test_rate_experiment_smooth_family():
     for k in (1, 3):
         m = np.sin(2 * np.pi * tg.times)[:, None] * sine_field(grid, k).values
         family.append(Trajectory.from_matrix(tg, grid, m))
-    fit = haar_rate_experiment(family, range(3, 8), alpha=0.95, p=2.0)
+    fit = haar_rate_experiment(family, range(3, 8))
     assert fit.slope <= -0.9
     assert not fit.exact.any()
     assert np.all(np.diff(fit.errors, axis=1) < 0)
@@ -574,22 +547,19 @@ def test_rate_experiment_constant_is_exact():
     tg = TimeGrid(512)
     const = Trajectory.constant(tg, Field(grid, np.full(31, 0.75)))
     m = np.sin(2 * np.pi * tg.times)[:, None] * sine_field(grid, 1).values
-    fit = haar_rate_experiment(
-        [const, Trajectory.from_matrix(tg, grid, m)], range(3, 8), 0.95, 2.0
-    )
+    fit = haar_rate_experiment([const, Trajectory.from_matrix(tg, grid, m)], range(3, 8))
     assert fit.exact[0] and not fit.exact[1]
     assert np.isnan(fit.slopes[0])
     assert np.all(fit.errors[0] == 0.0)
-    only_const = haar_rate_experiment([const], range(3, 8), 0.95, 2.0)
+    only_const = haar_rate_experiment([const], range(3, 8))
     with pytest.raises(ValueError):
         only_const.slope
 
 
 def test_rate_experiment_brownian_median_slope():
     family = [brownian_traj(512, 5000 + i) for i in range(100)]
-    fit = haar_rate_experiment(family, range(2, 7), alpha=0.4, p=2.0)
+    fit = haar_rate_experiment(family, range(2, 7))
     assert fit.slope <= -0.3
-    assert fit.alpha == 0.4
 
 
 def test_rate_experiment_needs_three_levels():
@@ -597,7 +567,15 @@ def test_rate_experiment_needs_three_levels():
     traj = brownian_traj(64, 1)
     for levels in ((2, 3), (3, 3, 3), (3, 3, 4)):
         with pytest.raises(ValueError, match="3 distinct levels"):
-            haar_rate_experiment([traj], levels, 0.4, 2.0)
+            haar_rate_experiment([traj], levels)
+
+
+def test_rate_experiment_rejects_an_empty_family():
+    # an empty family has no slope to fit: the call fails, not .slope,
+    # whose message would claim every trajectory was reproduced exactly
+    for family in ([], ()):
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            haar_rate_experiment(family, range(2, 7))
 
 
 def test_trajectory_lp_norm_left_sum():

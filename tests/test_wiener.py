@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from dyadic_basis import haar_function, schauder_function
 
 from stf_spde.grids import SpatialGrid, norm_values
 from stf_spde.projection import TimeGrid
@@ -13,14 +14,12 @@ from stf_spde.wiener import (
     _STREAM_LC_MODE,
     NoisePath,
     QWienerSpec,
-    haar_function,
     lc_q_wiener,
     lc_scalar_bm,
     load_noise_path,
     sample_increments,
     sample_increments_batch,
     save_noise_path,
-    schauder_function,
     tail_bound_probe,
 )
 
