@@ -153,8 +153,8 @@ class RunConfig:
         # section, and rejected, instead of being copied into every section
         cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
         try:
-            cp.read(path)
-        except configparser.Error as exc:
+            cp.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
         keys = dataclasses.fields(cls)
         home = {f.name: f.metadata["section"] for f in keys}
@@ -704,18 +704,26 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the output directory; a path that cannot be one is a usage error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     """Run one command; the library's errors map to exit codes here only."""
     try:
         if args.command == "verify":
-            os.makedirs(args.out, exist_ok=True)
+            _make_out_dir(args.out)
             return cmd_verify(args.suite, args.out)
         overrides = {"master_seed": args.seed, "paths": args.paths}
         cfg = RunConfig.from_file(
             args.config, **{k: v for k, v in overrides.items() if v is not None}
         )
         out_dir = args.out if args.out is not None else cfg.output_dir
-        os.makedirs(out_dir, exist_ok=True)
+        _make_out_dir(out_dir)
         command = cmd_simulate if args.command == "simulate" else cmd_fixed_point
         return command(cfg, out_dir)
     except ConfigError as exc:

@@ -11,9 +11,9 @@ the same fixed point can be built directly in a single left-to-right
 sweep (staircase_construct).
 
 Picard exploits the same structure: solve rows 0..r depend on coefficient
-rows 0..r-1 alone, so each path keeps the solve it marched last and
-re-marches it only from the first row where the new coefficient differs
-from the old one. A converged path thus marches 7 + 7 + 6 + ... + 1 + 0
+rows 0..r-1 alone, and iterates j-1 and j-2 agree on blocks 0..j-3, so
+pass j keeps the solve of pass j-1 and re-marches it from row
+max(j-2, 0) s only. A converged path thus marches 7 + 7 + 6 + ... + 1 + 0
 blocks at level 3 instead of 9 full solves, with every iterate and
 diagnostic equal bit for bit to the plain loop proj_shifted(solve_frozen).
 
@@ -23,11 +23,10 @@ Trajectory, or a sequence of them, as picard_iterate does, giving the
 stacked form, which picard_iterate also returns; solve_frozen takes it
 back with the same sequence. xnorm_power_distance and integral_v_power
 read a stack as one value per path, so Picard and the probes make one
-call per functional. Every ensemble is marched as one batch:
-Picard's coupled paths (each joining the batch at its own restart row),
-the staircase sweep of an ensemble and the one behind the energy and
-regularity probes, and the continuity probe's base and perturbed
-coefficients under all their noise paths. The solver's batched march gives
+call per functional. Every ensemble is marched as one batch: Picard's
+coupled paths, the staircase sweep of an ensemble and the one behind the
+energy and regularity probes, and the continuity probe's base and
+perturbed coefficients under all their noise paths. The solver's batched march gives
 each path the bits it gets when marched alone, so a path's bits do not
 depend on its batch, and a path that fails raises the error the
 path-by-path loop met first: that of the lowest-index failing path.
@@ -105,9 +104,10 @@ class FixedPointDiagnostics:
     distance between iterates k and k+1; since iterate k+1 is exactly the
     projected solve of iterate k, that same number is the fixed-point
     residual of iterate k. The final residual field is measured on the
-    last iterate with one more projected solve per path; like every pass,
-    it re-marches only from the first coefficient row that changed, so on
-    an exact fixed point it marches no step at all.
+    last iterate with one more projected solve per path, pass
+    n_iterations + 1; like every pass, it re-marches from its pass's
+    block, so after 2^n + 1 passes it marches no step at all. The energy
+    of the final iterates is energy_means[-1], with stderr energy_stderr.
     """
 
     distance_means: tuple
@@ -115,7 +115,6 @@ class FixedPointDiagnostics:
     energy_means: tuple
     residual: float
     residual_stderr: float
-    energy_functional: float
     energy_stderr: float
     converged: bool
     n_iterations: int
@@ -153,17 +152,6 @@ def _check_stopping_rule(tol: float, max_iter: int | None) -> None:
         raise ValueError(f"Picard's tol must be >= 0 and finite, got {tol}")
 
 
-def _first_changed_rows(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Per path, the first row where old and new differ in any bit.
-
-    old and new are (paths, rows, N); a path with no change gets rows.
-    Bits, not values: equal bits in make equal bits out of the march,
-    while -0.0 == 0.0 could still carry a sign into the solve.
-    """
-    changed = np.any(old.view(np.int64) != new.view(np.int64), axis=-1)
-    return np.where(changed.any(axis=-1), changed.argmax(axis=-1), changed.shape[-1])
-
-
 def picard_iterate(
     problem: ProblemSpec,
     level: HaarLevel,
@@ -184,11 +172,14 @@ def picard_iterate(
     exception.
 
     Each projected solve equals proj_shifted(solve_frozen(...)) bit for
-    bit, but re-marches a path only from the first coefficient row that
-    differs from the one its kept solve was marched under, and stops at
-    row (2^n - 1) s, since the projection never reads the last block.
-    All paths are marched in one batch, each joining it at its own
-    restart row. The inputs are checked here, before any step is marched.
+    bit, but pass j re-marches the solve kept from pass j - 1 only from
+    row max(j - 2, 0) s, where iterates j - 1 and j - 2 can first differ,
+    and stops at row (2^n - 1) s, since the projection never reads the
+    last block. The residual pass is pass n_iterations + 1. Where two
+    iterates agree past that row (a zero datum converges at pass 1, and
+    its residual pass re-marches every row), a pass re-marches rows whose
+    coefficient did not change: extra work, same bits. All paths are
+    marched in one batch. The inputs are checked before any step is.
 
     Returns:
         (the final iterates stacked as (paths, n_steps + 1, N), path p
@@ -213,27 +204,22 @@ def picard_iterate(
     s = tg.n_steps // 2**level.n
     stop = tg.n_steps - s
     stats = _PathStats(len(inc))
-    # each path's solve rows and the coefficient rows they were marched under
+    # each path's solve rows, kept from pass to pass
     solves = np.empty((len(inc), stop + 1, grid.n_interior))
     solves[:, 0] = problem.initial_datum.values
-    marched_under = None
 
-    def projected_solve(xi: np.ndarray) -> Trajectory:
-        nonlocal marched_under
-        start = 0 if marched_under is None else _first_changed_rows(marched_under, xi)
+    def projected_solve(xi: np.ndarray, n_pass: int) -> Trajectory:
+        start = max(n_pass - 2, 0) * s
         _march(problem, solves, xi, inc, tg.dt, start, stop, cfg, stats)
         stats.raise_first()
-        marched_under = xi
         return Trajectory(tg, grid, _shifted_rows(solves, level, s))
 
     dims = (len(inc), tg.n_steps + 1, grid.n_interior)
     iterates = Trajectory(tg, grid, np.broadcast_to(problem.initial_datum.values, dims))
     distance_means, distance_stderrs, energy_means = [], [], []
     converged = False
-    n_iterations = 0
-    for _ in range(max_iter):
-        new_iterates = projected_solve(iterates.values)
-        n_iterations += 1
+    for n_iterations in range(1, max_iter + 1):
+        new_iterates = projected_solve(iterates.values, n_iterations)
         gaps = xnorm_power_distance(new_iterates, iterates, problem)
         mean, stderr = _ensemble_mean_stderr(gaps)
         distance_means.append(mean)
@@ -245,18 +231,17 @@ def picard_iterate(
             converged = True
             break
 
-    final = projected_solve(iterates.values)
+    final = projected_solve(iterates.values, n_iterations + 1)
     residuals = xnorm_power_distance(final, iterates, problem)
     res_mean, res_stderr = _ensemble_mean_stderr(residuals)
     # the last pass measured these energies on the final iterates
-    energy_mean, energy_stderr = _ensemble_mean_stderr(energies)
+    _, energy_stderr = _ensemble_mean_stderr(energies)
     diagnostics = FixedPointDiagnostics(
         distance_means=tuple(distance_means),
         distance_stderrs=tuple(distance_stderrs),
         energy_means=tuple(energy_means),
         residual=res_mean,
         residual_stderr=res_stderr,
-        energy_functional=energy_mean,
         energy_stderr=energy_stderr,
         converged=converged,
         n_iterations=n_iterations,

@@ -331,16 +331,15 @@ def fractional_seminorm(
     return _path_roots(l2_part + 2.0 * acc, 2.0)
 
 
-def trajectory_lp_norm(
-    traj: Trajectory,
-    norm_kind: str,
-    p: float,
-    spatial_p: float | None = None,
-) -> float | np.ndarray:
-    """Left-Riemann time-Lp norm (sum_k dt |u(t_k)|^p_kind)^{1/p}, per path."""
+def trajectory_lp_norm(traj: Trajectory, norm_kind: str, p: float) -> float | np.ndarray:
+    """Left-Riemann time-Lp norm (sum_k dt |u(t_k)|^p_kind)^{1/p}, per path.
+
+    norm_kind is a Hilbert kind ("L2", "V_H1", "Hminus1"); "Lp" raises,
+    as it has no spatial exponent here.
+    """
     if not 1 <= p < np.inf:
         raise ValueError(f"time exponent p must be in [1, inf), got {p}")
-    vals = norm_values(traj.grid, traj.values[..., :-1, :], norm_kind, spatial_p)
+    vals = norm_values(traj.grid, traj.values[..., :-1, :], norm_kind)
     return _path_roots(traj.timegrid.dt * np.sum(vals**p, axis=-1), p)
 
 

@@ -137,13 +137,13 @@ def _lane_keys(
     """(seeds, lanes) keys: derive_key(s, *prefix, j + 1) in row s, column j.
 
     The prefix is folded into all the seeds' bases in one array pass, the
-    lane index in a second; the words are derive_key's.
+    lane index in a second; the words are derive_key's. A uint64 seed
+    array is read whole; other seeds, such as Python ints, are reduced
+    mod 2^64 one by one.
     """
-    base = np.fromiter(
-        (int(s) & _MASK64 for s in master_seeds),
-        dtype=np.uint64,
-        count=len(master_seeds),
-    )
+    base = master_seeds
+    if getattr(base, "dtype", None) != np.uint64:
+        base = np.fromiter((int(s) & _MASK64 for s in base), np.uint64, len(base))
     for ix in prefix:
         base = splitmix64(base ^ np.uint64(ix & _MASK64))
     return splitmix64(base[:, None] ^ np.arange(1, lanes + 1, dtype=np.uint64))

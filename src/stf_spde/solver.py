@@ -399,24 +399,23 @@ def _march(problem, u, xi_rows, inc, dt, start, stop, cfg, stats):
 
     u and xi_rows are stacked per path as (paths, rows, N), inc as
     (paths, n_steps, n_modes); step k freezes path p's coefficient at
-    xi_rows[p, k] and takes inc[p, k]. start is one row, or one per path at
-    which it joins. Each step is one _advance over the live paths (a slice
-    while all are), found again only when a path joins or fails. A failed
-    path is skipped. solve_frozen, staircase_construct and Picard share this
-    loop, so the Picard limit and the staircase stay equal bit for bit.
+    xi_rows[p, k] and takes inc[p, k]. Each step is one _advance over the
+    live paths (a slice while all are), found again only when a path
+    fails. A failed path is skipped. solve_frozen, staircase_construct and
+    Picard share this loop, so the Picard limit and the staircase stay
+    equal bit for bit.
     """
     basis = problem.qwiener.basis
-    start = np.broadcast_to(start, len(u))
-    joins, failed = set(start.tolist()), None
-    for k in range(int(start.min()), stop):
-        if k in joins or len(stats.failed) != failed:
+    failed = None
+    for k in range(start, stop):
+        if len(stats.failed) != failed:
             failed = len(stats.failed)
-            live = start <= k
+            live = np.ones(len(u), dtype=bool)
             live[list(stats.failed)] = False
             paths = np.flatnonzero(live)
             rows = slice(None) if paths.size == len(u) else paths
         if not paths.size:
-            continue
+            break
         dw = (inc[rows, k, None, :] @ basis)[:, 0]
         v, lost = _advance(
             problem, u[rows, k], xi_rows[rows, k], dw, dt, cfg, stats, paths, 0

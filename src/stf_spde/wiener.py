@@ -153,8 +153,8 @@ def sample_increments_batch(
     Path p is drawn from seeds[p] exactly as sample_increments draws it,
     bit for bit, whatever the other seeds. The draws go in chunks of a
     fixed number of seeds, so memory beyond the result stays bounded.
+    seeds is a sequence of ints or a uint64 array, which is sliced whole.
     """
-    seeds = list(seeds)
     scale = np.sqrt(spec.eigenvalues * timegrid.dt)
     out = np.empty((len(seeds), timegrid.n_steps, spec.n_modes))
     for a in range(0, len(seeds), _DRAW_CHUNK):

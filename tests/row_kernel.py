@@ -113,8 +113,8 @@ def advance(problem, u, xi_k, dw, dt, cfg, counts, depth=0):
         return advance(problem, mid, xi_k, half, 0.5 * dt, cfg, counts, depth + 1)
 
 
-def march(problem, u, xi_rows, inc, dt, starts, stop, cfg):
-    """Each path alone, step by step from its own start row, in place.
+def march(problem, u, xi_rows, inc, dt, start, stop, cfg):
+    """Each path alone, step by step from row start, in place.
 
     u, xi_rows and inc are stacked per path as the solver's march takes
     them. Returns each path's (Newton iterations, dt retries, error message
@@ -122,11 +122,11 @@ def march(problem, u, xi_rows, inc, dt, starts, stop, cfg):
     """
     basis = problem.qwiener.basis
     records = []
-    for p, first in enumerate(starts):
+    for p in range(len(u)):
         counts = {"newton_iterations": 0, "dt_retries": 0}
         error = None
         try:
-            for k in range(first, stop):
+            for k in range(start, stop):
                 u[p, k + 1] = advance(
                     problem, u[p, k], xi_rows[p, k], inc[p, k] @ basis, dt, cfg, counts
                 )

@@ -94,6 +94,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="not found"):
             RunConfig.from_file(str(tmp_path / "absent.ini"))
 
+    def test_config_is_read_as_utf8(self, tmp_path, capsys):
+        # the locale once chose the codec, and byte 0xff raised
+        # UnicodeDecodeError: exit 5 with a traceback
+        path = tmp_path / "run.ini"
+        write_config(path)
+        text = path.read_text()
+        path.write_bytes(("# \u03be = |sin 2\u03c0x|\n" + text).encode("utf-8"))
+        assert RunConfig.from_file(str(path)).paths == 2
+        path.write_bytes(text.encode("utf-8") + b"# \xff\n")
+        with pytest.raises(ConfigError, match="cannot parse .*can't decode byte 0xff"):
+            RunConfig.from_file(str(path))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot parse") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -762,6 +777,38 @@ class TestVerify:
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "command,via",
+        [
+            (command, via)
+            for command in ("simulate", "fixed-point", "verify")
+            for via in ("out", "out_under", "output_dir")
+            # verify takes no config, so only --out names its directory
+            if command != "verify" or via != "output_dir"
+        ],
+    )
+    def test_output_dir_that_cannot_be_made_is_a_usage_error(
+        self, tmp_path, capsys, command, via
+    ):
+        # os.makedirs once raised FileExistsError or NotADirectoryError
+        # here: exit 5 with a traceback
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if via == "out_under" else taken
+        if command == "verify":
+            argv = ["verify", "haar", "--out", str(out)]
+        else:
+            run = {"output_dir": str(out)} if via == "output_dir" else {}
+            path = write_config(tmp_path / "run.ini", overrides={"run": run})
+            argv = [command, "--config", path]
+            if via != "output_dir":
+                argv += ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
+        assert taken.is_file()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -150,13 +150,13 @@ class TestTrajectoryFunctionals:
 
 
 TRIPLES = {"heat": TripleKind.heat(), "porous": TripleKind.porous(2)}
-# (reader, its norm kind, triple or example, p); the spatial Lp kind has p = 4
+# (reader, its norm kind, triple or example, p)
 READER_CASES = (
     # the fractional seminorm is the p = 2 one of a Hilbert norm
     [("fractional_seminorm", kind, 2.0) for kind in ("L2", "V_H1", "Hminus1")]
     + [
         ("trajectory_lp_norm", kind, p)
-        for kind in ("L2", "V_H1", "Hminus1", "Lp")
+        for kind in ("L2", "V_H1", "Hminus1")
         for p in (2.0, 3.0)
     ]
     + [("pathwise_sup_H", triple, None) for triple in TRIPLES]
@@ -185,7 +185,7 @@ def test_readers_act_on_the_path_axis(grid, qspec, small_datum, reader, kind, p)
         if reader == "fractional_seminorm":
             return fractional_seminorm(traj, 0.3, kind)
         if reader == "trajectory_lp_norm":
-            return trajectory_lp_norm(traj, kind, p, 4.0)
+            return trajectory_lp_norm(traj, kind, p)
         if reader == "pathwise_sup_H":
             return pathwise_sup_H(traj, TRIPLES[kind])
         if reader == "integral_v_power":

@@ -94,6 +94,7 @@ def test_test_only_names_and_unused_parameters_are_gone():
         stf_spde.fractional_seminorm: ("p", "spatial_p"),
         stf_spde.time_regularity_probe: ("alphas", "n_increment_times"),
         stf_spde.haar_rate_experiment: ("alpha", "p", "norm_kind", "spatial_p"),
+        stf_spde.trajectory_lp_norm: ("spatial_p",),
     }
     for func, params in gone.items():
         kept = inspect.signature(func).parameters
@@ -104,6 +105,7 @@ def test_test_only_names_and_unused_parameters_are_gone():
     for cls, attrs in (
         (stf_spde.RegularityTable, ("alphas", "seminorm_means", "seminorm_stderrs")),
         (stf_spde.RateFit, ("alpha",)),
+        (stf_spde.FixedPointDiagnostics, ("energy_functional",)),
     ):
         fields = {f.name for f in dataclasses.fields(cls)}
         assert not set(attrs) & fields, (cls.__name__, fields)

@@ -135,7 +135,7 @@ class TestPicard:
         assert diag.n_iterations == 1
         assert diag.converged
         assert diag.residual == 0.0
-        assert diag.energy_functional == 0.0
+        assert diag.energy_means[-1] == 0.0
         assert iterates.n_paths == 1 and np.all(iterates.values == 0.0)
 
     def test_exact_fixed_point_within_block_count(self, heat_picard):
@@ -148,7 +148,7 @@ class TestPicard:
         assert diag.distance_means[0] == pytest.approx(
             0.016498728078231946, rel=1e-9
         )
-        assert diag.energy_functional == pytest.approx(
+        assert diag.energy_means[-1] == pytest.approx(
             0.006589693658034249, rel=1e-9
         )
 
@@ -172,19 +172,20 @@ class TestPicard:
     def test_residual_solve_only_when_not_fixed(
         self, heat_problem, level, heat_picard, monkeypatch
     ):
-        # pass k + 1 re-marches a path from block k up to row 112 (the
-        # projection never reads the last block), so a converged path
-        # marches 112 + 112 + 96 + ... + 16 + 0 steps and its residual pass
-        # none; a capped run's residual pass marches on from its block
+        # pass j re-marches every path from block max(j - 2, 0) up to row
+        # 112 (the projection never reads the last block), so a converged
+        # path marches 112 + 112 + 96 + ... + 16 + 0 steps and its residual
+        # pass none; a capped run's residual pass marches on from its block
         noises, _, _ = heat_picard
         noises = noises[:2]
         march = fixed_point._march
         steps = {}
 
         def counted(problem, u, xi_rows, inc, dt, start, stop, cfg, stats):
-            # row i of the batch is path i; start is one row or one per path
-            for noise, first in zip(noises, np.broadcast_to(start, len(u))):
-                steps[noise.seed] = steps.get(noise.seed, 0) + max(stop - first, 0)
+            # row i of the batch is path i, and every path starts at one row
+            assert isinstance(start, int) and len(u) == len(noises)
+            for noise in noises:
+                steps[noise.seed] = steps.get(noise.seed, 0) + max(stop - start, 0)
             march(problem, u, xi_rows, inc, dt, start, stop, cfg, stats)
 
         monkeypatch.setattr(fixed_point, "_march", counted)
@@ -203,6 +204,11 @@ class TestPicard:
             residuals.append(xnorm_power_distance(resolve, xi, heat_problem))
         assert diag.residual == float(np.mean(residuals))
         assert diag.residual > 0.0
+        steps.clear()
+        # a tol met at pass 1: its residual pass is pass 2, from row 0
+        _, diag = picard_iterate(heat_problem, level, noises, tol=1.0)
+        assert diag.converged and diag.n_iterations == 1
+        assert steps == {noise.seed: 112 + 112 for noise in noises}
 
     def test_rejects_empty_ensemble(self, heat_problem, level):
         with pytest.raises(ValueError):
@@ -287,7 +293,6 @@ class TestPicard:
                 energy_means=(0.0,),
                 residual=0.0,
                 residual_stderr=0.0,
-                energy_functional=0.0,
                 energy_stderr=0.0,
                 converged=True,
                 n_iterations=1,
@@ -327,7 +332,6 @@ class TestPicard:
             energy_means=tuple(extreme_floats[-4:]),
             residual=nonneg[-1],
             residual_stderr=0.0,
-            energy_functional=0.0,
             energy_stderr=0.0,
             converged=False,
             n_iterations=4,
@@ -384,14 +388,13 @@ def plain_picard(problem, level, noises, max_iter):
             for xi, noise in zip(iterates, noises)
         ]
     )
-    energy, energy_stderr = mc_mean_stderr(energies)
+    _, energy_stderr = mc_mean_stderr(energies)
     return iterates, FixedPointDiagnostics(
         distance_means=tuple(distance_means),
         distance_stderrs=tuple(distance_stderrs),
         energy_means=tuple(energy_means),
         residual=residual,
         residual_stderr=residual_stderr,
-        energy_functional=energy,
         energy_stderr=energy_stderr,
         converged=converged,
         n_iterations=n_iterations,
@@ -899,7 +902,7 @@ class TestInvarianceChain:
             sample_increments(qspec, tg, path_seed(17, i)) for i in range(4)
         ]
         _, diag = picard_iterate(heat_problem, level, noises)
-        assert diag.energy_functional == pytest.approx(
+        assert diag.energy_means[-1] == pytest.approx(
             0.006589693658034249, rel=1e-9
         )
-        assert diag.energy_functional + diag.energy_stderr <= r_star
+        assert diag.energy_means[-1] + diag.energy_stderr <= r_star

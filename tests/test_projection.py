@@ -589,8 +589,9 @@ def test_trajectory_lp_norm_left_sum():
     for p in (0.25, np.inf, np.nan):
         with pytest.raises(ValueError):
             trajectory_lp_norm(traj, "L2", p)
-        with pytest.raises(ValueError):
-            trajectory_lp_norm(traj, "Lp", 2.0, spatial_p=p)
+    # the spatial Lp kind needs an exponent the reader no longer takes
+    with pytest.raises(ValueError, match="Lp norm needs an exponent"):
+        trajectory_lp_norm(traj, "Lp", 2.0)
 
 
 def assert_csv_is_per_row_text(tmp_path, traj, csv_reference):

@@ -595,18 +595,18 @@ class TestBatchedMarch:
     def test_matches_row_kernel_with_halvings_and_retries(
         self, grid, qspec, example, needs_halving
     ):
-        # newton_max_iter = 7 at dt = 0.09 leaves some rows plain, splits
+        # newton_max_iter = 7 at dt = 0.05 leaves some rows plain, splits
         # some into half steps and fails others after both retries
         prob = ProblemSpec(example, qspec, zero_field(grid), m=2, sigma=1.0)
         cfg = SolverConfig(newton_max_iter=7, dt_retries=2)
-        dt = 0.09
+        dt = 0.05
         u, xi, inc = self.batch_inputs(grid, qspec, dt)
-        # rows join the batch at their own start row
-        starts = np.array([0, 1, 0, 2, 0, 1, 0])
+        # every row starts at row 1; row 0 is never read
+        start = 1
         want = u.copy()
-        records = row_kernel.march(prob, want, xi, inc, dt, starts, 4, cfg)
+        records = row_kernel.march(prob, want, xi, inc, dt, start, 4, cfg)
         stats = solver._PathStats(len(u))
-        solver._march(prob, u, xi, inc, dt, starts, 4, cfg, stats)
+        solver._march(prob, u, xi, inc, dt, start, 4, cfg, stats)
         for p, (its, retries, error) in enumerate(records):
             assert stats.newton_iterations[p] == its
             assert stats.dt_retries[p] == retries
@@ -627,7 +627,7 @@ class TestBatchedMarch:
             )
             backtracked = False
             for p, k in zip(*np.nonzero(np.isfinite(want[:, 1:, 0]))):
-                if k < starts[p]:
+                if k < start:
                     continue
                 uk, xk = want[p, k], xi[p, k]
                 dw = inc[p, k] @ qspec.basis
@@ -643,33 +643,14 @@ class TestBatchedMarch:
                     backtracked |= "damping stalled" in str(exc)
             assert backtracked
 
-    @pytest.mark.parametrize("example", KNOWN_EXAMPLES)
-    def test_lone_row_marches_until_the_next_path_joins(self, grid, qspec, example):
-        # row 2 steps alone until row 0 joins it at step 1 and rows 1, 3 at 2
-        prob = ProblemSpec(example, qspec, zero_field(grid), m=2)
-        cfg = SolverConfig()
-        dt = 1e-3
-        u, xi, inc = (a[:4] for a in self.batch_inputs(grid, qspec, dt))
-        starts = np.array([1, 2, 0, 2])
-        want = u.copy()
-        records = row_kernel.march(prob, want, xi, inc, dt, starts, 4, cfg)
-        stats = solver._PathStats(len(u))
-        solver._march(prob, u, xi, inc, dt, starts, 4, cfg, stats)
-        assert not stats.failed
-        assert all(error is None for _, _, error in records)
-        assert stats.newton_iterations.tolist() == [its for its, _, _ in records]
-        assert stats.dt_retries.tolist() == [r for _, r, _ in records]
-        assert u.tobytes() == want.tobytes()
-
     def test_heat_batch_fails_only_the_non_finite_row(self, grid, qspec):
         prob = ProblemSpec("heat_sqrt_drift", qspec, zero_field(grid))
         cfg = SolverConfig()
         dt = 1e-2
         u, xi, inc = self.batch_inputs(grid, qspec, dt)
         inc[4, 1, 3] = np.nan
-        starts = np.zeros(len(u), dtype=int)
         want = u.copy()
-        records = row_kernel.march(prob, want, xi, inc, dt, starts, 4, cfg)
+        records = row_kernel.march(prob, want, xi, inc, dt, 0, 4, cfg)
         stats = solver._PathStats(len(u))
         solver._march(prob, u, xi, inc, dt, 0, 4, cfg, stats)
         assert list(stats.failed) == [4]
@@ -714,7 +695,7 @@ class TestBatchedMarch:
         want = u.copy()
         want[:, 1:] = np.nan
         inc = np.stack([noises[i].increments for i in range(3)])
-        records = row_kernel.march(prob, want, coeff[:3], inc, tg.dt, [0] * 3, tg.n_steps, cfg)
+        records = row_kernel.march(prob, want, coeff[:3], inc, tg.dt, 0, tg.n_steps, cfg)
         assert want.tobytes() == u.tobytes()
         assert counts.tolist() == [[its, retries] for its, retries, _ in records]
         order = rng.permutation(64)
