@@ -71,8 +71,13 @@ def integral_v_power(
     """Left-endpoint quadrature of int_0^T |w(t)|_V^power dt, per path."""
     if not 0 < power < np.inf:
         raise ValueError(f"power must be positive and finite, got {power}")
-    norms = triple.v_norm_values(traj.grid, traj.values[..., :-1, :])
-    total = traj.timegrid.dt * np.sum(norms**power, axis=-1)
+    return _v_power_sum(traj.timegrid.dt, traj.grid, traj.values, triple, power)
+
+
+def _v_power_sum(dt, grid, values, triple, power):
+    """integral_v_power of raw rows, (rows, N) or (paths, rows, N), uncopied."""
+    norms = triple.v_norm_values(grid, values[..., :-1, :])
+    total = dt * np.sum(norms**power, axis=-1)
     return float(total) if total.ndim == 0 else total
 
 

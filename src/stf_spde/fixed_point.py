@@ -10,11 +10,13 @@ reaches an exact (bitwise) fixed point in at most 2^n + 1 passes, and
 the same fixed point can be built directly in a single left-to-right
 sweep (staircase_construct).
 
-Picard exploits the same structure: solve rows 0..r depend on coefficient
-rows 0..r-1 alone, and iterates j-1 and j-2 agree on blocks 0..j-3, so
-pass j keeps the solve of pass j-1 and re-marches it from row
-max(j-2, 0) s only. A converged path thus marches 7 + 7 + 6 + ... + 1 + 0
-blocks at level 3 instead of 9 full solves, with every iterate and
+Picard exploits the same structure: pass j's coefficient on block b is
+the average of pass j-1's solve on block b-1, so pass j can cross block b
+as soon as pass j-1 has crossed block b-1, and it first differs from
+pass j-1 on block j-2. One left-to-right sweep therefore marches every
+pass at once, block b carrying passes 1 .. min(b+2, max_iter+1) as one
+batch: a converged path marches 2 + 3 + ... + 8 = 35 blocks at level 3 in
+7 batched marches instead of 9 full solves, with every iterate and
 diagnostic equal bit for bit to the plain loop proj_shifted(solve_frozen).
 
 An ensemble of paths is one Trajectory stacked as (paths, n_steps + 1,
@@ -45,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import integral_v_power, mc_mean_stderr
+from .estimators import _v_power_sum, integral_v_power, mc_mean_stderr
 from .projection import HaarLevel, TimeGrid, Trajectory
-from .projection import _block_averages, _check_dyadic, _one_path, _shifted_rows
+from .projection import _block_averages, _check_dyadic, _one_path, _stepped_rows
 from .projection import _write_csv
 from .rng import path_seed
 # solve_frozen is bound here for bench/tests/test_bench_tracer.py, which
@@ -84,8 +86,9 @@ def xnorm_power_distance(
             "xnorm_power_distance pairs path with path on one time grid, got "
             f"{a.values.shape} on {a.timegrid} and {b.values.shape} on {b.timegrid}"
         )
-    gap = Trajectory(a.timegrid, a.grid, a.values - b.values)
-    return integral_v_power(gap, problem.triple, problem.time_power)
+    return _v_power_sum(
+        a.timegrid.dt, a.grid, a.values - b.values, problem.triple, problem.time_power
+    )
 
 
 def _ensemble_mean_stderr(values):
@@ -105,9 +108,10 @@ class FixedPointDiagnostics:
     projected solve of iterate k, that same number is the fixed-point
     residual of iterate k. The final residual field is measured on the
     last iterate with one more projected solve per path, pass
-    n_iterations + 1; like every pass, it re-marches from its pass's
-    block, so after 2^n + 1 passes it marches no step at all. The energy
-    of the final iterates is energy_means[-1], with stderr energy_stderr.
+    n_iterations + 1, which the sweep has already marched. The energy of
+    the final iterates is energy_means[-1], with stderr energy_stderr.
+    Every distance, stderr, energy and the residual is >= 0; a negative
+    or NaN one raises ValueError.
     """
 
     distance_means: tuple
@@ -120,8 +124,13 @@ class FixedPointDiagnostics:
     n_iterations: int
 
     def __post_init__(self) -> None:
-        if any(d < 0 for d in self.distance_means) or self.residual < 0:
-            raise ValueError("distances and residual must be nonnegative")
+        values = (
+            *self.distance_means, *self.distance_stderrs, *self.energy_means,
+            self.residual, self.residual_stderr, self.energy_stderr,
+        )
+        # not v >= 0 also catches NaN, for which v < 0 is False
+        if not all(v >= 0 for v in values):
+            raise ValueError("distances, stderrs, energies and residual must be >= 0")
 
     def to_csv(self, path: str) -> None:
         """Rows (iteration, mean_distance, stderr, energy, residual).
@@ -172,14 +181,15 @@ def picard_iterate(
     exception.
 
     Each projected solve equals proj_shifted(solve_frozen(...)) bit for
-    bit, but pass j re-marches the solve kept from pass j - 1 only from
-    row max(j - 2, 0) s, where iterates j - 1 and j - 2 can first differ,
-    and stops at row (2^n - 1) s, since the projection never reads the
-    last block. The residual pass is pass n_iterations + 1. Where two
-    iterates agree past that row (a zero datum converges at pass 1, and
-    its residual pass re-marches every row), a pass re-marches rows whose
-    coefficient did not change: extra work, same bits. All paths are
-    marched in one batch. The inputs are checked before any step is.
+    bit, but every pass, the residual pass n_iterations + 1 included, is
+    marched in one left-to-right sweep over the dyadic blocks (_lockstep).
+    Pass j first differs from pass j - 1 on block j - 2, so a converged
+    path marches 2 + 3 + ... + 2^n blocks, 35 at level 3, in 2^n - 1
+    batched marches of up to 2^n passes' rows each. The sweep runs before
+    tol is read: with tol > 0 it marches every pass up to max_iter + 1
+    that differs from its predecessor on some block, as tol = 0 does, and
+    the passes after n_iterations + 1 are dropped with their failures.
+    The inputs are checked before any step is.
 
     Returns:
         (the final iterates stacked as (paths, n_steps + 1, N), path p
@@ -188,7 +198,9 @@ def picard_iterate(
     Raises:
         ValueError: noise_ensemble is a lone NoisePath, not a sequence;
             or tol is not in [0, inf), or max_iter < 1.
-        NewtonDivergence: the lowest-index path that failed in a pass.
+        NewtonDivergence: the lowest-index failing path of the earliest
+            failing pass that is kept, the error a pass-by-pass loop meets
+            first.
     """
     if isinstance(noise_ensemble, NoisePath):
         raise ValueError("picard_iterate takes a sequence of noise paths, not one NoisePath")
@@ -202,24 +214,20 @@ def picard_iterate(
     cfg = config if config is not None else SolverConfig()
     grid = problem.qwiener.grid
     s = tg.n_steps // 2**level.n
-    stop = tg.n_steps - s
-    stats = _PathStats(len(inc))
-    # each path's solve rows, kept from pass to pass
-    solves = np.empty((len(inc), stop + 1, grid.n_interior))
-    solves[:, 0] = problem.initial_datum.values
+    averages, stats = _lockstep(problem, level, tg, inc, max_iter + 1, cfg)
 
-    def projected_solve(xi: np.ndarray, n_pass: int) -> Trajectory:
-        start = max(n_pass - 2, 0) * s
-        _march(problem, solves, xi, inc, tg.dt, start, stop, cfg, stats)
-        stats.raise_first()
-        return Trajectory(tg, grid, _shifted_rows(solves, level, s))
+    def pass_iterate(j: int) -> Trajectory:
+        _raise_first_of_pass(stats, j, len(inc))
+        # a pass past the last distinct one repeats its averages
+        rows = _stepped_rows(averages[min(j, len(averages)) - 1], level, s)
+        return Trajectory(tg, grid, rows)
 
     dims = (len(inc), tg.n_steps + 1, grid.n_interior)
     iterates = Trajectory(tg, grid, np.broadcast_to(problem.initial_datum.values, dims))
     distance_means, distance_stderrs, energy_means = [], [], []
     converged = False
     for n_iterations in range(1, max_iter + 1):
-        new_iterates = projected_solve(iterates.values, n_iterations)
+        new_iterates = pass_iterate(n_iterations)
         gaps = xnorm_power_distance(new_iterates, iterates, problem)
         mean, stderr = _ensemble_mean_stderr(gaps)
         distance_means.append(mean)
@@ -231,7 +239,7 @@ def picard_iterate(
             converged = True
             break
 
-    final = projected_solve(iterates.values, n_iterations + 1)
+    final = pass_iterate(n_iterations + 1)
     residuals = xnorm_power_distance(final, iterates, problem)
     res_mean, res_stderr = _ensemble_mean_stderr(residuals)
     # the last pass measured these energies on the final iterates
@@ -247,6 +255,75 @@ def picard_iterate(
         n_iterations=n_iterations,
     )
     return iterates, diagnostics
+
+
+def _lockstep(problem, level, timegrid, inc, passes, cfg):
+    """Block averages of Picard passes 1 .. passes, swept block by block.
+
+    Pass 1's coefficient is the datum; pass j >= 2 has the seed on block 0
+    and, on block b >= 1, the trapezoid average of pass j - 1's solve on
+    block b - 1. Pass j thus first differs from pass j - 1 on block j - 2,
+    where it enters from pass j - 1's state, so block b marches passes
+    1 .. min(b + 2, passes) as one batch, row (j - 1) paths + p holding
+    pass j on path p. Only the 2^n - 1 blocks the coefficient reads are
+    marched; each row keeps the bits of its own pass-by-pass solve.
+
+    A row whose predecessor in the previous pass failed is not marched,
+    from the next block on: its coefficient is undefined, and the pass
+    loop would have raised before reaching it. It goes into stats.failed
+    with its predecessor's error, so the earliest pass with a failure
+    holds real failures only.
+
+    Returns:
+        (averages, stats). averages[j - 1, p, b] is pass j's average on
+        block b, (distinct passes, paths, 2^n - 1, N), for the
+        min(passes, 2^n) passes that differ from their predecessor on
+        some block; a later pass repeats the last of them. stats holds
+        the march's failures by row.
+    """
+    blocks = 2**level.n - 1
+    passes = min(passes, blocks + 1)
+    paths, n = len(inc), problem.qwiener.grid.n_interior
+    s = timegrid.n_steps // (blocks + 1)
+    averages = np.empty((passes, paths, blocks, n))
+    stats = _PathStats(passes * paths)
+    state = np.broadcast_to(problem.initial_datum.values, (paths, n))
+    for b in range(blocks):
+        live = min(b + 2, passes)
+        rows = live * paths
+        for r in list(stats.failed):
+            for later in range(r + paths, rows, paths):
+                stats.failed.setdefault(later, stats.failed[r])
+        xi = np.empty((rows, n))
+        xi[:paths] = problem.initial_datum.values
+        if b == 0:
+            xi[paths:] = level.seed_field.values
+        else:
+            xi[paths:] = averages[: live - 1, :, b - 1].reshape(-1, n)
+        # NaN, not garbage, where a failed or skipped row is left unmarched
+        u = np.full((rows, s + 1, n), np.nan)
+        u[: len(state), 0] = state
+        if rows > len(state):  # pass live first differs here
+            u[len(state) :, 0] = state[-paths:]
+        _march(
+            problem, u, np.broadcast_to(xi[:, None], (rows, s, n)),
+            np.tile(inc[:, b * s : (b + 1) * s], (live, 1, 1)), timegrid.dt,
+            0, s, cfg, stats,
+        )
+        averages[:live, :, b] = _block_averages(u, s)[:, 0].reshape(live, paths, n)
+        averages[live:, :, b] = averages[live - 1, :, b]
+        state = u[:, -1]
+    return averages, stats
+
+
+def _raise_first_of_pass(stats, j, paths):
+    """Raise the error of pass j's lowest failed path, if any, as that path's."""
+    first = (j - 1) * paths
+    failed = [r - first for r in stats.failed if first <= r < first + paths]
+    if failed:
+        error = stats.failed[first + min(failed)]
+        error.path = min(failed)
+        raise error
 
 
 def _staircase_rows(problem, level, timegrid, inc, cfg, stats):
@@ -400,10 +477,10 @@ def continuity_probe(
     triple, power = problem.triple, problem.time_power
     # xnorm_power_distance of each perturbed coefficient from the base, and
     # its mean over the noise paths for the solutions, (eps, paths) stacked
-    x_gaps = Trajectory(tg, grid, coeffs[1:] - coeffs[0])
-    y_gaps = Trajectory(tg, grid, u[n_paths:] - np.tile(u[:n_paths], (len(eps), 1, 1)))
-    x_raw = integral_v_power(x_gaps, triple, power)
-    y_paths = integral_v_power(y_gaps, triple, power)
+    x_gaps = coeffs[1:] - coeffs[0]
+    y_gaps = u[n_paths:] - np.tile(u[:n_paths], (len(eps), 1, 1))
+    x_raw = _v_power_sum(tg.dt, grid, x_gaps, triple, power)
+    y_paths = _v_power_sum(tg.dt, grid, y_gaps, triple, power)
     y_raw = np.mean(y_paths.reshape(len(eps), n_paths), axis=-1)
     if np.any(x_raw <= 0) or np.any(y_raw <= 0):
         raise ValueError("degenerate regression: zero distance at some epsilon")

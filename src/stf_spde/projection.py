@@ -179,13 +179,22 @@ def _block_averages(u: np.ndarray, s: int) -> np.ndarray:
 def _shifted_rows(u: np.ndarray, level: HaarLevel, s: int) -> np.ndarray:
     """proj_shifted on raw rows, (rows, N) or (paths, rows, N).
 
-    Reads u on rows 0 .. (2^n - 1) s only; steps is a view of out by block.
+    Reads u on rows 0 .. (2^n - 1) s only.
     """
-    blocks = 2**level.n
-    out = np.empty(u.shape[:-2] + (blocks * s + 1, u.shape[-1]))
-    steps = out[..., :-1, :].reshape(u.shape[:-2] + (blocks, s, u.shape[-1]))
+    averages = _block_averages(u[..., : (2**level.n - 1) * s + 1, :], s)
+    return _stepped_rows(averages, level, s)
+
+
+def _stepped_rows(averages: np.ndarray, level: HaarLevel, s: int) -> np.ndarray:
+    """Rows whose block 0 is the seed and block k >= 1 is averages[..., k - 1, :].
+
+    averages is (..., 2^n - 1, N), and the last row repeats the last block;
+    steps is a view of out by block.
+    """
+    lead, blocks, n = averages.shape[:-2], averages.shape[-2] + 1, averages.shape[-1]
+    out = np.empty(lead + (blocks * s + 1, n))
+    steps = out[..., :-1, :].reshape(lead + (blocks, s, n))
     steps[..., 0, :, :] = level.seed_field.values
-    averages = _block_averages(u[..., : (blocks - 1) * s + 1, :], s)
     steps[..., 1:, :, :] = averages[..., None, :]
     out[..., -1, :] = out[..., -2, :]
     return out

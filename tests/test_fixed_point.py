@@ -172,20 +172,22 @@ class TestPicard:
     def test_residual_solve_only_when_not_fixed(
         self, heat_problem, level, heat_picard, monkeypatch
     ):
-        # pass j re-marches every path from block max(j - 2, 0) up to row
-        # 112 (the projection never reads the last block), so a converged
-        # path marches 112 + 112 + 96 + ... + 16 + 0 steps and its residual
-        # pass none; a capped run's residual pass marches on from its block
+        # pass j first differs from pass j - 1 on block j - 2, and the sweep
+        # marches blocks 0 .. 6 only (the projection never reads the last
+        # one), so block b marches min(b + 2, max_iter + 1) passes: a
+        # converged path marches (2 + 3 + ... + 8) 16 = 560 steps, its
+        # residual pass none of its own
         noises, _, _ = heat_picard
         noises = noises[:2]
         march = fixed_point._march
         steps = {}
 
         def counted(problem, u, xi_rows, inc, dt, start, stop, cfg, stats):
-            # row i of the batch is path i, and every path starts at one row
-            assert isinstance(start, int) and len(u) == len(noises)
-            for noise in noises:
-                steps[noise.seed] = steps.get(noise.seed, 0) + max(stop - start, 0)
+            # row r of the batch is pass r // paths on path r % paths
+            assert len(u) % len(noises) == 0
+            for r in range(len(u)):
+                seed = noises[r % len(noises)].seed
+                steps[seed] = steps.get(seed, 0) + max(stop - start, 0)
             march(problem, u, xi_rows, inc, dt, start, stop, cfg, stats)
 
         monkeypatch.setattr(fixed_point, "_march", counted)
@@ -195,7 +197,7 @@ class TestPicard:
         assert diag.residual == 0.0
         steps.clear()
         capped, diag = picard_iterate(heat_problem, level, noises, max_iter=3)
-        # passes of 112, 112 and 96 steps, then a residual pass of 80
+        # passes 1 .. 4, the residual pass included: (2 + 3 + 4 * 5) 16 steps
         assert steps == {noise.seed: 400 for noise in noises}
         residuals = []
         for p, noise in enumerate(noises):
@@ -205,10 +207,11 @@ class TestPicard:
         assert diag.residual == float(np.mean(residuals))
         assert diag.residual > 0.0
         steps.clear()
-        # a tol met at pass 1: its residual pass is pass 2, from row 0
+        # tol is read after the sweep: a tol met at pass 1 keeps passes 1
+        # and 2, yet every pass was marched
         _, diag = picard_iterate(heat_problem, level, noises, tol=1.0)
         assert diag.converged and diag.n_iterations == 1
-        assert steps == {noise.seed: 112 + 112 for noise in noises}
+        assert steps == {noise.seed: 560 for noise in noises}
 
     def test_rejects_empty_ensemble(self, heat_problem, level):
         with pytest.raises(ValueError):
@@ -298,6 +301,35 @@ class TestPicard:
                 n_iterations=1,
             )
 
+    @pytest.mark.parametrize("value", [np.nan, -1e-300])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "distance_means",
+            "distance_stderrs",
+            "energy_means",
+            "residual",
+            "residual_stderr",
+            "energy_stderr",
+        ],
+    )
+    def test_diagnostics_reject_nan_and_negative_values(self, field, value):
+        # value < 0 is False for NaN, so a sign check alone lets NaN through
+        fields = dict(
+            distance_means=(0.0,),
+            distance_stderrs=(0.0,),
+            energy_means=(1.0,),
+            residual=0.0,
+            residual_stderr=0.0,
+            energy_stderr=0.0,
+            converged=False,
+            n_iterations=1,
+        )
+        FixedPointDiagnostics(**fields)
+        fields[field] = (value,) if field.endswith("s") else value
+        with pytest.raises(ValueError, match="must be >= 0"):
+            FixedPointDiagnostics(**fields)
+
     def test_diagnostics_csv_residual_column(
         self, heat_picard, tmp_path, csv_reference, extreme_floats
     ):
@@ -324,12 +356,13 @@ class TestPicard:
                 else diag.residual
             )
             assert float(row[4]) == expected_res
-        # the bytes, against csv.writer, for this run and for extreme values
+        # the bytes, against csv.writer, for this run and for extreme values;
+        # the diagnostics hold no negative value, but -0.0 is one of them
         nonneg = [v for v in extreme_floats if not v < 0]
         extreme = FixedPointDiagnostics(
             distance_means=tuple(nonneg[:4]),
-            distance_stderrs=tuple(v for v in extreme_floats if v < 0)[:4],
-            energy_means=tuple(extreme_floats[-4:]),
+            distance_stderrs=tuple(nonneg[-4:]),
+            energy_means=tuple(nonneg[1:5]),
             residual=nonneg[-1],
             residual_stderr=0.0,
             energy_stderr=0.0,
@@ -357,8 +390,12 @@ class TestPicard:
                 assert fh.read() == expected
 
 
-def plain_picard(problem, level, noises, max_iter):
-    """The Picard loop written out: proj_shifted(solve_frozen(...)) per pass."""
+def plain_picard(problem, level, noises, max_iter, tol=0.0, config=None):
+    """The Picard loop written out: proj_shifted(solve_frozen(...)) per pass.
+
+    It raises the first error it meets: in the earliest failing pass, that
+    of the lowest-index failing path.
+    """
     triple, power = problem.triple, problem.time_power
     tg = noises[0].timegrid
     iterates = [Trajectory.constant(tg, problem.initial_datum) for _ in noises]
@@ -366,7 +403,7 @@ def plain_picard(problem, level, noises, max_iter):
     converged = False
     for n_iterations in range(1, max_iter + 1):
         new = [
-            proj_shifted(solve_frozen(problem, xi, noise), level)
+            proj_shifted(solve_frozen(problem, xi, noise, config), level)
             for xi, noise in zip(iterates, noises)
         ]
         mean, stderr = mc_mean_stderr(
@@ -377,13 +414,15 @@ def plain_picard(problem, level, noises, max_iter):
         energies = [integral_v_power(xi, triple, power) for xi in new]
         energy_means.append(float(np.mean(energies)))
         iterates = new
-        if mean <= 0.0:
+        if mean <= tol:
             converged = True
             break
     residual, residual_stderr = mc_mean_stderr(
         [
             xnorm_power_distance(
-                proj_shifted(solve_frozen(problem, xi, noise), level), xi, problem
+                proj_shifted(solve_frozen(problem, xi, noise, config), level),
+                xi,
+                problem,
             )
             for xi, noise in zip(iterates, noises)
         ]
@@ -414,24 +453,34 @@ def failing_problem(qspec, small_datum):
 
 class TestPicardOracle:
     @pytest.mark.parametrize(
-        "example,max_iter",
-        [(example, 9) for example in KNOWN_EXAMPLES] + [("heat_sqrt_drift", 3)],
+        "example,max_iter,tol,n_iterations",
+        [
+            pytest.param(example, cap, 0.0, cap, id=f"{example}-{cap}")
+            for example, cap in [(example, 9) for example in KNOWN_EXAMPLES]
+            + [("heat_sqrt_drift", 3), ("heat_sqrt_drift", 1), ("heat_sqrt_drift", 2)]
+            + [("porous_gradient_noise", 3)]
+        ]
+        # met at pass 5, whose distance is 4.1e-8; pass 4's is 1.4e-6
+        + [pytest.param("heat_sqrt_drift", 9, 1e-6, 5, id="heat_sqrt_drift-tol=1e-06")],
     )
     def test_matches_plain_loop_bitwise(
-        self, qspec, small_datum, level, example, max_iter
+        self, qspec, small_datum, level, example, max_iter, tol, n_iterations
     ):
+        # max_iter 1 and 2 cap the passes below the 2^3 that differ from
+        # their predecessor on some block; the tol case drops passes 7 .. 10
         prob = ProblemSpec(example, qspec, small_datum, m=2)
         tg = TimeGrid(128)
         noises = [sample_increments(qspec, tg, path_seed(23, i)) for i in range(5)]
-        iterates, diag = picard_iterate(prob, level, noises, max_iter=max_iter)
-        want_iterates, want = plain_picard(prob, level, noises, max_iter)
+        iterates, diag = picard_iterate(prob, level, noises, tol=tol, max_iter=max_iter)
+        want_iterates, want = plain_picard(prob, level, noises, max_iter, tol)
+        assert diag.n_iterations == n_iterations
         assert diag.converged == (max_iter == 9)
         # repr spells every float field out to its last bit
         assert repr(diag) == repr(want)
         assert iterates.n_paths == len(want_iterates)
         for p, expected in enumerate(want_iterates):
             assert iterates.path(p).values.tobytes() == expected.values.tobytes()
-            if diag.converged:
+            if diag.distance_means[-1] == 0.0:
                 sweep = staircase_construct(prob, level, noises[p])
                 assert iterates.path(p).values.tobytes() == sweep.values.tobytes()
 
@@ -457,6 +506,62 @@ class TestPicardOracle:
             picard_iterate(prob, level, noises, config)
         assert str(got.value) == str(want.value)
 
+
+    def test_failure_is_the_earliest_passes_not_the_lowest_paths(
+        self, qspec, small_datum, level
+    ):
+        # path 0 first fails in pass 2, on block 2; path 1 in pass 1, on
+        # block 5 and so later in the sweep: the pass loop meets path 1's
+        # error first, and so must the sweep
+        prob, config = failing_problem(qspec, small_datum)
+        tg = TimeGrid(128)
+        noises = [sample_increments(qspec, tg, path_seed(11, i)) for i in (1, 7)]
+        start = Trajectory.constant(tg, small_datum)
+        first_pass = solve_frozen(prob, start, noises[0], config)
+        with pytest.raises(NewtonDivergence):
+            solve_frozen(prob, proj_shifted(first_pass, level), noises[0], config)
+        with pytest.raises(NewtonDivergence) as want:
+            plain_picard(prob, level, noises, 9, config=config)
+        with pytest.raises(NewtonDivergence) as got:
+            picard_iterate(prob, level, noises, config)
+        assert str(got.value) == str(want.value)
+        assert got.value.path == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_failed_rows_successors_are_not_marched(
+        self, qspec, small_datum, level, monkeypatch
+    ):
+        # row (j - 1) paths + p is pass j on path p; once a row fails, the
+        # coefficients of its path's later passes are undefined, and the
+        # blocks after the failure march none of them
+        prob, config = failing_problem(qspec, small_datum)
+        tg = TimeGrid(128)
+        noises = [sample_increments(qspec, tg, path_seed(11, i)) for i in (1, 7)]
+        march, advance = fixed_point._march, solver._advance
+        stepped, failed = [], []  # rows per block
+
+        def each_block(*args):
+            stepped.append(set())
+            failed.append(set())
+            march(*args)
+
+        def counted(problem, u, xi_k, dw, dt, cfg, stats, paths, depth):
+            v, lost = advance(problem, u, xi_k, dw, dt, cfg, stats, paths, depth)
+            if depth == 0:
+                stepped[-1].update(paths.tolist())
+                failed[-1].update(paths[lost].tolist())
+            return v, lost
+
+        monkeypatch.setattr(fixed_point, "_march", each_block)
+        monkeypatch.setattr(solver, "_advance", counted)
+        with pytest.raises(NewtonDivergence):
+            picard_iterate(prob, level, noises, config)
+        assert failed[2] == {2, 4, 6} and failed[5] >= {1, 3}
+        for b in range(len(stepped)):
+            gone = set().union(*failed[:b])
+            assert not {r + k * len(noises) for r in gone for k in range(9)} & stepped[b]
+        # pass 1 on path 0 was marched on every block
+        assert all(0 in rows for rows in stepped)
 
 class TestStaircase:
     def test_matches_picard_limit_bitwise(self, heat_problem, level, heat_picard):
